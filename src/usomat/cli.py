@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .cube import Orientation, check_orientation, global_sink, is_uso
+from .cube import Orientation, check_orientation, is_uso, mask_to_dims
 from .matousek import (
     CyclicInfluence,
     InfluenceGraph,
@@ -118,12 +118,29 @@ def cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _route_problem(route: str, got: Orientation, want: Orientation) -> Optional[str]:
+    """How one construction route's orientation differs from the graph's, or None."""
+    try:
+        got = canonicalize(got)
+    except ValueError as exc:
+        return f"{route} route gives no Matousek USO ({exc})"
+    for v, (mine, theirs) in enumerate(zip(got.outmaps, want.outmaps)):
+        if mine != theirs:
+            return (
+                f"{route} route disagrees with the graph at vertex {mask_to_dims(v)} "
+                f"of the canonical form: {route} outmap {mask_to_dims(mine)}, "
+                f"graph outmap {mask_to_dims(theirs)}"
+            )
+    return None
+
+
 def cmd_realize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     g = _load_graph(args, parser)
     branching = is_branching_closure(g)
     if branching is None:
         witness = find_forbidden(g)
-        assert witness is not None
+        if witness is None:
+            raise ValueError("graph is not a branching closure, yet no forbidden pattern was found")
         x, y, z = witness.vertices
         print(json.dumps(witness.to_json_obj()))
         print(f"not realizable: {witness.kind} at {x},{y},{z}", file=sys.stderr)
@@ -131,8 +148,11 @@ def cmd_realize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     ext = synthesize_extension(branching)
     inst = translate_to_plcp(realization_matrix(ext), ext)
     want = build_matousek(g)
-    if canonicalize(plcp_to_uso(inst)) != want or canonicalize(extension_to_uso(ext)) != want:
-        print("verification failed: pipeline disagrees; nothing written", file=sys.stderr)
+    problem = _route_problem("extension", extension_to_uso(ext), want) or _route_problem(
+        "LCP", plcp_to_uso(inst), want
+    )
+    if problem is not None:
+        print(f"verification failed: {problem}; nothing written", file=sys.stderr)
         return 1
     print("round-trip: exact match")
     ext_doc = json.dumps(ext.to_json_obj(), indent=2)

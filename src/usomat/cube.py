@@ -82,11 +82,17 @@ class Orientation:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Orientation":
         try:
-            n = int(obj["n"])
+            n = obj["n"]
             rows = obj["outmaps"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"orientation JSON needs 'n' and 'outmaps': {exc}") from exc
+        if type(n) is not int:
+            raise ValueError(f"orientation JSON: 'n' must be an integer, got {n!r}")
         _check_n(n)
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(d) is int for d in row) for row in rows
+        ):
+            raise ValueError("orientation JSON: 'outmaps' must be a list of lists of integer dimensions")
         if len(rows) != 1 << n:
             raise ValueError(
                 f"orientation JSON: expected {1 << n} outmaps for n={n}, got {len(rows)}"

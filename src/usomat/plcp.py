@@ -7,19 +7,27 @@ and q turns the complementarity problem over the matroid into a standard
 LCP: find w, z >= 0 with w - M z = q and w^T z = 0.  All arithmetic is
 exact over the rationals so sign decisions are never at the mercy of
 floating point.
+
+The cube walk behind :func:`plcp_to_uso` and :func:`is_p_matrix` visits all
+2^n complementary bases in Gray-code order, one fraction-free principal
+pivot per step: O(2^n n^2) operations on Python ints, with no Fraction
+inside the loop.  Each vertex's basic solution, and each principal minor,
+is read off the current tableau (Stickney & Watson 1978; the P-matrix test
+is the Schur-complement recursion of Tsatsomeros & Li, BIT 2000, in
+Gray-code order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cube import Orientation
 from .matroid import Q, CyclicExtension
 
-P_MATRIX_CAP = 12  # principal minors double per extra dimension
+P_MATRIX_CAP = 12  # the cube walk doubles per extra dimension
 
 
 class DegenerateQ(ValueError):
@@ -35,6 +43,15 @@ def parse_fraction(s: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {s!r}") from exc
+
+
+def _json_fraction(x: object) -> Fraction:
+    """A JSON entry that is exact: a fraction string or an integer, never a float."""
+    if isinstance(x, str):
+        return parse_fraction(x)
+    if type(x) is int:
+        return Fraction(x)
+    raise ValueError(f"entries must be fraction strings or integers, got {x!r}")
 
 
 class RationalMatrix:
@@ -79,9 +96,6 @@ class RationalMatrix:
 
     def columns(self, js: Sequence[int]) -> "RationalMatrix":
         return RationalMatrix([[row[j] for j in js] for row in self.rows])
-
-    def principal_submatrix(self, idx: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix([[self.rows[i][j] for j in idx] for i in idx])
 
     def det(self) -> Fraction:
         """Determinant by fraction-pivot Gaussian elimination."""
@@ -160,12 +174,17 @@ class PLCPInstance:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PLCPInstance":
         try:
-            n = int(obj["n"])
-            m = RationalMatrix([[parse_fraction(s) for s in row] for row in obj["M"]])
-            q = tuple(parse_fraction(s) for s in obj["q"])
+            n, rows, q = obj["n"], obj["M"], obj["q"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"instance JSON needs 'n', 'M', 'q': {exc}") from exc
-        return cls(n, m, q)
+        if type(n) is not int:
+            raise ValueError(f"instance JSON: 'n' must be an integer, got {n!r}")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("instance JSON: 'M' must be a list of rows")
+        if not isinstance(q, list):
+            raise ValueError("instance JSON: 'q' must be a list")
+        m = RationalMatrix([[_json_fraction(x) for x in row] for row in rows])
+        return cls(n, m, tuple(_json_fraction(x) for x in q))
 
 
 @dataclass(frozen=True)
@@ -227,18 +246,68 @@ def translate_to_plcp(v: RationalMatrix, ext: Optional[CyclicExtension] = None) 
     return PLCPInstance(n, m, q)
 
 
+def _scaled_tableau(m: RationalMatrix, q: Sequence[Fraction] = ()) -> list[list[int]]:
+    """Rows of [L*M | L*q] as ints, L the lcm of every denominator.
+
+    Scaling by L > 0 keeps the sign of every basic solution and of every
+    principal minor, and makes the walk below integer-only.
+    """
+    rows = [list(row) + ([q[r]] if q else []) for r, row in enumerate(m.rows)]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
+def _gray_walk(tab: list[list[int]], n: int) -> Iterator[tuple[int, int]]:
+    """Principal pivots through every cube vertex in Gray-code order.
+
+    ``tab`` holds the integer tableau of vertex 0, where the basic
+    variables are w = q + M z (rows 0..n-1; column n, if present, is q).
+    After yielding (v, d), ``tab`` is d times the tableau of the basis of
+    vertex v, and d is the principal minor det(M[v, v]) of the integer M.
+    Step k swaps pair i = ctz(k) by one fraction-free (Bareiss) pivot; every
+    entry stays a minor of the integer matrix [I | -M | q], so each division
+    by the previous d is exact.  A zero pivot means the next vertex's basis
+    is singular: it is yielded with d = 0 and the walk ends.
+    """
+    v, d = 0, 1
+    yield v, d
+    for k in range(1, 1 << n):
+        i = (k & -k).bit_length() - 1
+        v ^= 1 << i
+        pivot_row = tab[i]
+        p = pivot_row[i]
+        if p == 0:
+            yield v, 0
+            return
+        for r, row in enumerate(tab):
+            if r == i:
+                continue
+            f = row[i]
+            parts = [divmod(a * p - f * b, d) for a, b in zip(row, pivot_row)]
+            if any(rem for _, rem in parts):
+                raise ArithmeticError(f"inexact fraction-free pivot at vertex {v}")
+            new = [quo for quo, _ in parts]
+            new[i] = f
+            tab[r] = new
+        new = [-b for b in pivot_row]
+        new[i] = d
+        tab[i] = new
+        d = p
+        yield v, d
+
+
 def is_p_matrix(m: RationalMatrix) -> bool:
-    """All principal minors positive, checked exactly with early exit."""
+    """All principal minors positive, checked exactly with early exit.
+
+    One cube walk visits every index subset, and its denominator there is
+    that principal minor times a positive scale.
+    """
     if m.nrows != m.ncols:
         raise ValueError("P-matrix test needs a square matrix")
     n = m.nrows
     if n > P_MATRIX_CAP:
         raise ValueError(f"principal minor enumeration capped at n={P_MATRIX_CAP}")
-    for size in range(1, n + 1):
-        for idx in combinations(range(n), size):
-            if m.principal_submatrix(idx).det() <= 0:
-                return False
-    return True
+    return all(d > 0 for _, d in _gray_walk(_scaled_tableau(m), n))
 
 
 def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
@@ -265,25 +334,38 @@ def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
     z = tuple(x[i] if vertex >> i & 1 else Fraction(0) for i in range(n))
     for r in range(n):
         lhs = w[r] - sum(instance.M[r, j] * z[j] for j in range(n))
-        assert lhs == instance.q[r], "complementary solve failed its own equation"
+        if lhs != instance.q[r]:
+            raise ArithmeticError(f"complementary solve at vertex {vertex} fails row {r + 1}")
     return CandidateSolution(vertex, w, z)
 
 
 def plcp_to_uso(instance: PLCPInstance) -> Orientation:
     """Orient each cube vertex by the signs of its basic solution.
 
-    Dimension i points away from vertex v exactly when the solved pair-i
+    Dimension i points away from vertex v exactly when the basic pair-i
     component is negative; for a P-matrix M this is a unique sink
-    orientation whose sink is the feasible complementary basis.
+    orientation whose sink is the feasible complementary basis.  The signs
+    come from one cube walk; the sink (for a table without one, the vertex
+    with the smallest outmap) is then re-solved from scratch as a
+    certificate that the walk read them right.
     """
     n = instance.n
-    table = []
-    for v in range(1 << n):
-        sol = solve_candidate(instance, v)
+    tab = _scaled_tableau(instance.M, instance.q)
+    table = [0] * (1 << n)
+    for v, d in _gray_walk(tab, n):
+        if d == 0:
+            raise ValueError("matrix is singular")
         out = 0
-        for i in range(n):
-            val = sol.z[i] if v >> i & 1 else sol.w[i]
-            if val < 0:
-                out |= 1 << i
-        table.append(out)
+        for r, row in enumerate(tab):
+            x = row[n]
+            if x == 0:
+                raise DegenerateQ(f"zero component in the basic solution at vertex {v}")
+            if (x < 0) != (d < 0):
+                out |= 1 << r
+        table[v] = out
+    sink = min(range(1 << n), key=table.__getitem__)
+    sol = solve_candidate(instance, sink)
+    basic = [sol.z[i] if sink >> i & 1 else sol.w[i] for i in range(n)]
+    if sum(1 << i for i, x in enumerate(basic) if x < 0) != table[sink]:
+        raise ArithmeticError(f"cube walk and direct solve disagree at vertex {sink}")
     return Orientation(n, tuple(table))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from usomat import Orientation
+from usomat import Orientation, PLCPInstance, RationalMatrix, solve_candidate
 
 
 def edge_consistent_scan(o: Orientation) -> bool:
@@ -53,6 +53,31 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
         term = rows[0][j] * _det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def is_p_matrix_by_minors(m: RationalMatrix) -> bool:
+    """Every principal minor positive, each by its own cofactor expansion."""
+    n = m.nrows
+    for size in range(1, n + 1):
+        for idx in combinations(range(n), size):
+            if _det([[m[i, j] for j in idx] for i in idx]) <= 0:
+                return False
+    return True
+
+
+def plcp_to_uso_per_vertex(instance: PLCPInstance) -> Orientation:
+    """One fresh exact solve per vertex: pair i is outgoing when its basic value is negative."""
+    n = instance.n
+    table = []
+    for v in range(1 << n):
+        sol = solve_candidate(instance, v)
+        out = 0
+        for i in range(n):
+            val = sol.z[i] if v >> i & 1 else sol.w[i]
+            if val < 0:
+                out |= 1 << i
+        table.append(out)
+    return Orientation(n, tuple(table))
 
 
 def kernel_signs(columns: list[list[Fraction]]) -> list[int]:

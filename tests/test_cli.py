@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from usomat import InfluenceGraph, Orientation, build_matousek
+from usomat import InfluenceGraph, Orientation, build_matousek, canonicalize, flip_facet
 from usomat.cli import main
+from usomat.cube import mask_to_dims
 
 
 def write_graph(path, g: InfluenceGraph) -> str:
@@ -124,6 +125,53 @@ def test_check_inconsistent(tmp_path, capsys):
     src.write_text(json.dumps({"n": 1, "outmaps": [[1], [1]]}))
     assert main(["check", str(src)]) == 1
     assert "inconsistent" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "outmaps": [[], ["1"], [2], [1, 2]]},  # a dimension given as a string
+        {"n": 2, "outmaps": [[], [1.0], [2], [1, 2]]},
+        {"n": 2, "outmaps": [[], 1, [2], [1, 2]]},
+        {"n": 2, "outmaps": "abcd"},
+        {"n": "2", "outmaps": [[], [1], [2], [1, 2]]},
+        {"n": 2.0, "outmaps": [[], [1], [2], [1, 2]]},
+        [2, [[], [1], [2], [1, 2]]],
+    ],
+)
+def test_check_rejects_malformed_orientation(tmp_path, capsys, doc):
+    src = tmp_path / "o.json"
+    src.write_text(json.dumps(doc))
+    assert main(["check", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_realize_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
+    """An LCP route that comes back with one facet flipped is caught and located."""
+    import usomat.cli
+
+    real = usomat.cli.plcp_to_uso
+    seen = []
+
+    def flipped(inst):
+        seen.append(flip_facet(real(inst), 1))
+        return seen[-1]
+
+    monkeypatch.setattr(usomat.cli, "plcp_to_uso", flipped)
+    prefix = tmp_path / "path3"
+    assert main(["realize", "--family", "path", "--n", "3", "--out", str(prefix)]) == 1
+    got = canonicalize(seen[0]).outmaps
+    want = build_matousek(InfluenceGraph(3, [(1, 2), (1, 3), (2, 3)])).outmaps
+    v = next(v for v in range(8) if got[v] != want[v])
+    err = capsys.readouterr().err
+    assert (
+        f"verification failed: LCP route disagrees with the graph at vertex {mask_to_dims(v)} "
+        f"of the canonical form: LCP outmap {mask_to_dims(got[v])}, "
+        f"graph outmap {mask_to_dims(want[v])}; nothing written"
+    ) in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_realize_writes_both_documents(tmp_path, capsys):

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usomat import (
     Branching,
@@ -19,6 +21,7 @@ from usomat import (
     extension_to_uso,
     fundamental_circuit,
     global_sink,
+    is_branching_closure,
     is_p_matrix,
     plcp_to_uso,
     realization_matrix,
@@ -27,8 +30,9 @@ from usomat import (
     translate_to_plcp,
 )
 from usomat.enumeration import all_branchings
-from usomat.plcp import format_fraction, parse_fraction
-from oracles import kernel_signs
+from usomat.plcp import CandidateSolution, format_fraction, parse_fraction
+from usomat.random_facet import FAMILIES
+from oracles import is_p_matrix_by_minors, kernel_signs, plcp_to_uso_per_vertex
 
 TRIVIAL = CyclicExtension(1, (1, 2, Q), {2})
 CHAIN2 = CyclicExtension(2, (1, 2, 4, 3, Q), {4})
@@ -169,6 +173,33 @@ def test_plcp_instance_json():
         PLCPInstance.from_json_obj({"n": 1, "M": [["1"]]})
 
 
+def test_plcp_instance_json_accepts_ints_and_fraction_strings():
+    inst = PLCPInstance.from_json_obj({"n": 2, "M": [[1, "1/2"], ["0", 3]], "q": [-1, "2"]})
+    assert inst.M == RationalMatrix([[1, Fraction(1, 2)], [0, 3]])
+    assert inst.q == (Fraction(-1), Fraction(2))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "M": [["1", "0"], ["0", "1"]], "q": "12"},  # a string is not a list
+        {"n": 1, "M": [[1.5]], "q": ["1"]},  # JSON floats are not exact
+        {"n": 1, "M": [["1"]], "q": [0.5]},
+        {"n": 1, "M": [[True]], "q": ["1"]},
+        {"n": 1, "M": [[None]], "q": ["1"]},
+        {"n": 1, "M": ["1"], "q": ["1"]},
+        {"n": 1, "M": "1", "q": ["1"]},
+        {"n": "1", "M": [["1"]], "q": ["1"]},
+        {"n": 1.0, "M": [["1"]], "q": ["1"]},
+        {"n": 2, "M": [["1"]], "q": ["1"]},
+        ["n", "M", "q"],
+    ],
+)
+def test_plcp_instance_json_rejects_malformed(doc):
+    with pytest.raises(ValueError):
+        PLCPInstance.from_json_obj(doc)
+
+
 def test_solve_candidate_identity():
     inst = PLCPInstance(2, RationalMatrix.identity(2), (Fraction(1), Fraction(1)))
     sol = solve_candidate(inst, 0)
@@ -252,3 +283,73 @@ def test_random_increasing_abscissae_same_uso():
 def test_chain_pipeline_canonicalizes_to_matousek():
     inst = translate_to_plcp(realization_matrix(CHAIN2), CHAIN2)
     assert canonicalize(plcp_to_uso(inst)) == build_matousek(InfluenceGraph(2, [(1, 2)]))
+
+
+def _realize(ext: CyclicExtension) -> PLCPInstance:
+    return translate_to_plcp(realization_matrix(ext), ext)
+
+
+def test_cube_walk_matches_oracles_on_every_branching():
+    for n in (1, 2, 3, 4):
+        for b in all_branchings(n):
+            inst = _realize(synthesize_extension(b))
+            assert plcp_to_uso(inst) == plcp_to_uso_per_vertex(inst)
+            assert is_p_matrix(inst.M) and is_p_matrix_by_minors(inst.M)
+
+
+@pytest.mark.parametrize("family", ["path", "star"])
+def test_cube_walk_matches_oracles_on_families(family):
+    for n in range(1, 9):
+        inst = _realize(synthesize_extension(is_branching_closure(FAMILIES[family](n))))
+        assert plcp_to_uso(inst) == plcp_to_uso_per_vertex(inst)
+        assert is_p_matrix(inst.M) and is_p_matrix_by_minors(inst.M)
+
+
+small_fractions = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_cube_walk_matches_oracles_on_random_rationals(n, data):
+    """Random rational (M, q), most of them not P-matrices, some q degenerate."""
+    rows = data.draw(st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n))
+    q = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
+    inst = PLCPInstance(n, RationalMatrix(rows), tuple(q))
+    p_matrix = is_p_matrix_by_minors(inst.M)
+    assert is_p_matrix(inst.M) == p_matrix
+    try:
+        want = plcp_to_uso_per_vertex(inst)
+    except ValueError as exc:
+        want = exc
+    try:
+        got = plcp_to_uso(inst)
+    except ValueError as exc:
+        got = exc
+    if isinstance(want, Orientation):
+        assert got == want
+    else:
+        assert isinstance(got, ValueError)
+        if p_matrix:
+            assert isinstance(want, DegenerateQ) and isinstance(got, DegenerateQ)
+
+
+def test_plcp_to_uso_certifies_the_sink(monkeypatch):
+    """A direct solve whose signs disagree with the walk's is reported, not ignored."""
+    import usomat.plcp
+
+    real = usomat.plcp.solve_candidate
+
+    def negated(inst, v):
+        sol = real(inst, v)
+        return CandidateSolution(v, tuple(-x for x in sol.w), tuple(-x for x in sol.z))
+
+    monkeypatch.setattr(usomat.plcp, "solve_candidate", negated)
+    with pytest.raises(ArithmeticError, match="disagree at vertex"):
+        plcp_to_uso(_realize(CHAIN2))
+
+
+def test_cube_walk_reports_singular_bases():
+    inst = PLCPInstance(2, RationalMatrix([[1, 1], [1, 1]]), (Fraction(1), Fraction(2)))
+    with pytest.raises(ValueError, match="singular"):
+        plcp_to_uso(inst)
+    assert not is_p_matrix(inst.M)
