@@ -15,7 +15,6 @@ from usomat import (
     extract_influence_graph,
     global_sink,
     is_uso,
-    unique_sink_per_face,
 )
 
 # No edges at all: every dimension only influences itself, and the
@@ -32,9 +31,9 @@ print("\nchain closure ->", o.outmaps)
 print("global sink:", global_sink(o))
 
 # Every face of the cube has exactly one sink; that is the USO property,
-# checked here both pairwise and face by face.
+# checked here by the pairwise condition: any two vertices differ in some
+# coordinate where their outmaps differ too.
 print("is USO:", is_uso(o))
-print("unique sink on all 3^3 faces:", unique_sink_per_face(o))
 
 # The construction is reversible: the influence graph comes back from
 # the orientation's per-dimension flip patterns.

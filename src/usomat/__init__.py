@@ -16,7 +16,6 @@ from .cube import (
     global_sink,
     is_uso,
     mask_to_dims,
-    unique_sink_per_face,
 )
 from .matousek import (
     CyclicInfluence,
@@ -38,14 +37,10 @@ from .realizability import (
 from .matroid import (
     Q,
     CyclicExtension,
-    SignedSet,
     containment_graph,
     extension_to_uso,
-    fundamental_circuit,
-    is_p_matroid,
     push_q_left,
     validate_conditions,
-    verify_circuit_axioms,
 )
 from .plcp import (
     CandidateSolution,
@@ -80,7 +75,6 @@ __all__ = [
     "global_sink",
     "is_uso",
     "mask_to_dims",
-    "unique_sink_per_face",
     "CyclicInfluence",
     "InfluenceGraph",
     "NotMatousekType",
@@ -96,14 +90,10 @@ __all__ = [
     "synthesize_extension",
     "Q",
     "CyclicExtension",
-    "SignedSet",
     "containment_graph",
     "extension_to_uso",
-    "fundamental_circuit",
-    "is_p_matroid",
     "push_q_left",
     "validate_conditions",
-    "verify_circuit_axioms",
     "CandidateSolution",
     "DegenerateQ",
     "PLCPInstance",

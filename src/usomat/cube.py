@@ -10,6 +10,8 @@ orientation (USO) when every subcube has exactly one sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -64,9 +66,10 @@ class Orientation:
                 f"outmap table needs {size} entries for n={self.n}, got {len(self.outmaps)}"
             )
         full = size - 1
-        for v, out in enumerate(self.outmaps):
-            if out & ~full:
-                raise ValueError(f"outmap of vertex {v} uses bits outside 1..{self.n}")
+        # one C-level pass; a negative entry has high bits set as well
+        if reduce(or_, self.outmaps) & ~full:
+            v = next(v for v, out in enumerate(self.outmaps) if out & ~full)
+            raise ValueError(f"outmap of vertex {v} uses bits outside 1..{self.n}")
 
     @classmethod
     def uniform(cls, n: int) -> "Orientation":
@@ -205,37 +208,6 @@ def is_uso(o: Orientation) -> bool:
         if np.any(((vd & od) == 0) & (vd != 0)):
             return False
     return True
-
-
-def unique_sink_per_face(o: Orientation) -> bool:
-    """Check the face-by-face USO definition directly (all 3^n faces).
-
-    Independent of :func:`is_uso`; kept as a cross-validation oracle.
-    Assumes an edge-consistent table.
-    """
-    n = o.n
-    full = (1 << n) - 1
-    outs = o.outmaps
-    span = 0
-    while True:  # iterate over all spanning sets, including the empty one
-        co = full & ~span
-        fixed = 0
-        while True:  # all positions of the face
-            sinks = 0
-            face = Face(fixed, span)
-            for v in face.vertices():
-                if outs[v] & span == 0:
-                    sinks += 1
-                    if sinks > 1:
-                        break
-            if sinks != 1:
-                return False
-            if fixed == co:
-                break
-            fixed = (fixed - co) & co
-        if span == full:
-            return True
-        span = (span - full) & full
 
 
 def global_sink(o: Orientation) -> int:

@@ -134,11 +134,17 @@ class InfluenceGraph:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InfluenceGraph":
         try:
-            n = int(obj["n"])
-            edges = [(int(a), int(b)) for a, b in obj["edges"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            n, edges = obj["n"], obj["edges"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"influence graph JSON needs 'n' and 'edges': {exc}") from exc
-        return cls(n, edges)
+        if type(n) is not int:
+            raise ValueError(f"influence graph JSON: 'n' must be an integer, got {n!r}")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(d) is int for d in e)
+            for e in edges
+        ):
+            raise ValueError("influence graph JSON: 'edges' must be a list of [integer, integer] pairs")
+        return cls(n, [tuple(e) for e in edges])
 
     def to_dot(self) -> str:
         """Graphviz rendering; loops omitted, transitive edges dashed."""
@@ -157,19 +163,25 @@ class InfluenceGraph:
         return "\n".join(lines) + "\n"
 
 
+def xor_table(base: int, rows: Iterable[int]) -> tuple[int, ...]:
+    """Entry v is base XOR the rows of the dimensions in v, by XOR doubling.
+
+    Each row doubles the table: the vertices with that dimension's bit set
+    are the ones without it, XORed with the row.
+    """
+    table = [base]
+    for row in rows:
+        table += [out ^ row for out in table]
+    return tuple(table)
+
+
 def orientation_from_rows(n: int, rows: Iterable[int]) -> Orientation:
     """Raw edge-flip table: outmap(v) = XOR of the rows of the dimensions in v.
 
     Always edge-consistent.  For acyclic rows this is the Matousek USO; for
     cyclic rows the result is a valid orientation that fails the USO check.
     """
-    g = InfluenceGraph.from_rows(n, rows)
-    size = 1 << n
-    table = [0] * size
-    for v in range(1, size):
-        low = v & -v
-        table[v] = table[v ^ low] ^ g.rows[low.bit_length() - 1]
-    return Orientation(n, tuple(table))
+    return Orientation(n, xor_table(0, InfluenceGraph.from_rows(n, rows).rows))
 
 
 def build_matousek(g: InfluenceGraph) -> Orientation:

@@ -16,45 +16,14 @@ Matousek-type orientations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
 from typing import Iterable, Sequence, Union
 
 from .cube import Orientation
-from .matousek import InfluenceGraph
+from .matousek import InfluenceGraph, xor_table
 
 Q = "q"
 Element = Union[int, str]
-
-P_MATROID_BRUTE_FORCE_CAP = 8  # n 2^(n-1) almost-complementary supports
-CIRCUIT_AXIOM_CAP = 3  # full circuit list has 2 C(2n+1, n+1) members
-
-
-@dataclass(frozen=True)
-class SignedSet:
-    """A pair of disjoint element sets carrying + and - signs."""
-
-    plus: frozenset
-    minus: frozenset
-
-    def __post_init__(self) -> None:
-        if self.plus & self.minus:
-            raise ValueError("signed set has overlapping plus and minus parts")
-
-    @property
-    def support(self) -> frozenset:
-        return self.plus | self.minus
-
-    def __neg__(self) -> "SignedSet":
-        return SignedSet(self.minus, self.plus)
-
-    def sign(self, e: Element) -> int:
-        if e in self.plus:
-            return 1
-        if e in self.minus:
-            return -1
-        return 0
 
 
 def complement(e: int, n: int) -> int:
@@ -70,7 +39,7 @@ class CyclicExtension:
     circuit normalisation absorbs a global q sign).  Structural validity
     is enforced here; the P-matroid conditions are a separate check,
     :func:`validate_conditions`, because invalid combinations must remain
-    representable for the brute-force comparisons.
+    representable (the circuit-level cross-checks enumerate them).
     """
 
     __slots__ = ("n", "order", "flipped", "__dict__")
@@ -97,14 +66,6 @@ class CyclicExtension:
         """Element token -> position 1..2n+1."""
         return {e: p for p, e in enumerate(self.order, start=1)}
 
-    @cached_property
-    def restricted_position(self) -> dict:
-        """Positions 1..2n of the pair elements with q removed from the order."""
-        return {
-            e: p
-            for p, e in enumerate((t for t in self.order if t != Q), start=1)
-        }
-
     def complement(self, e: int) -> int:
         return complement(e, self.n)
 
@@ -128,97 +89,48 @@ class CyclicExtension:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CyclicExtension":
         try:
-            n = int(obj["n"])
-            order = [t if t == Q else int(t) for t in obj["order"]]
-            flipped = [int(e) for e in obj["F"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            n, order, flipped = obj["n"], obj["order"], obj["F"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"extension JSON needs 'n', 'order', 'F': {exc}") from exc
+        if type(n) is not int:
+            raise ValueError(f"extension JSON: 'n' must be an integer, got {n!r}")
+        if not isinstance(order, list) or not all(type(t) is int or t == Q for t in order):
+            raise ValueError(f"extension JSON: 'order' must be a list of integers and '{Q}'")
+        if not isinstance(flipped, list) or not all(type(e) is int for e in flipped):
+            raise ValueError("extension JSON: 'F' must be a list of integers")
         return cls(n, order, flipped)
 
 
 def validate_conditions(ext: CyclicExtension) -> bool:
     """The two P-matroid conditions on (order, F), restricted to the pairs.
 
-    Positions are taken with q removed: the conditions describe the deletion
-    of q, and a q sitting between two pair members must not shift parities.
+    The conditions describe the deletion of q: a q sitting between two pair
+    members adds one token to the gap, which the halving rounds away.
 
     Condition 1 (nesting): for every pair, any other pair lies either fully
     inside or fully outside its position interval.
     Condition 2 (parity): with k pairs enclosed between the two members of a
     pair, F contains exactly one member of the pair when k is even, and both
     or neither when k is odd.
+
+    One scan of the order with a stack of open pairs checks both: the pairs
+    nest exactly when every second member closes the innermost open pair.
     """
     n = ext.n
-    pos = ext.restricted_position
-    for e in range(1, n + 1):
-        a, b = pos[e], pos[e + n]
-        if a > b:
-            a, b = b, a
-        for f in range(1, n + 1):
-            if (a <= pos[f] <= b) != (a <= pos[f + n] <= b):
-                return False
-        enclosed_pairs = (b - a - 1) // 2
-        hits = (e in ext.flipped) + (e + n in ext.flipped)
-        if enclosed_pairs % 2 == 0:
-            if hits != 1:
-                return False
-        elif hits == 1:
+    open_pairs: list[tuple[int, int]] = []  # (pair, position of its first member)
+    for p, e in enumerate(ext.order, start=1):
+        if e == Q:
+            continue
+        i = e if e <= n else e - n
+        if not open_pairs or open_pairs[-1][0] != i:
+            open_pairs.append((i, p))
+            continue
+        a = open_pairs.pop()[1]
+        enclosed_pairs = (p - a - 1) // 2
+        hits = (i in ext.flipped) + (i + n in ext.flipped)
+        if (hits == 1) == (enclosed_pairs % 2 == 1):
             return False
-    return True
-
-
-def read_off_signs(ext: CyclicExtension, support: Iterable[Element]) -> SignedSet:
-    """Circuit signs on a support: alternate along the position order, flip F.
-
-    Starts with + at the smallest position; callers that need a particular
-    normalisation negate afterwards.
-    """
-    ordered = sorted(support, key=ext.position.__getitem__)
-    plus, minus = set(), set()
-    for k, e in enumerate(ordered):
-        positive = k % 2 == 0
-        if e in ext.flipped:
-            positive = not positive
-        (plus if positive else minus).add(e)
-    return SignedSet(frozenset(plus), frozenset(minus))
-
-
-def fundamental_circuit(
-    ext: CyclicExtension, basis: Iterable[Element], e: Element
-) -> SignedSet:
-    """The circuit supported on basis + {e}, normalised so that e is positive.
-
-    The matroid is uniform of rank n, so every n-element set is a basis and
-    every (n+1)-element support carries exactly one circuit up to negation.
-    """
-    base = frozenset(basis)
-    if len(base) != ext.n:
-        raise ValueError(f"basis must have {ext.n} elements, got {len(base)}")
-    if e in base:
-        raise ValueError(f"extending element {e!r} already lies in the basis")
-    circuit = read_off_signs(ext, base | {e})
-    return circuit if e in circuit.plus else -circuit
-
-
-def is_p_matroid(ext: CyclicExtension) -> bool:
-    """Brute-force search for an almost-complementary sign-reversing circuit.
-
-    Enumerates every support containing exactly one complementary pair (the
-    pair itself plus one member of each remaining pair) and reads off its
-    signs; q never participates.  Must agree with validate_conditions.
-    """
-    n = ext.n
-    if n > P_MATROID_BRUTE_FORCE_CAP:
-        raise ValueError(f"brute force capped at n={P_MATROID_BRUTE_FORCE_CAP}")
-    for i in range(1, n + 1):
-        others = [j for j in range(1, n + 1) if j != i]
-        for picks in product((0, n), repeat=n - 1):
-            support = {i, i + n}
-            support.update(j + off for j, off in zip(others, picks))
-            circuit = read_off_signs(ext, support)
-            if (i in circuit.plus) != (i + n in circuit.plus):
-                return False
-    return True
+    return not open_pairs  # a pair pushed twice crosses another
 
 
 def containment_graph(ext: CyclicExtension) -> InfluenceGraph:
@@ -227,7 +139,7 @@ def containment_graph(ext: CyclicExtension) -> InfluenceGraph:
     if not validate_conditions(ext):
         raise ValueError("extension does not satisfy the P-matroid conditions")
     n = ext.n
-    pos = ext.restricted_position
+    pos = ext.position
     edges = []
     for i in range(1, n + 1):
         a, b = sorted((pos[i], pos[i + n]))
@@ -238,28 +150,47 @@ def containment_graph(ext: CyclicExtension) -> InfluenceGraph:
 
 
 def extension_to_uso(ext: CyclicExtension) -> Orientation:
-    """The orientation induced by the extension.
+    """The orientation induced by the extension, in O(n^2 + 2^n) integer steps.
 
-    Vertex v keeps the pair elements {i : i not in v} + {i+n : i in v} as its
-    basis; the fundamental circuit through q (normalised q-positive) marks
-    dimension i outgoing when the pair member in the support is negative.
+    Vertex v keeps the basis c_i = i (bit i-1 of v clear) or i+n (set); the
+    fundamental circuit through q, normalised q-positive, marks dimension i
+    outgoing when c_i is negative.  Its signs alternate along the positions
+    and F flips them, so i is outgoing exactly when
+
+        rank(c_i) + rank(q) + [c_i in F]
+
+    is odd, where rank counts the support members at a smaller position.
+    Under the nesting condition every pairwise term of that parity is affine
+    in the two pairs' bits, so the flip pattern of each dimension is constant:
+    o(v) = o(0) XOR the rows r_j of the dimensions j in v.  Bit i != j of r_j
+    is set when exactly one of element i and q lies strictly inside pair j's
+    interval; bit j of r_j is the parity condition, always 1.
     """
     if not validate_conditions(ext):
         raise ValueError("extension does not satisfy the P-matroid conditions")
     n = ext.n
-    table = []
-    for v in range(1 << n):
-        basis = frozenset(
-            i + n if v >> (i - 1) & 1 else i for i in range(1, n + 1)
-        )
-        circuit = fundamental_circuit(ext, basis, Q)
-        out = 0
-        for e in circuit.minus:
-            if e != Q:
-                i = e if e <= n else e - n
-                out |= 1 << (i - 1)
-        table.append(out)
-    return Orientation(n, tuple(table))
+    full = (1 << n) - 1
+    pos = ext.position
+    q_pos = pos[Q]
+    lower = [pos[i] for i in range(1, n + 1)]  # positions of c_i at v = 0
+    ranked = sorted(lower)
+    # at v = 0, rank(c_i) = rank(i) among the lower members + [q before i] and
+    # rank(q) = below_q, so bit i of o(0) has the parity of
+    # 1 + below_q + rank(i) + [i before q] + [i in F]
+    offset = 1 + sum(p < q_pos for p in lower)  # 1 + below_q
+    base = 0
+    rows = []
+    for j, p in enumerate(lower):
+        bit = 1 << j
+        a, b = sorted((p, pos[j + 1 + n]))
+        inside = 0
+        for i, p_i in enumerate(lower):
+            if a < p_i < b:
+                inside |= 1 << i
+        rows.append(inside ^ (full if a < q_pos < b else bit))
+        if (offset + ranked.index(p) + (p < q_pos) + (j + 1 in ext.flipped)) & 1:
+            base |= bit
+    return Orientation(n, xor_table(base, rows))
 
 
 def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:
@@ -279,49 +210,3 @@ def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:
     if crossed <= ext.n:
         return new_ext, crossed, False
     return new_ext, crossed - ext.n, True
-
-
-def all_circuits(ext: CyclicExtension) -> list[SignedSet]:
-    """Every circuit of the extension: both sign choices on all (n+1)-supports."""
-    ground = list(range(1, 2 * ext.n + 1)) + [Q]
-    out = []
-    for support in combinations(ground, ext.n + 1):
-        c = read_off_signs(ext, support)
-        out.append(c)
-        out.append(-c)
-    return out
-
-
-def _axioms_hold(circuits: Sequence[SignedSet]) -> bool:
-    """Circuit axioms on an explicit list: nonempty supports, symmetry,
-    support incomparability, weak elimination."""
-    pool = set(circuits)
-    for c in circuits:
-        if not c.support:
-            return False  # C0
-        if -c not in pool:
-            return False  # C1
-    for x in circuits:
-        for y in circuits:
-            if x.support <= y.support and x not in (y, -y):
-                return False  # C2
-    for x in circuits:
-        for y in circuits:
-            if x == -y:
-                continue
-            for e in x.plus & y.minus:
-                allowed_plus = (x.plus | y.plus) - {e}
-                allowed_minus = (x.minus | y.minus) - {e}
-                if not any(
-                    z.plus <= allowed_plus and z.minus <= allowed_minus
-                    for z in circuits
-                ):
-                    return False  # C3
-    return True
-
-
-def verify_circuit_axioms(ext: CyclicExtension) -> bool:
-    """Check the circuit axioms on the full read-off circuit list (tiny n only)."""
-    if ext.n > CIRCUIT_AXIOM_CAP:
-        raise ValueError(f"axiom enumeration capped at n={CIRCUIT_AXIOM_CAP}")
-    return _axioms_hold(all_circuits(ext))

@@ -80,6 +80,11 @@ def random_facet(
 ) -> RfResult:
     """Find the sink of a USO, counting distinct outmap queries.
 
+    The input must be a USO; that is not checked, since the check costs
+    far more than the search.  On any orientation the recursion visits
+    fewer than 2^(n+1) faces and ends, but without unique sinks the vertex
+    it ends on need not be a sink (ValueError), or may be one of several.
+
     start defaults to the bitwise complement of the global sink.  Results
     are a pure function of (orientation, start, seed); the generator is a
     PCG64 stream so runs reproduce across platforms.
@@ -94,8 +99,6 @@ def random_facet(
     stream = _UniformStream(np.random.Generator(np.random.PCG64(entropy)))
 
     evaluated: dict[int, int] = {}
-    call_budget = 1 << (2 * n)  # defensive; the recursion tree has < 2^(n+1) nodes
-    calls = 0
     max_depth = 0
 
     def evaluate(v: int) -> int:
@@ -104,13 +107,7 @@ def random_facet(
         return evaluated[v]
 
     def solve(span: tuple[int, ...], v: int, depth: int) -> int:
-        nonlocal calls, max_depth
-        calls += 1
-        if calls > call_budget:
-            raise RuntimeError(
-                f"aborted after {calls} recursive calls on n={n} "
-                f"({len(evaluated)} vertices evaluated): not a USO?"
-            )
+        nonlocal max_depth
         max_depth = max(max_depth, depth)
         if not span:
             evaluate(v)
@@ -125,6 +122,8 @@ def random_facet(
         return solve(rest, w ^ bit, depth + 1)
 
     sink = solve(tuple(range(1, n + 1)), start, 0)
+    if evaluated[sink]:
+        raise ValueError(f"search ended on vertex {sink} with a nonempty outmap: not a USO")
     return RfResult(sink, len(evaluated), max_depth)
 
 

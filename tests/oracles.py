@@ -6,10 +6,22 @@ reusing library internals beyond plain data access.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from typing import Iterable, Sequence
 
-from usomat import Orientation, PLCPInstance, RationalMatrix, solve_candidate
+from usomat import (
+    CyclicExtension,
+    Orientation,
+    PLCPInstance,
+    Q,
+    RationalMatrix,
+    solve_candidate,
+)
+
+P_MATROID_BRUTE_FORCE_CAP = 8  # n 2^(n-1) almost-complementary supports
+CIRCUIT_AXIOM_CAP = 3  # full circuit list has 2 C(2n+1, n+1) members
 
 
 def edge_consistent_scan(o: Orientation) -> bool:
@@ -130,3 +142,154 @@ def unique_sink_every_face_scan(o: Orientation) -> bool:
                 if sinks != 1:
                     return False
     return True
+
+
+# -- circuits of a cyclic extension, read off one support at a time ----------
+
+
+@dataclass(frozen=True)
+class SignedSet:
+    """A pair of disjoint element sets carrying + and - signs."""
+
+    plus: frozenset
+    minus: frozenset
+
+    def __post_init__(self) -> None:
+        if self.plus & self.minus:
+            raise ValueError("signed set has overlapping plus and minus parts")
+
+    @property
+    def support(self) -> frozenset:
+        return self.plus | self.minus
+
+    def __neg__(self) -> "SignedSet":
+        return SignedSet(self.minus, self.plus)
+
+    def sign(self, e) -> int:
+        if e in self.plus:
+            return 1
+        if e in self.minus:
+            return -1
+        return 0
+
+
+def read_off_signs(ext: CyclicExtension, support: Iterable) -> SignedSet:
+    """Circuit signs on a support: alternate along the position order, flip F.
+
+    Starts with + at the smallest position; callers that need a particular
+    normalisation negate afterwards.
+    """
+    ordered = sorted(support, key=ext.position.__getitem__)
+    plus, minus = set(), set()
+    for k, e in enumerate(ordered):
+        positive = k % 2 == 0
+        if e in ext.flipped:
+            positive = not positive
+        (plus if positive else minus).add(e)
+    return SignedSet(frozenset(plus), frozenset(minus))
+
+
+def fundamental_circuit(ext: CyclicExtension, basis: Iterable, e) -> SignedSet:
+    """The circuit supported on basis + {e}, normalised so that e is positive.
+
+    The matroid is uniform of rank n, so every n-element set is a basis and
+    every (n+1)-element support carries exactly one circuit up to negation.
+    """
+    base = frozenset(basis)
+    if len(base) != ext.n:
+        raise ValueError(f"basis must have {ext.n} elements, got {len(base)}")
+    if e in base:
+        raise ValueError(f"extending element {e!r} already lies in the basis")
+    circuit = read_off_signs(ext, base | {e})
+    return circuit if e in circuit.plus else -circuit
+
+
+def is_p_matroid(ext: CyclicExtension) -> bool:
+    """Brute-force search for an almost-complementary sign-reversing circuit.
+
+    Enumerates every support containing exactly one complementary pair (the
+    pair itself plus one member of each remaining pair) and reads off its
+    signs; q never participates.  Must agree with validate_conditions.
+    """
+    n = ext.n
+    if n > P_MATROID_BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force capped at n={P_MATROID_BRUTE_FORCE_CAP}")
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        for picks in product((0, n), repeat=n - 1):
+            support = {i, i + n}
+            support.update(j + off for j, off in zip(others, picks))
+            circuit = read_off_signs(ext, support)
+            if (i in circuit.plus) != (i + n in circuit.plus):
+                return False
+    return True
+
+
+def extension_to_uso_by_circuits(ext: CyclicExtension) -> Orientation:
+    """The induced orientation, one fundamental circuit through q per vertex.
+
+    Vertex v keeps the pair elements {i : i not in v} + {i+n : i in v} as its
+    basis; the circuit (normalised q-positive) marks dimension i outgoing when
+    the pair member in the support is negative.  Rejects non-P-matroids by the
+    brute-force circuit search.
+    """
+    if not is_p_matroid(ext):
+        raise ValueError("extension is not a P-matroid")
+    n = ext.n
+    table = []
+    for v in range(1 << n):
+        basis = frozenset(i + n if v >> (i - 1) & 1 else i for i in range(1, n + 1))
+        circuit = fundamental_circuit(ext, basis, Q)
+        out = 0
+        for e in circuit.minus:
+            if e != Q:
+                i = e if e <= n else e - n
+                out |= 1 << (i - 1)
+        table.append(out)
+    return Orientation(n, tuple(table))
+
+
+def all_circuits(ext: CyclicExtension) -> list[SignedSet]:
+    """Every circuit of the extension: both sign choices on all (n+1)-supports."""
+    ground = list(range(1, 2 * ext.n + 1)) + [Q]
+    out = []
+    for support in combinations(ground, ext.n + 1):
+        c = read_off_signs(ext, support)
+        out.append(c)
+        out.append(-c)
+    return out
+
+
+def axioms_hold(circuits: Sequence[SignedSet]) -> bool:
+    """Circuit axioms on an explicit list: nonempty supports, symmetry,
+    support incomparability, weak elimination."""
+    pool = set(circuits)
+    for c in circuits:
+        if not c.support:
+            return False  # C0
+        if -c not in pool:
+            return False  # C1
+    for x in circuits:
+        for y in circuits:
+            if x.support <= y.support and x not in (y, -y):
+                return False  # C2
+    for x in circuits:
+        for y in circuits:
+            if x == -y:
+                continue
+            for e in x.plus & y.minus:
+                allowed_plus = (x.plus | y.plus) - {e}
+                allowed_minus = (x.minus | y.minus) - {e}
+                if not any(
+                    z.plus <= allowed_plus and z.minus <= allowed_minus
+                    for z in circuits
+                ):
+                    return False  # C3
+    return True
+
+
+def verify_circuit_axioms(ext: CyclicExtension) -> bool:
+    """Check the circuit axioms on the full read-off circuit list (tiny n only)."""
+    if ext.n > CIRCUIT_AXIOM_CAP:
+        raise ValueError(f"axiom enumeration capped at n={CIRCUIT_AXIOM_CAP}")
+    return axioms_hold(all_circuits(ext))

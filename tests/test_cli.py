@@ -85,6 +85,30 @@ def test_build_malformed_json_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2.7, "edges": [[1.9, 2]]},
+        {"n": 2.0, "edges": [[1, 2]]},
+        {"n": "3", "edges": []},
+        {"n": 3, "edges": [[1, "2"]]},
+        {"n": 3, "edges": [[1, 2, 3]]},
+        {"n": 3, "edges": [1, 2]},
+        {"n": 3, "edges": "12"},
+        {"n": 3},
+        [3, [[1, 2]]],
+    ],
+)
+def test_build_rejects_loosely_typed_graph(tmp_path, capsys, doc):
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(doc))
+    assert main(["build", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_check_realizable(tmp_path, capsys):
     src = write_orientation(tmp_path / "o.json", build_matousek(CHAIN3))
     assert main(["check", src]) == 0

@@ -10,7 +10,6 @@ from usomat import (
     global_sink,
     is_uso,
     mask_to_dims,
-    unique_sink_per_face,
 )
 from oracles import edge_consistent_scan, szabo_welzl_pairs, unique_sink_every_face_scan
 
@@ -46,6 +45,17 @@ def test_orientation_validation():
         Orientation(0, ())
 
 
+@pytest.mark.parametrize("table", [(0, 1, -1, 3), (0, 1, 4, 3), (0, 1, 4, -1)])
+def test_orientation_names_the_first_bad_vertex(table):
+    with pytest.raises(ValueError, match="vertex 2 "):
+        Orientation(2, table)
+
+
+def test_orientation_rejects_fractional_outmaps():
+    with pytest.raises(TypeError):
+        Orientation(2, (0, 1, 2.5, 3))
+
+
 def test_uniform_is_orientation():
     assert check_orientation(Orientation.uniform(2))
     assert edge_consistent_scan(Orientation.uniform(2))
@@ -71,7 +81,7 @@ def test_uniform_is_uso():
 def test_double_sink_is_not_uso():
     assert check_orientation(DOUBLE_SINK)
     assert not is_uso(DOUBLE_SINK)
-    assert not unique_sink_per_face(DOUBLE_SINK)
+    assert not unique_sink_every_face_scan(DOUBLE_SINK)
 
 
 def test_is_uso_rejects_inconsistent_table():
@@ -95,7 +105,6 @@ def test_uso_equivalence_with_face_oracle():
     for o in cases:
         expected = szabo_welzl_pairs(o)
         assert is_uso(o) == expected
-        assert unique_sink_per_face(o) == expected
         assert unique_sink_every_face_scan(o) == expected
 
 

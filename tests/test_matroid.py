@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -8,22 +9,28 @@ from usomat import (
     InfluenceGraph,
     Orientation,
     Q,
-    SignedSet,
     build_matousek,
     canonicalize,
     containment_graph,
     extension_to_uso,
     flip_facet,
-    fundamental_circuit,
-    is_p_matroid,
     is_uso,
     push_q_left,
     synthesize_extension,
     validate_conditions,
-    verify_circuit_axioms,
 )
 from usomat.enumeration import all_branchings
-from usomat.matroid import all_circuits, _axioms_hold, complement, read_off_signs
+from usomat.matroid import complement
+from oracles import (
+    SignedSet,
+    all_circuits,
+    axioms_hold,
+    extension_to_uso_by_circuits,
+    fundamental_circuit,
+    is_p_matroid,
+    read_off_signs,
+    verify_circuit_axioms,
+)
 
 TRIVIAL = CyclicExtension(1, (1, 2, Q), {2})
 CHAIN2 = CyclicExtension(2, (1, 2, 4, 3, Q), {4})
@@ -67,15 +74,36 @@ def test_extension_validation():
 
 def test_extension_positions():
     assert CHAIN2.position == {1: 1, 2: 2, 4: 3, 3: 4, Q: 5}
-    assert CHAIN2.restricted_position == {1: 1, 2: 2, 4: 3, 3: 4}
     moved = CyclicExtension(2, (1, 2, Q, 4, 3), {4})
-    assert moved.restricted_position == CHAIN2.restricted_position
+    assert moved.position == {1: 1, 2: 2, Q: 3, 4: 4, 3: 5}
 
 
 def test_extension_json_round_trip():
     for ext in (TRIVIAL, CHAIN2, TWO_ROOTS):
         assert CyclicExtension.from_json_obj(ext.to_json_obj()) == ext
     assert CHAIN2.to_json_obj() == {"n": 2, "order": [1, 2, 4, 3, "q"], "F": [4]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 2.0, "order": [1, 2, 4, 3, "q"], "F": [4]},
+        {"n": "2", "order": [1, 2, 4, 3, "q"], "F": [4]},
+        {"n": 1, "order": [1, "2", "q"], "F": [2]},
+        {"n": 1, "order": [1, 2.0, "q"], "F": [2]},
+        {"n": 1, "order": [1, 2, "Q"], "F": [2]},
+        {"n": 1, "order": "12q", "F": [2]},
+        {"n": 1, "order": [1, 2, "q"], "F": [2.5]},
+        {"n": 1, "order": [1, 2, "q"], "F": ["2"]},
+        {"n": 1, "order": [1, 2, "q"], "F": 2},
+        {"n": 1, "order": [1, 2, "q"], "F": [True]},
+        {"n": 1, "order": [1, 2, "q"]},
+        [1, 2, "q"],
+    ],
+)
+def test_extension_json_rejects_loose_types(obj):
+    with pytest.raises(ValueError):
+        CyclicExtension.from_json_obj(obj)
 
 
 def test_validate_conditions_examples():
@@ -180,6 +208,106 @@ def test_q_at_end_pipeline_small():
             assert canonicalize(extension_to_uso(ext)) == want
 
 
+def with_q_at(ext, slot):
+    """The same pair order and flip set with q moved to 0-based position slot."""
+    tokens = [t for t in ext.order if t != Q]
+    return CyclicExtension(ext.n, tokens[:slot] + [Q] + tokens[slot:], ext.flipped)
+
+
+def every_q_position(ext):
+    return [with_q_at(ext, slot) for slot in range(2 * ext.n + 1)]
+
+
+def random_branching(n, rng):
+    """A forest on 1..n: each vertex of a shuffled order hangs below an earlier one or is a root."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    parent = {}
+    for k in range(1, n):
+        j = rng.randrange(k + 1)
+        if j < k:
+            parent[order[k]] = order[j]
+    return Branching(n, parent)
+
+
+def scramble(ext, rng):
+    """Swap the members of random pairs and redraw F among its valid choices.
+
+    Both keep the P-matroid conditions: nesting ignores which member comes
+    first, and parity only fixes how many members of each pair F hits.
+    """
+    n = ext.n
+    swap = {i for i in range(1, n + 1) if rng.random() < 0.5}
+    order = [
+        t if t == Q or (t if t <= n else t - n) not in swap else complement(t, n)
+        for t in ext.order
+    ]
+    flipped = set()
+    for i in range(1, n + 1):
+        if (i in ext.flipped) + (i + n in ext.flipped) == 1:
+            flipped.add(rng.choice((i, i + n)))
+        elif rng.random() < 0.5:
+            flipped |= {i, i + n}
+    return CyclicExtension(n, order, flipped)
+
+
+def test_closed_form_matches_circuits_exhaustively_n_le_3():
+    """Every valid (order, F, q position) with n <= 3 against the circuit route."""
+    states = 0
+    for n in (1, 2, 3):
+        for ext in all_extensions(n):
+            if not validate_conditions(ext):
+                continue
+            for moved in every_q_position(ext):
+                assert extension_to_uso(moved) == extension_to_uso_by_circuits(moved), moved
+                states += 1
+    assert states == 4 * 3 + 64 * 5 + 1920 * 7
+
+
+def test_closed_form_matches_circuits_sampled_n4():
+    rng = random.Random(4)
+    states = 0
+    while states < 400:
+        perm = list(range(1, 9))
+        rng.shuffle(perm)
+        flipped = {e for e in range(1, 9) if rng.random() < 0.5}
+        ext = with_q_at(CyclicExtension(4, perm + [Q], flipped), rng.randrange(9))
+        if not validate_conditions(ext):
+            continue
+        assert extension_to_uso(ext) == extension_to_uso_by_circuits(ext), ext
+        states += 1
+
+
+def test_closed_form_matches_circuits_synthesized_n8():
+    rng = random.Random(8)
+    for _ in range(8):
+        ext = synthesize_extension(random_branching(8, rng))
+        for candidate in (ext, scramble(ext, rng)):
+            for moved in every_q_position(candidate):
+                assert extension_to_uso(moved) == extension_to_uso_by_circuits(moved), moved
+
+
+def test_closed_form_rejects_what_the_circuits_reject():
+    """Crossing pairs and wrong flip parities raise, for every q position, n <= 2."""
+    for bad in (CROSSING, CyclicExtension(2, (1, 2, 4, 3, Q), ())):
+        for moved in every_q_position(bad):
+            with pytest.raises(ValueError):
+                extension_to_uso(moved)
+    raised = 0
+    for n in (1, 2):
+        for ext in all_extensions(n):
+            for moved in every_q_position(ext):
+                try:
+                    want = extension_to_uso_by_circuits(moved)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        extension_to_uso(moved)
+                    raised += 1
+                else:
+                    assert extension_to_uso(moved) == want
+    assert raised == (2 * 4 - 4) * 3 + (24 * 16 - 64) * 5
+
+
 def test_push_q_left():
     moved, d, upper = push_q_left(CHAIN2)
     assert moved.order == (1, 2, 4, Q, 3)
@@ -222,11 +350,11 @@ def test_verify_circuit_axioms_cap():
 
 def test_corrupted_circuit_list_fails_axioms():
     circuits = all_circuits(CHAIN2)
-    assert _axioms_hold(circuits)
+    assert axioms_hold(circuits)
     target = circuits[0]
     moved = min(target.support, key=CHAIN2.position.__getitem__)
     corrupted = SignedSet(
         frozenset(target.plus - {moved}) | ({moved} - target.plus),
         frozenset(target.minus - {moved}) | ({moved} - target.minus),
     )
-    assert not _axioms_hold([corrupted] + circuits[1:])
+    assert not axioms_hold([corrupted] + circuits[1:])

@@ -19,7 +19,6 @@ from usomat import (
     canonicalize,
     containment_graph,
     extension_to_uso,
-    fundamental_circuit,
     global_sink,
     is_branching_closure,
     is_p_matrix,
@@ -32,7 +31,7 @@ from usomat import (
 from usomat.enumeration import all_branchings
 from usomat.plcp import CandidateSolution, format_fraction, parse_fraction
 from usomat.random_facet import FAMILIES
-from oracles import is_p_matrix_by_minors, kernel_signs, plcp_to_uso_per_vertex
+from oracles import fundamental_circuit, is_p_matrix_by_minors, kernel_signs, plcp_to_uso_per_vertex
 
 TRIVIAL = CyclicExtension(1, (1, 2, Q), {2})
 CHAIN2 = CyclicExtension(2, (1, 2, 4, 3, Q), {4})

@@ -23,9 +23,9 @@ from usomat import (
     random_facet,
     synthesize_extension,
 )
-from usomat.matroid import fundamental_circuit, validate_conditions
+from usomat.matroid import validate_conditions
 from usomat.plcp import RationalMatrix, parse_fraction, format_fraction
-from oracles import brute_force_sink, szabo_welzl_pairs
+from oracles import brute_force_sink, fundamental_circuit, szabo_welzl_pairs
 
 
 @st.composite

@@ -37,6 +37,15 @@ def test_trivial_run():
     assert res.recursion_depth >= 1
 
 
+def test_non_uso_without_sink_raises():
+    """A 4-cycle on the square has no sink; every search must refuse to return one."""
+    cycle = Orientation(2, (1, 2, 2, 1))  # 0 -> {1} -> {1,2} -> {2} -> 0
+    for seed in range(5):
+        for start in range(4):
+            with pytest.raises(ValueError, match="not a USO"):
+                random_facet(cycle, start, seed)
+
+
 def test_sink_correct_exhaustive_small():
     for n in (1, 2, 3):
         for g in all_dags(n):
