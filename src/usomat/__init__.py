@@ -7,6 +7,7 @@ rational P-LCP instances, and measure Random Facet sink-finding cost.
 
 from .cube import (
     MAX_DIMENSION,
+    USO_PAIR_CAP,
     Face,
     Isomorphism,
     Orientation,
@@ -16,6 +17,7 @@ from .cube import (
     global_sink,
     is_uso,
     mask_to_dims,
+    uso_by_pairs,
 )
 from .matousek import (
     CyclicInfluence,
@@ -66,6 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_DIMENSION",
+    "USO_PAIR_CAP",
     "Face",
     "Isomorphism",
     "Orientation",
@@ -75,6 +78,7 @@ __all__ = [
     "global_sink",
     "is_uso",
     "mask_to_dims",
+    "uso_by_pairs",
     "CyclicInfluence",
     "InfluenceGraph",
     "NotMatousekType",

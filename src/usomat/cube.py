@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 MAX_DIMENSION = 20  # dense 2^n table; beyond this the table itself is the problem
+USO_PAIR_CAP = 16  # 4^16 vertex pairs take about a minute in numpy
 
 
 def dims_to_mask(dims: Iterable[int], n: int) -> int:
@@ -175,14 +176,62 @@ def _outmap_array(o: Orientation) -> np.ndarray:
     return np.fromiter(o.outmaps, dtype=np.int64, count=1 << o.n)
 
 
+def xor_table(base: int, rows: Iterable[int]) -> tuple[int, ...]:
+    """Entry v is base XOR the rows of the dimensions in v, by XOR doubling.
+
+    Each row doubles the table: the vertices with that dimension's bit set
+    are the ones without it, XORed with the row.
+    """
+    table = [base]
+    for row in rows:
+        table += [out ^ row for out in table]
+    return tuple(table)
+
+
+def matousek_rows(o: Orientation) -> tuple[tuple[int, ...], Optional[int]]:
+    """Flip rows r_d = o(0) xor o({d}) and the first vertex the rows fail to rebuild.
+
+    o is Matousek-type (every dimension flips one constant set) exactly when
+    ``xor_table(o(0), rows)`` rebuilds the whole table; then the vertex is
+    None.  Otherwise it is the first vertex v where the rebuild differs.  All
+    lower vertices match, so with d the highest dimension in v the pattern
+    o(v) xor o(v xor {d}) differs from r_d: v locates dimension d's
+    variation.  n+1 table reads, one XOR-doubling rebuild, one tuple compare.
+    """
+    outs = o.outmaps
+    base = outs[0]
+    rows = tuple(base ^ outs[1 << d] for d in range(o.n))
+    rebuilt = xor_table(base, rows)
+    if rebuilt == outs:
+        return rows, None
+    return rows, next(v for v, (a, b) in enumerate(zip(rebuilt, outs)) if a != b)
+
+
+def rows_acyclic(rows: Sequence[int]) -> bool:
+    """Whether the digraph with out-neighbour masks ``rows`` has no cycle besides loops.
+
+    Strips sinks (dimensions with no live out-neighbour other than
+    themselves) until none are left, or none can go.
+    """
+    alive = (1 << len(rows)) - 1
+    while alive:
+        removable = 0
+        for d in mask_to_dims(alive):
+            if rows[d - 1] & alive & ~(1 << (d - 1)) == 0:
+                removable |= 1 << (d - 1)
+        if removable == 0:
+            return False
+        alive &= ~removable
+    return True
+
+
 def check_orientation(o: Orientation) -> bool:
     """Edge consistency: each cube edge points out of exactly one endpoint."""
-    size = 1 << o.n
-    verts = np.arange(size, dtype=np.int64)
     outs = _outmap_array(o)
     for d in range(o.n):
-        bit = 1 << d
-        if not np.all((outs ^ outs[verts ^ bit]) & bit):
+        # each block of 2^(d+1) vertices, split into its halves without and with bit d
+        halves = outs.reshape(-1, 2, 1 << d)
+        if not np.all((halves[:, 0] ^ halves[:, 1]) & (1 << d)):
             return False
     return True
 
@@ -190,12 +239,35 @@ def check_orientation(o: Orientation) -> bool:
 def is_uso(o: Orientation) -> bool:
     """Whether o is a unique sink orientation.
 
-    Uses the pairwise condition: for every pair of distinct vertices v, w the
-    sets v xor w and o(v) xor o(w) must intersect.  Rejects tables that are
-    not edge-consistent orientations at all.
+    A Matousek-type table (see :func:`matousek_rows`) whose rows carry their
+    loop bits and form an acyclic digraph is a USO by construction, with no
+    pair test.  Any other table must be an edge-consistent orientation
+    (``ValueError`` otherwise) and goes through :func:`uso_by_pairs`, capped
+    at ``USO_PAIR_CAP`` dimensions.
     """
+    rows, mismatch = matousek_rows(o)
+    if (
+        mismatch is None
+        and all(row >> d & 1 for d, row in enumerate(rows))
+        and rows_acyclic(rows)
+    ):
+        return True
     if not check_orientation(o):
         raise ValueError("outmap table is not an orientation (edge consistency fails)")
+    if o.n > USO_PAIR_CAP:
+        raise ValueError(
+            f"USO check needs 4^{o.n} vertex pairs unless the flip rows are constant "
+            f"and acyclic; the pair test is capped at n = {USO_PAIR_CAP}"
+        )
+    return uso_by_pairs(o)
+
+
+def uso_by_pairs(o: Orientation) -> bool:
+    """The pairwise USO condition, for an edge-consistent orientation.
+
+    For every pair of distinct vertices v, w the sets v xor w and
+    o(v) xor o(w) must intersect.  4^n pairs, in numpy row blocks.
+    """
     size = 1 << o.n
     verts = np.arange(size, dtype=np.int64)
     outs = _outmap_array(o)
@@ -212,14 +284,13 @@ def is_uso(o: Orientation) -> bool:
 
 def global_sink(o: Orientation) -> int:
     """The unique vertex with empty outmap; raises if it is not unique."""
-    sink = -1
-    for v, out in enumerate(o.outmaps):
-        if out == 0:
-            if sink >= 0:
-                raise ValueError(f"multiple sinks: {sink} and {v}")
-            sink = v
-    if sink < 0:
-        raise ValueError("no vertex has an empty outmap")
+    outs = o.outmaps
+    try:
+        sink = outs.index(0)
+    except ValueError:
+        raise ValueError("no vertex has an empty outmap") from None
+    if outs.count(0) > 1:
+        raise ValueError(f"multiple sinks: {sink} and {outs.index(0, sink + 1)}")
     return sink
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from .cube import (
-    Isomorphism,
     Orientation,
     _check_n,
-    apply_isomorphism,
-    global_sink,
     check_orientation,
     mask_to_dims,
+    matousek_rows,
+    rows_acyclic,
+    xor_table,
 )
 
 
@@ -88,17 +88,7 @@ class InfluenceGraph:
 
     def is_acyclic(self) -> bool:
         """True when the non-loop edges form a DAG (repeatedly strip sinks)."""
-        alive = (1 << self.n) - 1
-        rows = self.rows
-        while alive:
-            removable = 0
-            for d in mask_to_dims(alive):
-                if rows[d - 1] & alive & ~(1 << (d - 1)) == 0:
-                    removable |= 1 << (d - 1)
-            if removable == 0:
-                return False
-            alive &= ~removable
-        return True
+        return rows_acyclic(self.rows)
 
     def transitive_closure(self) -> "InfluenceGraph":
         rows = list(self.rows)
@@ -163,18 +153,6 @@ class InfluenceGraph:
         return "\n".join(lines) + "\n"
 
 
-def xor_table(base: int, rows: Iterable[int]) -> tuple[int, ...]:
-    """Entry v is base XOR the rows of the dimensions in v, by XOR doubling.
-
-    Each row doubles the table: the vertices with that dimension's bit set
-    are the ones without it, XORed with the row.
-    """
-    table = [base]
-    for row in rows:
-        table += [out ^ row for out in table]
-    return tuple(table)
-
-
 def orientation_from_rows(n: int, rows: Iterable[int]) -> Orientation:
     """Raw edge-flip table: outmap(v) = XOR of the rows of the dimensions in v.
 
@@ -201,25 +179,21 @@ def extract_influence_graph(o: Orientation) -> InfluenceGraph:
     The flip pattern outmap(v) xor outmap(v xor {d}) must be one constant
     set per dimension d; otherwise the orientation is not of Matousek type.
     A constant but cyclic pattern is reported separately, since it certifies
-    a non-USO table.
+    a non-USO table.  A table that is no orientation at all raises a plain
+    ``ValueError``.
     """
-    if not check_orientation(o):
+    rows, mismatch = matousek_rows(o)
+    if mismatch is not None:
+        if not check_orientation(o):
+            raise ValueError("outmap table is not an orientation")
+        raise NotMatousekType(
+            f"flip pattern of dimension {mismatch.bit_length()} varies across vertices "
+            f"(first at vertex {mask_to_dims(mismatch)})"
+        )
+    # a constant pattern without its loop bit gives both ends of every d-edge the same bit d
+    if not all(row >> d & 1 for d, row in enumerate(rows)):
         raise ValueError("outmap table is not an orientation")
-    n = o.n
-    size = 1 << n
-    rows = []
-    for d in range(1, n + 1):
-        bit = 1 << (d - 1)
-        pattern = o.outmaps[0] ^ o.outmaps[bit]
-        for v in range(size):
-            if o.outmaps[v] ^ o.outmaps[v ^ bit] != pattern:
-                raise NotMatousekType(
-                    f"flip pattern of dimension {d} varies across vertices"
-                )
-        if not pattern & bit:
-            raise NotMatousekType(f"flip pattern of dimension {d} misses its loop")
-        rows.append(pattern)
-    g = InfluenceGraph.from_rows(n, rows)
+    g = InfluenceGraph.from_rows(o.n, rows)
     if not g.is_acyclic():
         raise CyclicInfluence(f"constant flip pattern but cyclic: {list(g.edges)}")
     return g
@@ -228,11 +202,11 @@ def extract_influence_graph(o: Orientation) -> InfluenceGraph:
 def canonicalize(o: Orientation) -> Orientation:
     """Mirror a Matousek-type USO along its sink, moving the sink to the empty vertex.
 
-    The result equals build_matousek(extract_influence_graph(o)).
+    With sink s, o(v xor s) = o(s) xor X(v) = X(v), where X(v) is the XOR
+    of the flip rows of the dimensions in v; so the result is
+    build_matousek(extract_influence_graph(o)), rebuilt from the rows.
     """
-    extract_influence_graph(o)  # raises if not Matousek-type
-    sink = global_sink(o)
-    return apply_isomorphism(o, Isomorphism.mirror_only(sink, o.n))
+    return orientation_from_rows(o.n, extract_influence_graph(o).rows)
 
 
 def flip_facet(o: Orientation, d: int, upper: bool = False) -> Orientation:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .cube import Orientation
-from .matousek import InfluenceGraph, xor_table
+from .cube import Orientation, xor_table
+from .matousek import InfluenceGraph
 
 Q = "q"
 Element = Union[int, str]
@@ -45,21 +45,36 @@ class CyclicExtension:
     __slots__ = ("n", "order", "flipped", "__dict__")
 
     def __init__(self, n: int, order: Sequence[Element], flipped: Iterable[int]) -> None:
-        if n < 1:
-            raise ValueError("extension size must be at least 1")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"extension size must be an integer of at least 1, got {n!r}")
         tokens = tuple(order)
         expected = set(range(1, 2 * n + 1)) | {Q}
-        if len(tokens) != 2 * n + 1 or set(tokens) != expected:
+        # set equality alone would accept 1.0 or True for the integer 1
+        if (
+            len(tokens) != 2 * n + 1
+            or set(tokens) != expected
+            or not set(map(type, tokens)) <= {int, str}
+        ):
             raise ValueError(
                 f"order must list 1..{2*n} and '{Q}' exactly once, got {tokens!r}"
             )
         flip = frozenset(flipped)
-        bad = [e for e in flip if not (isinstance(e, int) and 1 <= e <= 2 * n)]
+        bad = [e for e in flip if not (type(e) is int and 1 <= e <= 2 * n)]
         if bad:
             raise ValueError(f"flip set may only contain elements 1..{2*n}, got {bad}")
         self.n = n
         self.order = tokens
         self.flipped = flip
+
+    def _reordered(self, order: Sequence[Element]) -> "CyclicExtension":
+        """The same pairs and flip set under a permutation of this order's tokens.
+
+        The caller guarantees that ``order`` only rearranges ``self.order``,
+        so the constructor's checks would pass and are not repeated.
+        """
+        ext = CyclicExtension.__new__(CyclicExtension)
+        ext.n, ext.order, ext.flipped = self.n, tuple(order), self.flipped
+        return ext
 
     @cached_property
     def position(self) -> dict:
@@ -206,7 +221,7 @@ def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:
     tokens = list(ext.order)
     crossed = tokens[p - 2]
     tokens[p - 2], tokens[p - 1] = tokens[p - 1], tokens[p - 2]
-    new_ext = CyclicExtension(ext.n, tokens, ext.flipped)
+    new_ext = ext._reordered(tokens)
     if crossed <= ext.n:
         return new_ext, crossed, False
     return new_ext, crossed - ext.n, True

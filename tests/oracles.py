@@ -13,6 +13,9 @@ from typing import Iterable, Sequence
 
 from usomat import (
     CyclicExtension,
+    CyclicInfluence,
+    InfluenceGraph,
+    NotMatousekType,
     Orientation,
     PLCPInstance,
     Q,
@@ -44,6 +47,36 @@ def szabo_welzl_pairs(o: Orientation) -> bool:
             if not (v ^ w) & (o.outmaps[v] ^ o.outmaps[w]):
                 return False
     return True
+
+
+def extract_influence_graph_by_scan(o: Orientation) -> InfluenceGraph:
+    """Every vertex's flip pattern in every dimension against the pattern at vertex 0.
+
+    Raises like the library: ``ValueError`` for a table that is not an
+    orientation, ``NotMatousekType`` for a varying pattern and
+    ``CyclicInfluence`` for a constant one with a non-loop cycle.
+    """
+    if not edge_consistent_scan(o):
+        raise ValueError("outmap table is not an orientation")
+    n = o.n
+    rows = []
+    for d in range(1, n + 1):
+        bit = 1 << (d - 1)
+        pattern = o.outmaps[0] ^ o.outmaps[bit]
+        for v in range(1 << n):
+            if o.outmaps[v] ^ o.outmaps[v ^ bit] != pattern:
+                raise NotMatousekType(f"flip pattern of dimension {d} varies across vertices")
+        rows.append(pattern)
+    # reach[d]: dimensions reachable from d along one or more non-loop edges
+    reach = [row & ~(1 << d) for d, row in enumerate(rows)]
+    for _ in range(n):
+        for d in range(n):
+            for e in range(n):
+                if reach[d] >> e & 1:
+                    reach[d] |= reach[e]
+    if any(reach[d] >> d & 1 for d in range(n)):
+        raise CyclicInfluence("constant flip pattern but cyclic")
+    return InfluenceGraph.from_rows(n, rows)
 
 
 def brute_force_sink(o: Orientation) -> int:

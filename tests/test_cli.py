@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from usomat import InfluenceGraph, Orientation, build_matousek, canonicalize, flip_facet
+from usomat import (
+    USO_PAIR_CAP,
+    InfluenceGraph,
+    Orientation,
+    build_matousek,
+    canonicalize,
+    flip_facet,
+)
 from usomat.cli import main
 from usomat.cube import mask_to_dims
 
@@ -170,6 +177,18 @@ def test_check_rejects_malformed_orientation(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_check_non_matousek_above_the_pair_cap(tmp_path, capsys):
+    """A consistent non-Matousek table with n > USO_PAIR_CAP is refused, not scanned."""
+    n = USO_PAIR_CAP + 1
+    twisted = (0, 1, 2, 3, 4, 7, 6, 5)
+    o = Orientation(n, tuple(twisted[v & 7] | v & ~7 for v in range(1 << n)))
+    src = write_orientation(tmp_path / "o.json", o)
+    assert main(["check", src]) == 1
+    captured = capsys.readouterr()
+    assert f"error: USO check needs 4^{n} vertex pairs" in captured.err
+    assert "USO:" not in captured.out
 
 
 def test_realize_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):

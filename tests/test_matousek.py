@@ -152,6 +152,19 @@ def test_canonicalize_moves_sink():
     assert canonicalize(mirrored) == Orientation.uniform(2)
 
 
+def test_canonicalize_matches_the_mirror_route_n4():
+    """Rebuilding from the rows equals mirroring along the sink, for every sink."""
+    checked = 0
+    for g in all_dags(4):
+        o = build_matousek(g)
+        for mirror in range(16):
+            mirrored = apply_isomorphism(o, Isomorphism.mirror_only(mirror, 4))
+            by_mirror = apply_isomorphism(mirrored, Isomorphism.mirror_only(global_sink(mirrored), 4))
+            assert canonicalize(mirrored) == by_mirror == o
+            checked += 1
+    assert checked == 543 * 16
+
+
 def test_canonicalize_rejects_non_matousek():
     with pytest.raises(NotMatousekType):
         canonicalize(TWISTED)

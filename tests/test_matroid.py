@@ -72,6 +72,23 @@ def test_extension_validation():
         CyclicExtension(1, (1, 2, Q), {Q})  # q can never be flipped
 
 
+@pytest.mark.parametrize(
+    "n, order, flipped",
+    [
+        (1, (1.0, 2, Q), {2}),
+        (1, (True, 2, Q), {2}),
+        (1, (1, 2, Q), {True}),
+        (1, (1, 2, Q), {2.0}),
+        (1.0, (1, 2, Q), {2}),
+        (True, (1, 2, Q), {2}),
+    ],
+)
+def test_extension_rejects_non_int_elements(n, order, flipped):
+    """1.0 and True equal the integer 1 but would not survive the JSON round trip."""
+    with pytest.raises(ValueError):
+        CyclicExtension(n, order, flipped)
+
+
 def test_extension_positions():
     assert CHAIN2.position == {1: 1, 2: 2, 4: 3, 3: 4, Q: 5}
     moved = CyclicExtension(2, (1, 2, Q, 4, 3), {4})
@@ -82,6 +99,14 @@ def test_extension_json_round_trip():
     for ext in (TRIVIAL, CHAIN2, TWO_ROOTS):
         assert CyclicExtension.from_json_obj(ext.to_json_obj()) == ext
     assert CHAIN2.to_json_obj() == {"n": 2, "order": [1, 2, 4, 3, "q"], "F": [4]}
+
+
+def test_synthesized_extensions_json_round_trip():
+    rng = random.Random(5)
+    for n in (1, 2, 4, 8):
+        for _ in range(5):
+            ext = synthesize_extension(random_branching(n, rng))
+            assert CyclicExtension.from_json_obj(ext.to_json_obj()) == ext
 
 
 @pytest.mark.parametrize(
@@ -310,7 +335,8 @@ def test_closed_form_rejects_what_the_circuits_reject():
 
 def test_push_q_left():
     moved, d, upper = push_q_left(CHAIN2)
-    assert moved.order == (1, 2, 4, Q, 3)
+    assert moved == CyclicExtension(2, (1, 2, 4, Q, 3), {4})
+    assert moved.position[Q] == 4 and CHAIN2.position[Q] == 5
     assert (d, upper) == (1, True)  # crossed element 3 = pair 1 second member
     moved2, d2, upper2 = push_q_left(moved)
     assert moved2.order == (1, 2, Q, 4, 3)
