@@ -59,6 +59,7 @@ from .random_facet import (
     FAMILIES,
     RfResult,
     TrialStats,
+    family_graph,
     random_facet,
     run_trials,
     stats_to_csv,
@@ -110,6 +111,7 @@ __all__ = [
     "FAMILIES",
     "RfResult",
     "TrialStats",
+    "family_graph",
     "random_facet",
     "run_trials",
     "stats_to_csv",

@@ -2,8 +2,10 @@
 
 Graphs, orientations, extensions and LCP instances travel as small JSON
 documents; influence graphs can also be rendered as DOT and benchmark
-results as CSV.  Every run prints its version and effective seed to
-stderr so outputs are reproducible from the logged configuration.
+results as CSV.  Every run prints its version to stderr.  A semantic input
+error (a bad file, an unknown family, a value out of range) is a
+``ValueError`` or ``OSError``, printed as one ``error:`` line with exit
+status 1; argparse keeps syntax errors, which exit with status 2.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .cube import Orientation, check_orientation, is_uso, mask_to_dims
+from .cube import MAX_DIMENSION, Orientation, check_orientation, is_uso, mask_to_dims
 from .matousek import (
     CyclicInfluence,
     InfluenceGraph,
@@ -25,7 +27,7 @@ from .matousek import (
 )
 from .matroid import extension_to_uso
 from .plcp import plcp_to_uso, realization_matrix, translate_to_plcp
-from .random_facet import FAMILIES, run_trials, stats_to_csv
+from .random_facet import FAMILIES, family_graph, run_trials, stats_to_csv
 from .realizability import find_forbidden, is_branching_closure, synthesize_extension
 from .enumeration import all_dags
 
@@ -49,35 +51,33 @@ def _write_text(text: str, out: Optional[str]) -> None:
         fh.write(text)
 
 
-def _load_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> InfluenceGraph:
-    if args.graph is not None and args.family is not None:
-        parser.error("give either a graph file or --family, not both")
+def _load_graph(args: argparse.Namespace) -> InfluenceGraph:
     if args.graph is not None:
+        if args.family is not None:
+            raise ValueError("give either a graph file or --family, not both")
         return InfluenceGraph.from_json_obj(_read_json(args.graph))
-    if args.family is not None:
-        if args.family not in FAMILIES:
-            parser.error(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
-        if args.n is None:
-            parser.error("--family needs --n")
-        return FAMILIES[args.family](args.n)
-    parser.error("need a graph file or --family")
-    raise AssertionError("unreachable")
+    if args.family is None:
+        raise ValueError("need a graph file or --family")
+    if args.n is None:
+        raise ValueError("--family needs --n")
+    return family_graph(args.family, args.n)
 
 
 def _parse_n_list(text: str) -> list[int]:
-    """Cube sizes as a single value, a comma list, or an inclusive a..b range."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(part) for part in text.split(",")]
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"bad cube size list: {text!r}")
-    return values
+    """Cube sizes in 1..MAX_DIMENSION: a single value, a comma list, or an inclusive a..b range."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = range(int(lo), int(hi) + 1) if dots else [int(part) for part in text.split(",")]
+    except ValueError:
+        values = []
+    # a range is checked lazily: one out of bounds stops the scan within MAX_DIMENSION + 1 steps
+    if not values or not all(1 <= v <= MAX_DIMENSION for v in values):
+        raise ValueError(f"bad cube size list: {text!r} (sizes are 1..{MAX_DIMENSION})")
+    return list(values)
 
 
-def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    g = _load_graph(args, parser)
+def cmd_build(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
     o = build_matousek(g)
     witness = find_forbidden(g)
     if witness is not None:
@@ -92,7 +92,7 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     o = Orientation.from_json_obj(_read_json(args.orientation))
     if not check_orientation(o):
         print("orientation: inconsistent (some edge claimed by both endpoints)")
@@ -134,8 +134,9 @@ def _route_problem(route: str, got: Orientation, want: Orientation) -> Optional[
     return None
 
 
-def cmd_realize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    g = _load_graph(args, parser)
+def cmd_realize(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    want = build_matousek(g)  # a cyclic graph stops here with CyclicInfluence
     branching = is_branching_closure(g)
     if branching is None:
         witness = find_forbidden(g)
@@ -147,7 +148,6 @@ def cmd_realize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         return 1
     ext = synthesize_extension(branching)
     inst = translate_to_plcp(realization_matrix(ext), ext)
-    want = build_matousek(g)
     problem = _route_problem("extension", extension_to_uso(ext), want) or _route_problem(
         "LCP", plcp_to_uso(inst), want
     )
@@ -167,31 +167,16 @@ def cmd_realize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
-    if args.family not in FAMILIES:
-        print(
-            f"unknown family {args.family!r}; known families: {', '.join(sorted(FAMILIES))}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        n_list = _parse_n_list(args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
-    stats = run_trials(args.family, n_list, args.trials, args.seed)
+def cmd_bench(args: argparse.Namespace) -> int:
+    stats = run_trials(args.family, _parse_n_list(args.n), args.trials, args.seed)
     _write_text(stats_to_csv(stats), args.out)
     return 0
 
 
-def cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        n = int(args.n)
-    except (TypeError, ValueError):
-        parser.error("--n must be a single integer")
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    n = args.n
     if not 1 <= n <= ENUMERATE_CAP:
-        parser.error(f"--n must be between 1 and {ENUMERATE_CAP}")
+        raise ValueError(f"--n must be between 1 and {ENUMERATE_CAP}")
     dags = uso_failures = realizable = mismatches = 0
     for g in all_dags(n):
         dags += 1
@@ -229,42 +214,40 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"usomat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--out", help="output path (default stdout)")
+    families = ", ".join(sorted(FAMILIES))
+
+    def graph_source(p: argparse.ArgumentParser) -> None:
+        p.add_argument("graph", nargs="?", help="influence graph JSON file ('-' for stdin)")
+        p.add_argument("--family", help=f"built-in graph family ({families})")
+        p.add_argument("--n", type=int, help="cube dimension for --family")
 
     p = sub.add_parser("build", help="construct the orientation of an influence graph")
-    p.add_argument("graph", nargs="?", help="influence graph JSON file ('-' for stdin)")
-    p.add_argument("--family", help=f"built-in graph family ({', '.join(sorted(FAMILIES))})")
-    p.add_argument("--n", type=int, help="cube dimension for --family")
+    graph_source(p)
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    common(p)
+    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("check", help="inspect an orientation table")
     p.add_argument("orientation", help="orientation JSON file ('-' for stdin)")
-    common(p)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("realize", help="synthesize extension and LCP data for a graph")
-    p.add_argument("graph", nargs="?", help="influence graph JSON file ('-' for stdin)")
-    p.add_argument("--family", help=f"built-in graph family ({', '.join(sorted(FAMILIES))})")
-    p.add_argument("--n", type=int, help="cube dimension for --family")
-    common(p)
+    graph_source(p)
+    p.add_argument("--out", help="output prefix: writes PREFIX.ext.json and PREFIX.plcp.json")
     p.set_defaults(handler=cmd_realize)
 
-    p = sub.add_parser("bench", help="Random Facet evaluation statistics")
-    p.add_argument("--family", required=True, help="graph family name")
+    p = sub.add_parser("bench", help="Random Facet evaluation statistics as CSV")
+    p.add_argument("--family", required=True, help=f"built-in graph family ({families})")
     p.add_argument("--n", required=True, help="cube sizes: '8', '4,8,12' or '4..12'")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--format", choices=["csv"], default="csv")
-    common(p)
+    p.add_argument("--trials", type=int, default=1000, help="runs per cube size (default 1000)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in every row (default 0)")
+    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("enumerate", help="exhaustive small-n construction/realizability sweep")
-    p.add_argument("--n", required=True, help="cube dimension (at most 5)")
+    p.add_argument("--n", type=int, required=True, help=f"cube dimension (1..{ENUMERATE_CAP})")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    common(p)
+    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(handler=cmd_enumerate)
 
     return parser
@@ -273,10 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    print(f"usomat {__version__} (seed {getattr(args, 'seed', 0)})", file=sys.stderr)
+    print(f"usomat {__version__}", file=sys.stderr)
     try:
-        return args.handler(args, parser)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

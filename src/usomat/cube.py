@@ -240,24 +240,23 @@ def is_uso(o: Orientation) -> bool:
     """Whether o is a unique sink orientation.
 
     A Matousek-type table (see :func:`matousek_rows`) whose rows carry their
-    loop bits and form an acyclic digraph is a USO by construction, with no
-    pair test.  Any other table must be an edge-consistent orientation
+    loop bits is decided by its rows alone, with no pair test: acyclic rows
+    make a USO by construction.  Cyclic rows never do: a shortest cycle C
+    has no chords, so each of its dimensions has exactly one in-neighbour
+    in C, the rows over C XOR to a set that misses C, and the pair (0, C)
+    fails.  Any other table must be an edge-consistent orientation
     (``ValueError`` otherwise) and goes through :func:`uso_by_pairs`, capped
     at ``USO_PAIR_CAP`` dimensions.
     """
     rows, mismatch = matousek_rows(o)
-    if (
-        mismatch is None
-        and all(row >> d & 1 for d, row in enumerate(rows))
-        and rows_acyclic(rows)
-    ):
-        return True
+    if mismatch is None and all(row >> d & 1 for d, row in enumerate(rows)):
+        return rows_acyclic(rows)
     if not check_orientation(o):
         raise ValueError("outmap table is not an orientation (edge consistency fails)")
     if o.n > USO_PAIR_CAP:
         raise ValueError(
             f"USO check needs 4^{o.n} vertex pairs unless the flip rows are constant "
-            f"and acyclic; the pair test is capped at n = {USO_PAIR_CAP}"
+            f"with loop bits; the pair test is capped at n = {USO_PAIR_CAP}"
         )
     return uso_by_pairs(o)
 

@@ -97,30 +97,6 @@ class RationalMatrix:
     def columns(self, js: Sequence[int]) -> "RationalMatrix":
         return RationalMatrix([[row[j] for j in js] for row in self.rows])
 
-    def det(self) -> Fraction:
-        """Determinant by fraction-pivot Gaussian elimination."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant needs a square matrix")
-        a = [list(row) for row in self.rows]
-        k = self.nrows
-        sign = 1
-        result = Fraction(1)
-        for col in range(k):
-            pivot = next((r for r in range(col, k) if a[r][col]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                sign = -sign
-            p = a[col][col]
-            result *= p
-            for r in range(col + 1, k):
-                if a[r][col]:
-                    f = a[r][col] / p
-                    for c in range(col + 1, k):
-                        a[r][c] -= f * a[col][c]
-        return sign * result
-
     def solve(self, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """Exact solution of A x = rhs for square invertible A."""
         return tuple(self.solve_matrix([[b] for b in rhs]).column(0))

@@ -160,31 +160,16 @@ FAMILIES: dict[str, Callable[[int], InfluenceGraph]] = {
     "merged": merged_family,
 }
 
-Family = Union[str, InfluenceGraph, Callable[[int], InfluenceGraph]]
+
+def family_graph(name: str, n: int) -> InfluenceGraph:
+    """The influence graph of the built-in family ``name`` on n dimensions."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; known families: {', '.join(sorted(FAMILIES))}")
+    return FAMILIES[name](n)
 
 
-def _resolve_family(family: Family) -> tuple[str, Callable[[int], InfluenceGraph]]:
-    if isinstance(family, str):
-        if family not in FAMILIES:
-            known = ", ".join(sorted(FAMILIES))
-            raise ValueError(f"unknown family {family!r}; known families: {known}")
-        return family, FAMILIES[family]
-    if isinstance(family, InfluenceGraph):
-        g = family
-
-        def fixed(n: int) -> InfluenceGraph:
-            if n != g.n:
-                raise ValueError(f"fixed graph has n={g.n}, requested n={n}")
-            return g
-
-        return "custom", fixed
-    return getattr(family, "__name__", "custom"), family
-
-
-def run_trials(
-    family: Family, n_list: Sequence[int], trials: int, seed: int
-) -> list[TrialStats]:
-    """Repeated runs per cube size, each from the sink's antipodal vertex.
+def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> list[TrialStats]:
+    """Repeated runs per cube size on a named family, each from the sink's antipodal vertex.
 
     Trial t uses the generator stream seeded by (seed, t), so any prefix
     of the trial sequence is stable under a larger trial count and the
@@ -193,10 +178,9 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    name, make_graph = _resolve_family(family)
     out = []
     for n in n_list:
-        o = build_matousek(make_graph(n))
+        o = build_matousek(family_graph(family, n))
         sink = global_sink(o)
         start = sink ^ ((1 << n) - 1)
         counts = np.empty(trials, dtype=np.int64)
@@ -207,7 +191,7 @@ def run_trials(
             counts[t] = res.evaluations
         out.append(
             TrialStats(
-                family=name,
+                family=family,
                 n=n,
                 trials=trials,
                 seed=seed,

@@ -138,31 +138,25 @@ class Branching:
 def is_branching_closure(g: InfluenceGraph) -> Optional[Branching]:
     """The branching whose transitive closure is g, or None.
 
-    Exists iff g avoids both forbidden patterns: transitivity makes every
-    in-neighbourhood an ancestor set, incomparability-freeness makes it a
-    chain, and the chain's maximum is the parent.
+    In a closure the in-set of v is its ancestor set, so v's parent is the
+    in-neighbour u whose in-set plus u is exactly v's in-set.  Conversely,
+    when every v with in-neighbours has such a u, the in-set sizes fall by
+    one along each parent link, so the links form a forest whose ancestor
+    sets are the in-sets: its closure is g.  A cyclic g therefore gives None.
     """
     n = g.n
-    in_nbrs: list[set[int]] = [set() for _ in range(n + 1)]
-    for d, d2 in g.edges:
-        in_nbrs[d2].add(d)
-    for d, d2 in g.edges:
-        for d3 in range(1, n + 1):
-            if d3 != d and g.has_edge(d2, d3) and not g.has_edge(d, d3):
-                return None
+    # in-masks with the loop bit: ins[v - 1] has u's bit when u -> v or u == v
+    ins = [sum(1 << d for d, row in enumerate(g.rows) if row >> v & 1) for v in range(n)]
+    # two dimensions share an in-mask only on a cycle; either one serves the argument above
+    owner = {mask: u for u, mask in enumerate(ins, start=1)}
     parent: dict[int, int] = {}
-    for v in range(1, n + 1):
-        chain = in_nbrs[v]
-        if not chain:
-            continue
-        deepest = [u for u in chain if all(w == u or g.has_edge(w, u) for w in chain)]
-        if len(deepest) != 1:
-            return None
-        parent[v] = deepest[0]
-    b = Branching(n, parent)
-    if b.transitive_closure() != g:
-        return None
-    return b
+    for v, mask in enumerate(ins, start=1):
+        above = mask & ~(1 << (v - 1))
+        if above:
+            if above not in owner:
+                return None
+            parent[v] = owner[above]
+    return Branching(n, parent)
 
 
 def _face_paths(o: Orientation, face: Face, src: int, dst: int) -> Iterator[tuple[int, ...]]:

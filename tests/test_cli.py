@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from usomat import (
     canonicalize,
     flip_facet,
 )
-from usomat.cli import main
+from usomat.cli import _build_parser, main
 from usomat.cube import mask_to_dims
 
 
@@ -31,11 +32,78 @@ G1 = InfluenceGraph(3, [(1, 2), (2, 3)])
 G2 = InfluenceGraph(3, [(1, 3), (2, 3)])
 
 
+def assert_one_error_line(captured, *fragments):
+    """No output; only the banner and one ``error:`` line on stderr, no usage text or traceback."""
+    assert captured.out == ""
+    banner, *rest = captured.err.splitlines()
+    assert banner == "usomat 0.1.0"
+    assert len(rest) == 1 and rest[0].startswith("error: "), rest
+    for fragment in fragments:
+        assert fragment in rest[0]
+
+
 def test_version_banner_on_stderr(tmp_path, capsys):
     src = write_graph(tmp_path / "g.json", InfluenceGraph(2, []))
-    assert main(["build", src, "--seed", "7"]) == 0
+    assert main(["build", src]) == 0
     captured = capsys.readouterr()
-    assert "usomat 0.1.0 (seed 7)" in captured.err
+    assert captured.err.splitlines() == ["usomat 0.1.0"]
+
+
+def test_settable_values_per_subcommand():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {
+        name: sorted(a.dest for a in p._actions if not isinstance(a, argparse._HelpAction))
+        for name, p in sub.choices.items()
+    }
+    assert dests == {
+        "build": ["family", "format", "graph", "n", "out"],
+        "check": ["orientation"],
+        "realize": ["family", "graph", "n", "out"],
+        "bench": ["family", "n", "out", "seed", "trials"],
+        "enumerate": ["format", "n", "out"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--family", "path", "--n", "2", "--seed", "7"],
+        ["check", "o.json", "--seed", "7"],
+        ["check", "o.json", "--out", "f.txt"],
+        ["realize", "--family", "path", "--n", "2", "--seed", "7"],
+        ["bench", "--family", "path", "--n", "3", "--format", "csv"],
+        ["enumerate", "--n", "2", "--seed", "7"],
+        ["enumerate", "--n", "two"],
+        ["build", "--family", "path", "--n"],
+    ],
+)
+def test_syntax_errors_stay_with_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["build", "--family", "zigzag", "--n", "3"], "unknown family 'zigzag'"),
+        (["realize", "--family", "zigzag", "--n", "3"], "unknown family 'zigzag'"),
+        (["build", "--family", "path"], "--family needs --n"),
+        (["realize", "--family", "path"], "--family needs --n"),
+        (["build"], "need a graph file or --family"),
+        (["realize"], "need a graph file or --family"),
+        (["bench", "--family", "path", "--n", "3,x"], "bad cube size list"),
+        (["bench", "--family", "path", "--n", "4..2"], "bad cube size list"),
+        (["bench", "--family", "path", "--n", "0"], "bad cube size list"),
+        (["bench", "--family", "path", "--n", "1..1000000000000"], "bad cube size list"),
+        (["enumerate", "--n", "0"], "--n must be between 1 and 5"),
+    ],
+)
+def test_semantic_errors_exit_1_with_one_error_line(argv, fragment, capsys):
+    assert main(argv) == 1
+    assert_one_error_line(capsys.readouterr(), fragment)
 
 
 def test_build_loops_gives_uniform(tmp_path, capsys):
@@ -72,9 +140,8 @@ def test_build_dot_format(tmp_path, capsys):
 
 def test_build_rejects_graph_plus_family(tmp_path, capsys):
     src = write_graph(tmp_path / "g.json", CHAIN3)
-    with pytest.raises(SystemExit) as err:
-        main(["build", src, "--family", "path", "--n", "3"])
-    assert err.value.code == 2
+    assert main(["build", src, "--family", "path", "--n", "3"]) == 1
+    assert_one_error_line(capsys.readouterr(), "either a graph file or --family")
 
 
 def test_build_cyclic_graph_fails(tmp_path, capsys):
@@ -249,6 +316,13 @@ def test_realize_forbidden_graph(tmp_path, capsys):
     assert "not realizable: G2 at" in captured.err
 
 
+def test_realize_cyclic_graph_fails(tmp_path, capsys):
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps({"n": 2, "edges": [[1, 2], [2, 1]]}))
+    assert main(["realize", str(src)]) == 1
+    assert_one_error_line(capsys.readouterr(), "non-loop cycle")
+
+
 def test_bench_deterministic(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -269,15 +343,13 @@ def test_bench_range_syntax(capsys):
 
 
 def test_bench_unknown_family(capsys):
-    assert main(["bench", "--family", "zigzag", "--n", "3", "--trials", "10"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown family" in err and "loops" in err
+    assert main(["bench", "--family", "zigzag", "--n", "3", "--trials", "10"]) == 1
+    assert_one_error_line(capsys.readouterr(), "unknown family", "loops")
 
 
-def test_bench_zero_trials_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["bench", "--family", "path", "--n", "3", "--trials", "0"])
-    assert err.value.code == 2
+def test_bench_zero_trials_is_usage_error(capsys):
+    assert main(["bench", "--family", "path", "--n", "3", "--trials", "0"]) == 1
+    assert_one_error_line(capsys.readouterr(), "trials must be at least 1")
 
 
 def test_enumerate_csv(capsys):
@@ -295,10 +367,9 @@ def test_enumerate_json(capsys):
     assert doc == {"n": 2, "dags": 3, "uso_failures": 0, "realizable": 3, "mismatches": 0}
 
 
-def test_enumerate_rejects_large_n():
-    with pytest.raises(SystemExit) as err:
-        main(["enumerate", "--n", "6"])
-    assert err.value.code == 2
+def test_enumerate_rejects_large_n(capsys):
+    assert main(["enumerate", "--n", "6"]) == 1
+    assert_one_error_line(capsys.readouterr(), "--n must be between 1 and 5")
 
 
 def test_console_script_installed():

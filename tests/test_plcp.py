@@ -52,14 +52,6 @@ def test_matrix_shape_validation():
         RationalMatrix([[1, 2], [3]])
 
 
-def test_matrix_det():
-    assert RationalMatrix.identity(3).det() == 1
-    assert RationalMatrix([[0, 1], [1, 0]]).det() == -1
-    vandermonde = RationalMatrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
-    assert vandermonde.det() == 2  # (2-1)(3-1)(3-2)
-    assert RationalMatrix([[1, 2], [2, 4]]).det() == 0
-
-
 def test_matrix_solve():
     a = RationalMatrix([[2, 1], [1, 3]])
     x = a.solve([5, 10])

@@ -3,9 +3,9 @@ import pytest
 
 from usomat import (
     FAMILIES,
-    InfluenceGraph,
     Orientation,
     build_matousek,
+    family_graph,
     global_sink,
     random_facet,
     run_trials,
@@ -97,14 +97,10 @@ def test_run_trials_loops_family():
     assert s.max <= 16
 
 
-def test_run_trials_accepts_graph_and_callable():
-    g = InfluenceGraph(3, [(1, 2)])
-    by_graph = run_trials(g, [3], trials=5, seed=2)
-    assert by_graph[0].family == "custom"
-    by_callable = run_trials(lambda n: InfluenceGraph(n, [(1, 2)]), [3], trials=5, seed=2)
-    assert by_callable[0].mean == by_graph[0].mean
-    with pytest.raises(ValueError):
-        run_trials(g, [4], trials=5, seed=2)
+def test_family_graph_is_the_one_resolver():
+    assert family_graph("path", 4) == path_family(4)
+    with pytest.raises(ValueError, match="unknown family 'nope'; known families: loops, merged"):
+        family_graph("nope", 4)
 
 
 def test_run_trials_validation():

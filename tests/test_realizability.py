@@ -105,6 +105,28 @@ def test_characterization_agreement_small():
                 assert b is None
 
 
+def every_digraph(n):
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    for bits in range(1 << len(pairs)):
+        yield InfluenceGraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def test_is_branching_closure_on_every_digraph_n_le_4():
+    """None, or a branching whose closure is g; never an exception, and None on every cycle."""
+    count = closures = 0
+    for n in (1, 2, 3, 4):
+        for g in every_digraph(n):
+            count += 1
+            b = is_branching_closure(g)
+            if g.is_acyclic() and find_forbidden(g) is None:
+                assert b.transitive_closure() == g
+                closures += 1
+            else:
+                assert b is None
+    assert count == 4165
+    assert closures == 1 + 3 + 16 + 125  # labeled rooted forests: (n + 1)^(n - 1)
+
+
 def test_branching_closure_round_trip():
     for n in (1, 2, 3, 4):
         for b in all_branchings(n):

@@ -22,6 +22,7 @@ from usomat import (
     is_uso,
 )
 from usomat.cube import matousek_rows, xor_table
+from usomat.matousek import orientation_from_rows
 from usomat.random_facet import path_family
 from oracles import edge_consistent_scan, extract_influence_graph_by_scan, szabo_welzl_pairs
 
@@ -137,6 +138,13 @@ def test_pair_test_is_capped():
     assert check_orientation(o)
     with pytest.raises(ValueError, match=rf"4\^{USO_PAIR_CAP + 1}"):
         is_uso(o)
+
+
+def test_cyclic_rows_above_the_cap_are_no_uso():
+    """Constant rows with loop bits and a cycle are refused without the pair test."""
+    o = orientation_from_rows(17, [2, 1] + [1 << d for d in range(2, 17)])
+    assert check_orientation(o)
+    assert is_uso(o) is False
 
 
 def test_matousek_table_above_the_cap_is_uso():
