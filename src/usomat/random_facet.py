@@ -3,8 +3,11 @@
 The classic recursion: inside a face, pick a spanning dimension uniformly
 at random, solve the facet containing the current vertex, and either stop
 (the facet sink also closes the remaining dimension) or step across and
-solve the opposite facet.  Cost is counted in distinct vertex evaluations,
-memoized, since re-querying a known outmap is free.
+solve the opposite facet.  Cost is counted in vertex evaluations: only
+the 0-faces the recursion reaches query an outmap, and since the two
+sub-solves of a face run in opposite facets, these leaves lie in disjoint
+faces, hence distinct, so their number is the count of distinct vertices
+evaluated on any orientation.
 
 A small harness contrasts influence-graph families: realizable ones
 (loops, path closure, star) against a non-realizable cousin obtained by
@@ -13,7 +16,9 @@ making two chain dimensions incomparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -21,7 +26,9 @@ import numpy as np
 from .cube import Orientation, global_sink
 from .matousek import InfluenceGraph, build_matousek
 
-_UNIFORM_BLOCK = 256
+# Each float64 uniform takes one 64-bit PCG64 output, so the picks are the
+# same for any block size; small blocks waste less on short runs.
+_UNIFORM_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -30,7 +37,7 @@ class RfResult:
 
     sink: int
     evaluations: int
-    recursion_depth: int
+    recursion_depth: int  # always n: the first descent runs down to a 0-face
 
 
 @dataclass(frozen=True)
@@ -53,32 +60,12 @@ class TrialStats:
             raise ValueError("mean must lie between min and max")
 
 
-class _UniformStream:
-    """Blocks of uniform floats from one generator, consumed one at a time."""
-
-    __slots__ = ("_rng", "_buf", "_next")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._buf = rng.random(_UNIFORM_BLOCK)
-        self._next = 0
-
-    def pick(self, k: int) -> int:
-        """Uniform index in range(k)."""
-        if self._next == len(self._buf):
-            self._buf = self._rng.random(_UNIFORM_BLOCK)
-            self._next = 0
-        u = self._buf[self._next]
-        self._next += 1
-        return min(int(u * k), k - 1)
-
-
 def random_facet(
     o: Orientation,
     start: int | None = None,
     seed: Union[int, np.random.SeedSequence] = 0,
 ) -> RfResult:
-    """Find the sink of a USO, counting distinct outmap queries.
+    """Find the sink of a USO, counting outmap queries.
 
     The input must be a USO; that is not checked, since the check costs
     far more than the search.  On any orientation the recursion visits
@@ -96,35 +83,49 @@ def random_facet(
     if not 0 <= start <= full:
         raise ValueError(f"start vertex {start} out of range for n={n}")
     entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    stream = _UniformStream(np.random.Generator(np.random.PCG64(entropy)))
+    rng = np.random.Generator(np.random.PCG64(entropy))
+    uniforms: list[float] = []
+    used = 0
+    outmaps = o.outmaps
 
-    evaluated: dict[int, int] = {}
-    max_depth = 0
+    # One stack holds the pending second facets of every open face: solving
+    # a face picks d, solves the facet holding w, and only if the facet sink
+    # w leaves along d goes on to the facet across d, from w with bit d
+    # flipped.  Each pass descends from (span, w) to a 0-face, drawing the
+    # picks in the order the plain recursion draws them, then pops until a
+    # facet sink leaves along its face's pick.
+    span = tuple(1 << d for d in range(n))
+    k = n  # len(span)
+    w = start
+    pending: list[tuple[int, tuple[int, ...]]] = []
+    leaves = 0
+    while True:
+        if used + k > len(uniforms):  # one list serves the whole descent
+            uniforms = uniforms[used:] + rng.random(k + _UNIFORM_BLOCK).tolist()
+            used = 0
+        while k:
+            idx = int(uniforms[used] * k)
+            used += 1
+            if idx == k:
+                idx -= 1
+            rest = span[:idx] + span[idx + 1 :]
+            pending.append((span[idx], rest))
+            span = rest
+            k -= 1
+        leaves += 1
+        out = outmaps[w]  # the one query at this leaf
+        while pending:
+            bit, span = pending.pop()
+            if out & bit:
+                w ^= bit
+                k = len(span)
+                break
+        else:
+            break
 
-    def evaluate(v: int) -> int:
-        if v not in evaluated:
-            evaluated[v] = o.outmaps[v]
-        return evaluated[v]
-
-    def solve(span: tuple[int, ...], v: int, depth: int) -> int:
-        nonlocal max_depth
-        max_depth = max(max_depth, depth)
-        if not span:
-            evaluate(v)
-            return v
-        idx = stream.pick(len(span))
-        d = span[idx]
-        rest = span[:idx] + span[idx + 1 :]
-        w = solve(rest, v, depth + 1)
-        bit = 1 << (d - 1)
-        if not evaluate(w) & bit:
-            return w
-        return solve(rest, w ^ bit, depth + 1)
-
-    sink = solve(tuple(range(1, n + 1)), start, 0)
-    if evaluated[sink]:
-        raise ValueError(f"search ended on vertex {sink} with a nonempty outmap: not a USO")
-    return RfResult(sink, len(evaluated), max_depth)
+    if out:
+        raise ValueError(f"search ended on vertex {w} with a nonempty outmap: not a USO")
+    return RfResult(w, leaves, n)
 
 
 def loops_family(n: int) -> InfluenceGraph:
@@ -183,22 +184,28 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
         o = build_matousek(family_graph(family, n))
         sink = global_sink(o)
         start = sink ^ ((1 << n) - 1)
-        counts = np.empty(trials, dtype=np.int64)
+        # exact running sums: memory stays constant in the trial count
+        total = squares = high = 0
+        low = 1 << n  # a run evaluates at most every vertex once
         for t in range(trials):
             res = random_facet(o, start, np.random.SeedSequence((seed, t)))
             if res.sink != sink:
                 raise RuntimeError(f"run {t} on n={n} returned {res.sink}, sink is {sink}")
-            counts[t] = res.evaluations
+            x = res.evaluations
+            total += x
+            squares += x * x
+            low = min(low, x)
+            high = max(high, x)
         out.append(
             TrialStats(
                 family=family,
                 n=n,
                 trials=trials,
                 seed=seed,
-                mean=float(counts.mean()),
-                stddev=float(counts.std()),
-                min=int(counts.min()),
-                max=int(counts.max()),
+                mean=total / trials,
+                stddev=math.sqrt(Fraction(trials * squares - total * total, trials * trials)),
+                min=low,
+                max=high,
             )
         )
     return out

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from usomat import (
     CyclicExtension,
     CyclicInfluence,
@@ -83,6 +85,57 @@ def brute_force_sink(o: Orientation) -> int:
     sinks = [v for v in range(1 << o.n) if o.outmaps[v] == 0]
     assert len(sinks) == 1, f"expected one sink, found {sinks}"
     return sinks[0]
+
+
+def random_facet_by_memo(
+    o: Orientation, start: int, seed: int | np.random.SeedSequence
+) -> tuple[int, int]:
+    """Random Facet as the plain recursion, counting distinct vertices in a memo.
+
+    Draws the same picks as ``usomat.random_facet``: one numpy float64
+    uniform per nonempty face from a PCG64 generator, read in blocks of 256
+    (the library's block size differs, the values do not), index
+    ``min(int(u * k), k - 1)`` into the face's dimensions in increasing
+    order.  Returns (sink, evaluations) or raises the library's
+    ``ValueError`` when the search ends on a vertex with a nonempty outmap.
+    """
+    entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.PCG64(entropy))
+    buf = rng.random(256)
+    used = 0
+    evaluated: dict[int, int] = {}
+
+    def pick(k: int) -> int:
+        nonlocal buf, used
+        if used == len(buf):
+            buf = rng.random(256)
+            used = 0
+        u = buf[used]
+        used += 1
+        return min(int(u * k), k - 1)
+
+    def evaluate(v: int) -> int:
+        if v not in evaluated:
+            evaluated[v] = o.outmaps[v]
+        return evaluated[v]
+
+    def solve(span: tuple[int, ...], v: int) -> int:
+        if not span:
+            evaluate(v)
+            return v
+        idx = pick(len(span))
+        d = span[idx]
+        rest = span[:idx] + span[idx + 1 :]
+        w = solve(rest, v)
+        bit = 1 << (d - 1)
+        if not evaluate(w) & bit:
+            return w
+        return solve(rest, w ^ bit)
+
+    sink = solve(tuple(range(1, o.n + 1)), start)
+    if evaluated[sink]:
+        raise ValueError(f"search ended on vertex {sink} with a nonempty outmap: not a USO")
+    return sink, len(evaluated)
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from usomat import (
 )
 from usomat.random_facet import TrialStats, merged_family, path_family
 from usomat.enumeration import all_dags
-from oracles import brute_force_sink
+from oracles import brute_force_sink, random_facet_by_memo
 
 
 def test_families_are_well_formed():
@@ -34,7 +36,7 @@ def test_trivial_run():
     res = random_facet(Orientation.uniform(1), start=1, seed=0)
     assert res.sink == 0
     assert res.evaluations <= 2
-    assert res.recursion_depth >= 1
+    assert res.recursion_depth == 1
 
 
 def test_non_uso_without_sink_raises():
@@ -54,6 +56,66 @@ def test_sink_correct_exhaustive_small():
             for seed in range(3):
                 for start in range(1 << n):
                     assert random_facet(o, start, seed).sink == want
+
+
+def _kernel(o, start, seed):
+    res = random_facet(o, start, seed)
+    return res.sink, res.evaluations
+
+
+def _outcome(search, o, start, seed):
+    """(sink, evaluations) of one search, or the text of the ValueError it raised."""
+    try:
+        return search(o, start, seed)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _agree_with_memo(cases) -> list:
+    """The kernel's outcome on each case, after checking it against the memoised recursion."""
+    outcomes = []
+    for o, start, seed in cases:
+        got = _outcome(_kernel, o, start, seed)
+        assert got == _outcome(random_facet_by_memo, o, start, seed), (o, start, seed)
+        outcomes.append(got)
+    return outcomes
+
+
+def test_leaf_count_matches_memo_on_every_small_table():
+    """Every outmap table with n <= 2, orientations or not, USOs or not."""
+    cases = [
+        (Orientation(n, table), start, seed)
+        for n in (1, 2)
+        for table in product(range(1 << n), repeat=1 << n)
+        for start in range(1 << n)
+        for seed in range(3)
+    ]
+    outcomes = _agree_with_memo(cases)
+    assert len(outcomes) == 3096
+    assert sum(isinstance(x, str) for x in outcomes) == 1350  # searches ending off a sink
+
+
+def test_leaf_count_matches_memo_on_every_small_dag():
+    cases = [
+        (build_matousek(g), start, seed)
+        for n in (1, 2, 3)
+        for g in all_dags(n)
+        for start in range(1 << n)
+        for seed in range(3)
+    ]
+    assert len(_agree_with_memo(cases)) == 642
+
+
+def test_leaf_count_matches_memo_on_the_families():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for name in sorted(FAMILIES):
+        for n in range(3, 11):
+            o = build_matousek(family_graph(name, n))
+            for start in rng.integers(0, 1 << n, size=4).tolist():
+                for seed in range(3):
+                    cases.append((o, start, np.random.SeedSequence((seed, start))))
+    assert len(_agree_with_memo(cases)) == 384
 
 
 def test_default_start_is_sink_antipode():
@@ -80,7 +142,7 @@ def test_evaluations_bounded_by_vertex_count():
         for seed in range(10):
             res = random_facet(o, seed=seed)
             assert res.evaluations <= 1 << n
-            assert res.recursion_depth <= 2 * n
+            assert res.recursion_depth == n
 
 
 def test_start_validation():
@@ -109,6 +171,20 @@ def test_run_trials_validation():
     with pytest.raises(ValueError) as err:
         run_trials("nope", [3], trials=5, seed=1)
     assert "loops" in str(err.value)
+
+
+def test_running_sums_match_numpy_statistics():
+    for family, n, trials, seed in [("path", 5, 300, 7), ("merged", 6, 41, 2), ("loops", 3, 1, 0)]:
+        o = build_matousek(family_graph(family, n))
+        start = global_sink(o) ^ ((1 << n) - 1)
+        counts = np.array([
+            random_facet(o, start, np.random.SeedSequence((seed, t))).evaluations
+            for t in range(trials)
+        ])
+        (s,) = run_trials(family, [n], trials, seed)
+        assert s.mean == counts.mean()
+        assert f"{s.stddev:.4f}" == f"{counts.std():.4f}"
+        assert (s.min, s.max) == (counts.min(), counts.max())
 
 
 def test_trial_stats_validation():
