@@ -7,11 +7,10 @@ rational P-LCP instances, and measure Random Facet sink-finding cost.
 
 from .cube import (
     MAX_DIMENSION,
+    MAX_ROW_DIMENSION,
     USO_PAIR_CAP,
     Face,
-    Isomorphism,
     Orientation,
-    apply_isomorphism,
     check_orientation,
     dims_to_mask,
     global_sink,
@@ -69,11 +68,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_DIMENSION",
+    "MAX_ROW_DIMENSION",
     "USO_PAIR_CAP",
     "Face",
-    "Isomorphism",
     "Orientation",
-    "apply_isomorphism",
     "check_orientation",
     "dims_to_mask",
     "global_sink",

@@ -16,7 +16,14 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .cube import MAX_DIMENSION, Orientation, check_orientation, is_uso, mask_to_dims
+from .cube import (
+    MAX_ROW_DIMENSION,
+    Orientation,
+    _check_n,
+    check_orientation,
+    is_uso,
+    mask_to_dims,
+)
 from .matousek import (
     CyclicInfluence,
     InfluenceGraph,
@@ -52,27 +59,31 @@ def _write_text(text: str, out: Optional[str]) -> None:
 
 
 def _load_graph(args: argparse.Namespace) -> InfluenceGraph:
+    """The graph of a file or a family, for the commands that write or read 2^n tables."""
     if args.graph is not None:
         if args.family is not None:
             raise ValueError("give either a graph file or --family, not both")
-        return InfluenceGraph.from_json_obj(_read_json(args.graph))
-    if args.family is None:
+        g = InfluenceGraph.from_json_obj(_read_json(args.graph))
+    elif args.family is None:
         raise ValueError("need a graph file or --family")
-    if args.n is None:
+    elif args.n is None:
         raise ValueError("--family needs --n")
-    return family_graph(args.family, args.n)
+    else:
+        g = family_graph(args.family, args.n)
+    _check_n(g.n)
+    return g
 
 
 def _parse_n_list(text: str) -> list[int]:
-    """Cube sizes in 1..MAX_DIMENSION: a single value, a comma list, or an inclusive a..b range."""
+    """Cube sizes in 1..MAX_ROW_DIMENSION: a single value, a comma list, or an inclusive a..b range."""
     lo, dots, hi = text.partition("..")
     try:
         values = range(int(lo), int(hi) + 1) if dots else [int(part) for part in text.split(",")]
     except ValueError:
         values = []
-    # a range is checked lazily: one out of bounds stops the scan within MAX_DIMENSION + 1 steps
-    if not values or not all(1 <= v <= MAX_DIMENSION for v in values):
-        raise ValueError(f"bad cube size list: {text!r} (sizes are 1..{MAX_DIMENSION})")
+    # a range is checked lazily: one out of bounds stops the scan within MAX_ROW_DIMENSION + 1 steps
+    if not values or not all(1 <= v <= MAX_ROW_DIMENSION for v in values):
+        raise ValueError(f"bad cube size list: {text!r} (sizes are 1..{MAX_ROW_DIMENSION})")
     return list(values)
 
 
@@ -124,6 +135,8 @@ def _route_problem(route: str, got: Orientation, want: Orientation) -> Optional[
         got = canonicalize(got)
     except ValueError as exc:
         return f"{route} route gives no Matousek USO ({exc})"
+    if got == want:
+        return None
     for v, (mine, theirs) in enumerate(zip(got.outmaps, want.outmaps)):
         if mine != theirs:
             return (
@@ -238,7 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="Random Facet evaluation statistics as CSV")
     p.add_argument("--family", required=True, help=f"built-in graph family ({families})")
-    p.add_argument("--n", required=True, help="cube sizes: '8', '4,8,12' or '4..12'")
+    p.add_argument(
+        "--n",
+        required=True,
+        help=f"cube sizes, each in 1..{MAX_ROW_DIMENSION}: '8', '4,8,12' or '4..12' "
+        "(the orientations stay in row form, so no 2^n table is built)",
+    )
     p.add_argument("--trials", type=int, default=1000, help="runs per cube size (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in every row (default 0)")
     p.add_argument("--out", help="output path (default stdout)")

@@ -1,10 +1,14 @@
-"""Hypercube vertices, orientations, USO checks, faces and isomorphisms.
+"""Hypercube vertices, orientations, USO checks and faces.
 
 Vertices of the n-cube are subsets of the dimension set {1, ..., n},
 encoded as bitmasks with dimension d stored in bit d-1.  An orientation
 assigns every vertex its *outmap*: the set of dimensions whose incident
 edge points away from the vertex.  An orientation is a unique sink
 orientation (USO) when every subcube has exactly one sink.
+
+Every check below decides a Matousek-type orientation from its n+1 flip
+integers (see :class:`Orientation`) and reads the dense table only for
+orientations that are not of that type.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 MAX_DIMENSION = 20  # dense 2^n table; beyond this the table itself is the problem
+MAX_ROW_DIMENSION = 64  # row form: n+1 integers, so only the cost of a search bounds n
 USO_PAIR_CAP = 16  # 4^16 vertex pairs take about a minute in numpy
 
 
@@ -42,43 +47,129 @@ def mask_to_dims(mask: int) -> list[int]:
     return dims
 
 
-def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"cube dimension must be in 1..{MAX_DIMENSION}, got {n}")
+def _check_n(n: int, cap: int = MAX_DIMENSION) -> None:
+    if not 1 <= n <= cap:
+        raise ValueError(f"cube dimension must be in 1..{cap}, got {n}")
 
 
-@dataclass(frozen=True)
 class Orientation:
-    """A cube orientation given by its dense outmap table.
+    """A cube orientation with two views: the dense outmap table and the flip rows.
 
-    ``outmaps[v]`` is the outmap bitmask of the vertex with bitmask ``v``.
-    The table always has ``2**n`` entries and only uses the low ``n`` bits;
-    edge consistency is *not* enforced here, use :func:`check_orientation`.
+    ``outmaps[v]`` is the outmap bitmask of the vertex with bitmask ``v``:
+    2^n entries using only the low n bits.  A Matousek-type orientation
+    (every dimension d flips one constant set r_d) is also described by
+    n+1 integers: o(v) = ``base`` XOR the ``rows`` r_d of the dimensions d
+    in v.  ``Orientation(n, outmaps)`` starts from a table and
+    :meth:`from_rows` from rows; the other view is computed on first read
+    and cached.  The table is refused above ``MAX_DIMENSION``; the row view
+    is None for a table that is not Matousek-type.  Two orientations are
+    equal when their tables are, so they compare and hash by rows when
+    both are Matousek-type.  Edge consistency is *not* enforced here, use
+    :func:`check_orientation`.
     """
 
-    n: int
-    outmaps: tuple[int, ...]
+    __slots__ = ("n", "_table", "_flip")
+
+    def __init__(self, n: int, outmaps: Sequence[int]) -> None:
+        self.n = n
+        self._table: Optional[tuple[int, ...]] = tuple(outmaps)
+        # (base, candidate rows, first vertex they fail to rebuild or None), once known
+        self._flip: Optional[tuple[int, tuple[int, ...], Optional[int]]] = None
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate the table given to the constructor.
+
+        Kept under this name so that the benchmark's tracer, which wraps
+        it, counts the table entries built.
+        """
         _check_n(self.n)
         size = 1 << self.n
-        if len(self.outmaps) != size:
-            raise ValueError(
-                f"outmap table needs {size} entries for n={self.n}, got {len(self.outmaps)}"
-            )
+        table = self._table
+        if len(table) != size:
+            raise ValueError(f"outmap table needs {size} entries for n={self.n}, got {len(table)}")
         full = size - 1
         # one C-level pass; a negative entry has high bits set as well
-        if reduce(or_, self.outmaps) & ~full:
-            v = next(v for v, out in enumerate(self.outmaps) if out & ~full)
+        if reduce(or_, table) & ~full:
+            v = next(v for v, out in enumerate(table) if out & ~full)
             raise ValueError(f"outmap of vertex {v} uses bits outside 1..{self.n}")
+
+    @classmethod
+    def from_rows(cls, n: int, base: int, rows: Iterable[int]) -> "Orientation":
+        """The orientation o(v) = base XOR the rows of the dimensions in v, up to n = MAX_ROW_DIMENSION."""
+        _check_n(n, MAX_ROW_DIMENSION)
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"need {n} rows, got {len(rows)}")
+        if reduce(or_, rows, base) & ~((1 << n) - 1):
+            raise ValueError(f"base or rows use bits outside 1..{n}")
+        o = cls.__new__(cls)
+        o.n, o._table, o._flip = n, None, (base, rows, None)
+        return o
 
     @classmethod
     def uniform(cls, n: int) -> "Orientation":
         """The orientation o(v) = v: all edges point towards larger vertices."""
         return cls(n, tuple(range(1 << n)))
 
+    @property
+    def outmaps(self) -> tuple[int, ...]:
+        """The dense table, built from the rows on first read."""
+        if self._table is None:
+            if self.n > MAX_DIMENSION:
+                raise ValueError(
+                    f"an outmap table has 2^{self.n} entries; tables are capped at n = {MAX_DIMENSION}"
+                )
+            base, rows, _ = self._flip
+            self._table = xor_table(base, rows)
+        return self._table
+
+    @property
+    def has_table(self) -> bool:
+        """Whether the dense table is built: from birth, or since ``outmaps`` was read."""
+        return self._table is not None
+
+    @property
+    def rows(self) -> Optional[tuple[int, ...]]:
+        """The flip rows r_d, or None when the orientation is not Matousek-type."""
+        if self._flip is None:
+            matousek_rows(self)
+        _, rows, mismatch = self._flip
+        return rows if mismatch is None else None
+
+    @property
+    def base(self) -> Optional[int]:
+        """o(0) when the orientation is Matousek-type, else None."""
+        return None if self.rows is None else self._flip[0]
+
     def outmap(self, v: int) -> int:
-        return self.outmaps[v]
+        if self._table is not None:
+            return self._table[v]
+        out, rows, _ = self._flip
+        for d, row in enumerate(rows):
+            if v >> d & 1:
+                out ^= row
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Orientation):
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        mine, theirs = self.rows, other.rows
+        if mine is None and theirs is None:
+            return self._table == other._table
+        return mine == theirs and self._flip[0] == other._flip[0]
+
+    def __hash__(self) -> int:
+        rows = self.rows
+        return hash((self.n, self._table) if rows is None else (self.n, self._flip[0], rows))
+
+    def __repr__(self) -> str:
+        if self._table is not None:
+            return f"Orientation(n={self.n}, outmaps={self._table!r})"
+        base, rows, _ = self._flip
+        return f"Orientation.from_rows({self.n}, {base}, {rows!r})"
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "outmaps": [mask_to_dims(m) for m in self.outmaps]}
@@ -138,40 +229,6 @@ class Face:
         return v & ~self.spanning == self.fixed
 
 
-@dataclass(frozen=True)
-class Isomorphism:
-    """Mirror along the dimensions in ``mirror``, then relabel by a permutation.
-
-    ``relabel[d-1]`` is the image of dimension d.  The transformed orientation
-    o' satisfies  relabel(o(v)) = o'(relabel(v xor mirror))  for every vertex.
-    """
-
-    mirror: int
-    relabel: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.relabel)
-        if sorted(self.relabel) != list(range(1, n + 1)):
-            raise ValueError(f"relabel {self.relabel} is not a permutation of 1..{n}")
-        if self.mirror & ~((1 << n) - 1):
-            raise ValueError("mirror set uses dimensions outside the permutation")
-
-    @classmethod
-    def identity(cls, n: int) -> "Isomorphism":
-        return cls(0, tuple(range(1, n + 1)))
-
-    @classmethod
-    def mirror_only(cls, mirror: int, n: int) -> "Isomorphism":
-        return cls(mirror, tuple(range(1, n + 1)))
-
-    def apply_to_mask(self, mask: int) -> int:
-        out = 0
-        for d, image in enumerate(self.relabel, start=1):
-            if mask >> (d - 1) & 1:
-                out |= 1 << (image - 1)
-        return out
-
-
 def _outmap_array(o: Orientation) -> np.ndarray:
     return np.fromiter(o.outmaps, dtype=np.int64, count=1 << o.n)
 
@@ -196,15 +253,21 @@ def matousek_rows(o: Orientation) -> tuple[tuple[int, ...], Optional[int]]:
     None.  Otherwise it is the first vertex v where the rebuild differs.  All
     lower vertices match, so with d the highest dimension in v the pattern
     o(v) xor o(v xor {d}) differs from r_d: v locates dimension d's
-    variation.  n+1 table reads, one XOR-doubling rebuild, one tuple compare.
+    variation.  n+1 table reads, one XOR-doubling rebuild, one tuple compare,
+    once per orientation: the result is cached, and an orientation built
+    from rows has it from the start.
     """
-    outs = o.outmaps
-    base = outs[0]
-    rows = tuple(base ^ outs[1 << d] for d in range(o.n))
-    rebuilt = xor_table(base, rows)
-    if rebuilt == outs:
-        return rows, None
-    return rows, next(v for v, (a, b) in enumerate(zip(rebuilt, outs)) if a != b)
+    if o._flip is None:
+        outs = o.outmaps
+        base = outs[0]
+        rows = tuple(base ^ outs[1 << d] for d in range(o.n))
+        rebuilt = xor_table(base, rows)
+        mismatch = None
+        if rebuilt != outs:
+            mismatch = next(v for v, (a, b) in enumerate(zip(rebuilt, outs)) if a != b)
+        o._flip = (base, rows, mismatch)
+    _, rows, mismatch = o._flip
+    return rows, mismatch
 
 
 def rows_acyclic(rows: Sequence[int]) -> bool:
@@ -226,7 +289,14 @@ def rows_acyclic(rows: Sequence[int]) -> bool:
 
 
 def check_orientation(o: Orientation) -> bool:
-    """Edge consistency: each cube edge points out of exactly one endpoint."""
+    """Edge consistency: each cube edge points out of exactly one endpoint.
+
+    With flip rows, o(v) and o(v xor {d}) differ in bit d exactly when r_d
+    has its loop bit d, so the rows decide it in O(n).
+    """
+    rows = o.rows
+    if rows is not None:
+        return all(row >> d & 1 for d, row in enumerate(rows))
     outs = _outmap_array(o)
     for d in range(o.n):
         # each block of 2^(d+1) vertices, split into its halves without and with bit d
@@ -239,20 +309,19 @@ def check_orientation(o: Orientation) -> bool:
 def is_uso(o: Orientation) -> bool:
     """Whether o is a unique sink orientation.
 
-    A Matousek-type table (see :func:`matousek_rows`) whose rows carry their
-    loop bits is decided by its rows alone, with no pair test: acyclic rows
-    make a USO by construction.  Cyclic rows never do: a shortest cycle C
-    has no chords, so each of its dimensions has exactly one in-neighbour
-    in C, the rows over C XOR to a set that misses C, and the pair (0, C)
-    fails.  Any other table must be an edge-consistent orientation
-    (``ValueError`` otherwise) and goes through :func:`uso_by_pairs`, capped
-    at ``USO_PAIR_CAP`` dimensions.
+    o must be an edge-consistent orientation (``ValueError`` otherwise).
+    A Matousek-type one is decided by its rows alone, with no pair test:
+    acyclic rows make a USO by construction.  Cyclic rows never do: a
+    shortest cycle C has no chords, so each of its dimensions has exactly
+    one in-neighbour in C, the rows over C XOR to a set that misses C, and
+    the pair (0, C) fails.  Any other table goes through
+    :func:`uso_by_pairs`, capped at ``USO_PAIR_CAP`` dimensions.
     """
-    rows, mismatch = matousek_rows(o)
-    if mismatch is None and all(row >> d & 1 for d, row in enumerate(rows)):
-        return rows_acyclic(rows)
     if not check_orientation(o):
         raise ValueError("outmap table is not an orientation (edge consistency fails)")
+    rows = o.rows
+    if rows is not None:
+        return rows_acyclic(rows)
     if o.n > USO_PAIR_CAP:
         raise ValueError(
             f"USO check needs 4^{o.n} vertex pairs unless the flip rows are constant "
@@ -281,8 +350,56 @@ def uso_by_pairs(o: Orientation) -> bool:
     return True
 
 
+def _xor_solutions(rows: Sequence[int], target: int) -> tuple[Optional[int], list[int]]:
+    """The vertices v whose rows XOR to target, over GF(2).
+
+    Returns the smallest solution (None if there is none) and a kernel
+    basis.  Rows are eliminated in increasing dimension order, keyed by
+    their leading bit; a row that reduces to zero gives the kernel vector
+    of its dimension d, whose other dimensions are all lower pivots.  The
+    particular solution uses pivot dimensions only, so it is the smallest
+    solution, and the next one up adds the kernel vector of the lowest
+    free dimension, which is ``kernel[0]``.
+    """
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (reduced row, its dimensions)
+
+    def reduced(value: int, combo: int) -> tuple[int, int]:
+        while value:
+            pivot = pivots.get(value.bit_length())
+            if pivot is None:
+                break
+            value ^= pivot[0]
+            combo ^= pivot[1]
+        return value, combo
+
+    kernel = []
+    for d, row in enumerate(rows):
+        value, combo = reduced(row, 1 << d)
+        if value:
+            pivots[value.bit_length()] = (value, combo)
+        else:
+            kernel.append(combo)
+    value, combo = reduced(target, 0)
+    return (None if value else combo), kernel
+
+
 def global_sink(o: Orientation) -> int:
-    """The unique vertex with empty outmap; raises if it is not unique."""
+    """The unique vertex with empty outmap; raises if it is not unique.
+
+    With flip rows this solves o(v) = 0, i.e. the rows of v XOR to o(0),
+    over GF(2) in O(n^2), and reports no sink or the two smallest sinks
+    exactly as the table scan does.  For acyclic rows with loop bits the
+    system is unitriangular in topological order, so the sink is unique;
+    for a built orientation o(0) = 0 and the sink is the empty vertex.
+    """
+    rows = o.rows
+    if rows is not None:
+        sink, kernel = _xor_solutions(rows, o.base)
+        if sink is None:
+            raise ValueError("no vertex has an empty outmap")
+        if kernel:
+            raise ValueError(f"multiple sinks: {sink} and {sink ^ kernel[0]}")
+        return sink
     outs = o.outmaps
     try:
         sink = outs.index(0)
@@ -291,14 +408,3 @@ def global_sink(o: Orientation) -> int:
     if outs.count(0) > 1:
         raise ValueError(f"multiple sinks: {sink} and {outs.index(0, sink + 1)}")
     return sink
-
-
-def apply_isomorphism(o: Orientation, iso: Isomorphism) -> Orientation:
-    """Mirror and relabel an orientation; preserves the USO property."""
-    if len(iso.relabel) != o.n:
-        raise ValueError(f"isomorphism is on {len(iso.relabel)} dimensions, cube has {o.n}")
-    size = 1 << o.n
-    table = [0] * size
-    for v in range(size):
-        table[iso.apply_to_mask(v ^ iso.mirror)] = iso.apply_to_mask(o.outmaps[v])
-    return Orientation(o.n, tuple(table))

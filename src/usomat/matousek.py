@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from .cube import (
+    MAX_ROW_DIMENSION,
     Orientation,
     _check_n,
     check_orientation,
     mask_to_dims,
     matousek_rows,
     rows_acyclic,
-    xor_table,
 )
 
 
@@ -43,7 +43,7 @@ class InfluenceGraph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        _check_n(n)
+        _check_n(n, MAX_ROW_DIMENSION)
         rows = [1 << (d - 1) for d in range(1, n + 1)]
         for d, d2 in edges:
             if not (1 <= d <= n and 1 <= d2 <= n):
@@ -89,21 +89,6 @@ class InfluenceGraph:
     def is_acyclic(self) -> bool:
         """True when the non-loop edges form a DAG (repeatedly strip sinks)."""
         return rows_acyclic(self.rows)
-
-    def transitive_closure(self) -> "InfluenceGraph":
-        rows = list(self.rows)
-        changed = True
-        while changed:
-            changed = False
-            for d in range(self.n):
-                row = rows[d]
-                acc = row
-                for mid in mask_to_dims(row & ~(1 << d)):
-                    acc |= rows[mid - 1]
-                if acc != row:
-                    rows[d] = acc
-                    changed = True
-        return InfluenceGraph.from_rows(self.n, rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -154,23 +139,24 @@ class InfluenceGraph:
 
 
 def orientation_from_rows(n: int, rows: Iterable[int]) -> Orientation:
-    """Raw edge-flip table: outmap(v) = XOR of the rows of the dimensions in v.
+    """Raw edge-flip orientation: outmap(v) = XOR of the rows of the dimensions in v.
 
-    Always edge-consistent.  For acyclic rows this is the Matousek USO; for
-    cyclic rows the result is a valid orientation that fails the USO check.
+    Loop bits are added, so it is always edge-consistent.  For acyclic rows
+    this is the Matousek USO; for cyclic rows the result is a valid
+    orientation that fails the USO check.  Row form: no table is built.
     """
-    return Orientation(n, xor_table(0, InfluenceGraph.from_rows(n, rows).rows))
+    return Orientation.from_rows(n, 0, InfluenceGraph.from_rows(n, rows).rows)
 
 
 def build_matousek(g: InfluenceGraph) -> Orientation:
-    """The unique orientation with sink at the empty vertex generated by g.
+    """The unique orientation with sink at the empty vertex generated by g, in row form.
 
     Rejects graphs with non-loop cycles: those generate edge-consistent
     tables that are not USOs.
     """
     if not g.is_acyclic():
         raise CyclicInfluence(f"influence graph has a non-loop cycle: {list(g.edges)}")
-    return orientation_from_rows(g.n, g.rows)
+    return Orientation.from_rows(g.n, 0, g.rows)
 
 
 def extract_influence_graph(o: Orientation) -> InfluenceGraph:
@@ -180,7 +166,7 @@ def extract_influence_graph(o: Orientation) -> InfluenceGraph:
     set per dimension d; otherwise the orientation is not of Matousek type.
     A constant but cyclic pattern is reported separately, since it certifies
     a non-USO table.  A table that is no orientation at all raises a plain
-    ``ValueError``.
+    ``ValueError``.  With the row view this is O(n^2) and reads no table.
     """
     rows, mismatch = matousek_rows(o)
     if mismatch is not None:
@@ -204,7 +190,7 @@ def canonicalize(o: Orientation) -> Orientation:
 
     With sink s, o(v xor s) = o(s) xor X(v) = X(v), where X(v) is the XOR
     of the flip rows of the dimensions in v; so the result is
-    build_matousek(extract_influence_graph(o)), rebuilt from the rows.
+    build_matousek(extract_influence_graph(o)): the same rows, base 0.
     """
     return orientation_from_rows(o.n, extract_influence_graph(o).rows)
 
@@ -213,13 +199,19 @@ def flip_facet(o: Orientation, d: int, upper: bool = False) -> Orientation:
     """Reverse every edge lying inside the chosen d-facet.
 
     Edges in dimension d itself are untouched.  The result is always an
-    orientation but need not be a USO; for Matousek-type input the influence
-    row of d is toggled on every other dimension.
+    orientation but need not be a USO.  For Matousek-type input the
+    influence row of d is toggled on every other dimension; flipping the
+    lower facet changes o(0) as well.  That is O(n) on the rows.  Any other
+    table is flipped vertex by vertex.
     """
     if not 1 <= d <= o.n:
         raise ValueError(f"dimension {d} out of range 1..{o.n}")
     bit = 1 << (d - 1)
     others = ((1 << o.n) - 1) & ~bit
+    rows = o.rows
+    if rows is not None:
+        base = o.base if upper else o.base ^ others
+        return Orientation.from_rows(o.n, base, rows[: d - 1] + (rows[d - 1] ^ others,) + rows[d:])
     side = bit if upper else 0
     table = [
         out ^ others if v & bit == side else out for v, out in enumerate(o.outmaps)

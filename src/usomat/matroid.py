@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .cube import Orientation, xor_table
+from .cube import Orientation
 from .matousek import InfluenceGraph
 
 Q = "q"
@@ -75,6 +75,15 @@ class CyclicExtension:
         ext = CyclicExtension.__new__(CyclicExtension)
         ext.n, ext.order, ext.flipped = self.n, tuple(order), self.flipped
         return ext
+
+    @cached_property
+    def valid(self) -> bool:
+        """Whether the P-matroid conditions hold (:func:`validate_conditions`), checked once.
+
+        They do not depend on where q sits, so :func:`push_q_left` hands
+        the answer on to the extension it returns.
+        """
+        return validate_conditions(self)
 
     @cached_property
     def position(self) -> dict:
@@ -151,7 +160,7 @@ def validate_conditions(ext: CyclicExtension) -> bool:
 def containment_graph(ext: CyclicExtension) -> InfluenceGraph:
     """Influence graph of the pair nesting: edge (i, j) when pair j sits
     strictly inside the position interval of pair i."""
-    if not validate_conditions(ext):
+    if not ext.valid:
         raise ValueError("extension does not satisfy the P-matroid conditions")
     n = ext.n
     pos = ext.position
@@ -165,7 +174,7 @@ def containment_graph(ext: CyclicExtension) -> InfluenceGraph:
 
 
 def extension_to_uso(ext: CyclicExtension) -> Orientation:
-    """The orientation induced by the extension, in O(n^2 + 2^n) integer steps.
+    """The orientation induced by the extension, in row form, in O(n^2) integer steps.
 
     Vertex v keeps the basis c_i = i (bit i-1 of v clear) or i+n (set); the
     fundamental circuit through q, normalised q-positive, marks dimension i
@@ -181,7 +190,7 @@ def extension_to_uso(ext: CyclicExtension) -> Orientation:
     is set when exactly one of element i and q lies strictly inside pair j's
     interval; bit j of r_j is the parity condition, always 1.
     """
-    if not validate_conditions(ext):
+    if not ext.valid:
         raise ValueError("extension does not satisfy the P-matroid conditions")
     n = ext.n
     full = (1 << n) - 1
@@ -205,7 +214,7 @@ def extension_to_uso(ext: CyclicExtension) -> Orientation:
         rows.append(inside ^ (full if a < q_pos < b else bit))
         if (offset + ranked.index(p) + (p < q_pos) + (j + 1 in ext.flipped)) & 1:
             base |= bit
-    return Orientation(n, xor_table(base, rows))
+    return Orientation.from_rows(n, base, rows)
 
 
 def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:
@@ -222,6 +231,8 @@ def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:
     crossed = tokens[p - 2]
     tokens[p - 2], tokens[p - 1] = tokens[p - 1], tokens[p - 2]
     new_ext = ext._reordered(tokens)
+    if "valid" in ext.__dict__:  # q's position does not affect the conditions
+        new_ext.valid = ext.valid
     if crossed <= ext.n:
         return new_ext, crossed, False
     return new_ext, crossed - ext.n, True

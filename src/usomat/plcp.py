@@ -66,10 +66,6 @@ class RationalMatrix:
         if any(len(row) != self.ncols for row in self.rows):
             raise ValueError("rows have unequal lengths")
 
-    @classmethod
-    def identity(cls, k: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.rows[i][j]

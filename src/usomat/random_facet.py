@@ -23,12 +23,13 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .cube import Orientation, global_sink
+from .cube import MAX_ROW_DIMENSION, Orientation, global_sink
 from .matousek import InfluenceGraph, build_matousek
 
 # Each float64 uniform takes one 64-bit PCG64 output, so the picks are the
 # same for any block size; small blocks waste less on short runs.
 _UNIFORM_BLOCK = 32
+_BITS = tuple(1 << d for d in range(MAX_ROW_DIMENSION))  # a search starts on span _BITS[:n]
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,11 @@ def random_facet(
     start defaults to the bitwise complement of the global sink.  Results
     are a pure function of (orientation, start, seed); the generator is a
     PCG64 stream so runs reproduce across platforms.
+
+    An orientation that holds its table reads each leaf's outmap there.
+    One in row form computes only the start's outmap, in O(n): every
+    later leaf is the previous one with one bit d flipped, so its outmap
+    is the previous one XOR r_d, and no table is built.
     """
     n = o.n
     full = (1 << n) - 1
@@ -86,15 +92,21 @@ def random_facet(
     rng = np.random.Generator(np.random.PCG64(entropy))
     uniforms: list[float] = []
     used = 0
-    outmaps = o.outmaps
+    if o.has_table:
+        outmaps, rows = o.outmaps, None
+        out = outmaps[start]
+    else:
+        outmaps, rows = None, o.rows
+        out = o.outmap(start)
 
     # One stack holds the pending second facets of every open face: solving
     # a face picks d, solves the facet holding w, and only if the facet sink
     # w leaves along d goes on to the facet across d, from w with bit d
     # flipped.  Each pass descends from (span, w) to a 0-face, drawing the
     # picks in the order the plain recursion draws them, then pops until a
-    # facet sink leaves along its face's pick.
-    span = tuple(1 << d for d in range(n))
+    # facet sink leaves along its face's pick.  A descent keeps w, so the
+    # leaf it reaches is the vertex the last step went to.
+    span = _BITS[:n]
     k = n  # len(span)
     w = start
     pending: list[tuple[int, tuple[int, ...]]] = []
@@ -113,11 +125,11 @@ def random_facet(
             span = rest
             k -= 1
         leaves += 1
-        out = outmaps[w]  # the one query at this leaf
         while pending:
             bit, span = pending.pop()
             if out & bit:
                 w ^= bit
+                out = outmaps[w] if rows is None else out ^ rows[bit.bit_length() - 1]
                 k = len(span)
                 break
         else:
@@ -175,13 +187,16 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
     Trial t uses the generator stream seeded by (seed, t), so any prefix
     of the trial sequence is stable under a larger trial count and the
     whole run reproduces exactly.  Every returned sink is checked against
-    the known one.
+    the known one.  The runs read a table when it has no more entries than
+    there are trials, and step along the flip rows otherwise.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     out = []
     for n in n_list:
         o = build_matousek(family_graph(family, n))
+        if 1 << n <= trials:
+            o.outmaps  # build the table: a read per leaf is cheaper than a row XOR per step
         sink = global_sink(o)
         start = sink ^ ((1 << n) - 1)
         # exact running sums: memory stays constant in the trial count

@@ -29,6 +29,72 @@ P_MATROID_BRUTE_FORCE_CAP = 8  # n 2^(n-1) almost-complementary supports
 CIRCUIT_AXIOM_CAP = 3  # full circuit list has 2 C(2n+1, n+1) members
 
 
+@dataclass(frozen=True)
+class Isomorphism:
+    """Mirror along the dimensions in ``mirror``, then relabel by a permutation.
+
+    ``relabel[d-1]`` is the image of dimension d.  The transformed orientation
+    o' satisfies  relabel(o(v)) = o'(relabel(v xor mirror))  for every vertex.
+    """
+
+    mirror: int
+    relabel: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.relabel)
+        if sorted(self.relabel) != list(range(1, n + 1)):
+            raise ValueError(f"relabel {self.relabel} is not a permutation of 1..{n}")
+        if self.mirror & ~((1 << n) - 1):
+            raise ValueError("mirror set uses dimensions outside the permutation")
+
+    @classmethod
+    def identity(cls, n: int) -> "Isomorphism":
+        return cls(0, tuple(range(1, n + 1)))
+
+    @classmethod
+    def mirror_only(cls, mirror: int, n: int) -> "Isomorphism":
+        return cls(mirror, tuple(range(1, n + 1)))
+
+    def apply_to_mask(self, mask: int) -> int:
+        out = 0
+        for d, image in enumerate(self.relabel, start=1):
+            if mask >> (d - 1) & 1:
+                out |= 1 << (image - 1)
+        return out
+
+
+def apply_isomorphism(o: Orientation, iso: Isomorphism) -> Orientation:
+    """Mirror and relabel an orientation's table, vertex by vertex; preserves the USO property."""
+    if len(iso.relabel) != o.n:
+        raise ValueError(f"isomorphism is on {len(iso.relabel)} dimensions, cube has {o.n}")
+    size = 1 << o.n
+    table = [0] * size
+    for v in range(size):
+        table[iso.apply_to_mask(v ^ iso.mirror)] = iso.apply_to_mask(o.outmaps[v])
+    return Orientation(o.n, tuple(table))
+
+
+def transitive_closure(g: InfluenceGraph) -> InfluenceGraph:
+    """Add d -> e whenever e is reachable from d, by repeated row unions."""
+    rows = list(g.rows)
+    changed = True
+    while changed:
+        changed = False
+        for d in range(g.n):
+            acc = rows[d]
+            for e in range(g.n):
+                if e != d and rows[d] >> e & 1:
+                    acc |= rows[e]
+            if acc != rows[d]:
+                rows[d] = acc
+                changed = True
+    return InfluenceGraph.from_rows(g.n, rows)
+
+
+def identity_matrix(k: int) -> RationalMatrix:
+    return RationalMatrix([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+
+
 def edge_consistent_scan(o: Orientation) -> bool:
     """Each cube edge claimed by exactly one endpoint, by direct loop."""
     for v in range(1 << o.n):
@@ -79,6 +145,16 @@ def extract_influence_graph_by_scan(o: Orientation) -> InfluenceGraph:
     if any(reach[d] >> d & 1 for d in range(n)):
         raise CyclicInfluence("constant flip pattern but cyclic")
     return InfluenceGraph.from_rows(n, rows)
+
+
+def sink_by_scan(o: Orientation) -> int:
+    """The only vertex with an empty outmap, or the ValueError naming none or the two lowest."""
+    sinks = [v for v in range(1 << o.n) if o.outmaps[v] == 0]
+    if not sinks:
+        raise ValueError("no vertex has an empty outmap")
+    if len(sinks) > 1:
+        raise ValueError(f"multiple sinks: {sinks[0]} and {sinks[1]}")
+    return sinks[0]
 
 
 def brute_force_sink(o: Orientation) -> int:

@@ -170,7 +170,7 @@ def test_07_q_moves_are_facet_flips():
                 nxt, dim, upper = push_q_left(cur)
                 predicted = flip_facet(uso, dim, upper)
                 uso = extension_to_uso(nxt)
-                assert uso == predicted
+                assert uso.outmaps == predicted.outmaps  # whole tables, not just rows
                 cur = nxt
                 steps += 1
             walks += 1

@@ -99,6 +99,9 @@ def test_syntax_errors_stay_with_argparse(argv, capsys):
         (["bench", "--family", "path", "--n", "0"], "bad cube size list"),
         (["bench", "--family", "path", "--n", "1..1000000000000"], "bad cube size list"),
         (["enumerate", "--n", "0"], "--n must be between 1 and 5"),
+        (["bench", "--family", "path", "--n", "65"], "sizes are 1..64"),
+        (["build", "--family", "path", "--n", "21"], "cube dimension must be in 1..20"),
+        (["realize", "--family", "path", "--n", "21"], "cube dimension must be in 1..20"),
     ],
 )
 def test_semantic_errors_exit_1_with_one_error_line(argv, fragment, capsys):

@@ -2,16 +2,20 @@ import pytest
 
 from usomat import (
     Face,
-    Isomorphism,
     Orientation,
-    apply_isomorphism,
     check_orientation,
     dims_to_mask,
     global_sink,
     is_uso,
     mask_to_dims,
 )
-from oracles import edge_consistent_scan, szabo_welzl_pairs, unique_sink_every_face_scan
+from oracles import (
+    Isomorphism,
+    apply_isomorphism,
+    edge_consistent_scan,
+    szabo_welzl_pairs,
+    unique_sink_every_face_scan,
+)
 
 # n=2 table with sinks at both 0 and {1,2}; edge-consistent but not a USO
 DOUBLE_SINK = Orientation(2, (0, 3, 3, 0))

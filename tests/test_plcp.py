@@ -31,7 +31,13 @@ from usomat import (
 from usomat.enumeration import all_branchings
 from usomat.plcp import CandidateSolution, format_fraction, parse_fraction
 from usomat.random_facet import FAMILIES
-from oracles import fundamental_circuit, is_p_matrix_by_minors, kernel_signs, plcp_to_uso_per_vertex
+from oracles import (
+    fundamental_circuit,
+    identity_matrix,
+    is_p_matrix_by_minors,
+    kernel_signs,
+    plcp_to_uso_per_vertex,
+)
 
 TRIVIAL = CyclicExtension(1, (1, 2, Q), {2})
 CHAIN2 = CyclicExtension(2, (1, 2, 4, 3, Q), {4})
@@ -62,12 +68,12 @@ def test_matrix_solve():
 
 def test_matrix_solve_matrix_inverse():
     a = RationalMatrix([[2, 1], [1, 3]])
-    inv = a.solve_matrix(RationalMatrix.identity(2))
+    inv = a.solve_matrix(identity_matrix(2))
     product = [
         [sum(a[i, k] * inv[k, j] for k in range(2)) for j in range(2)]
         for i in range(2)
     ]
-    assert RationalMatrix(product) == RationalMatrix.identity(2)
+    assert RationalMatrix(product) == identity_matrix(2)
 
 
 def test_matrix_text():
@@ -128,7 +134,7 @@ def test_translate_identity_blocks():
     cols.append([Fraction(-1)] * n)
     v = RationalMatrix([[cols[j][i] for j in range(2 * n + 1)] for i in range(n)])
     inst = translate_to_plcp(v)
-    assert inst.M == RationalMatrix.identity(n)
+    assert inst.M == identity_matrix(n)
     assert inst.q == (Fraction(1),) * n
 
 
@@ -141,7 +147,7 @@ def test_translate_shape_checks():
 
 
 def test_is_p_matrix_examples():
-    assert is_p_matrix(RationalMatrix.identity(4))
+    assert is_p_matrix(identity_matrix(4))
     assert not is_p_matrix(RationalMatrix([[0, 1], [1, 0]]))
     assert not is_p_matrix(RationalMatrix([[1, 0], [0, -1]]))
     chain3 = synthesize_extension(Branching(3, {2: 1, 3: 2}))
@@ -153,7 +159,7 @@ def test_is_p_matrix_validation():
     with pytest.raises(ValueError):
         is_p_matrix(RationalMatrix([[1, 2]]))
     with pytest.raises(ValueError):
-        is_p_matrix(RationalMatrix.identity(13))
+        is_p_matrix(identity_matrix(13))
 
 
 def test_plcp_instance_json():
@@ -192,7 +198,7 @@ def test_plcp_instance_json_rejects_malformed(doc):
 
 
 def test_solve_candidate_identity():
-    inst = PLCPInstance(2, RationalMatrix.identity(2), (Fraction(1), Fraction(1)))
+    inst = PLCPInstance(2, identity_matrix(2), (Fraction(1), Fraction(1)))
     sol = solve_candidate(inst, 0)
     assert sol.w == (1, 1) and sol.z == (0, 0)
     assert sol.feasible
@@ -208,7 +214,7 @@ def test_solve_candidate_negative_q():
 
 
 def test_solve_candidate_degenerate():
-    inst = PLCPInstance(2, RationalMatrix.identity(2), (Fraction(0), Fraction(1)))
+    inst = PLCPInstance(2, identity_matrix(2), (Fraction(0), Fraction(1)))
     with pytest.raises(DegenerateQ):
         solve_candidate(inst, 0)
 
@@ -220,7 +226,7 @@ def test_solve_candidate_range():
 
 
 def test_plcp_to_uso_identity():
-    inst = PLCPInstance(3, RationalMatrix.identity(3), (Fraction(1),) * 3)
+    inst = PLCPInstance(3, identity_matrix(3), (Fraction(1),) * 3)
     assert plcp_to_uso(inst) == Orientation.uniform(3)
 
 
@@ -232,7 +238,7 @@ def test_plcp_to_uso_trivial():
 
 
 def test_plcp_to_uso_propagates_degenerate():
-    inst = PLCPInstance(2, RationalMatrix.identity(2), (Fraction(0), Fraction(1)))
+    inst = PLCPInstance(2, identity_matrix(2), (Fraction(0), Fraction(1)))
     with pytest.raises(DegenerateQ):
         plcp_to_uso(inst)
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from usomat import (
     CyclicExtension,
     InfluenceGraph,
-    Isomorphism,
     Orientation,
-    apply_isomorphism,
     build_matousek,
     canonicalize,
     extension_to_uso,
@@ -25,7 +23,14 @@ from usomat import (
 )
 from usomat.matroid import validate_conditions
 from usomat.plcp import RationalMatrix, parse_fraction, format_fraction
-from oracles import _det, brute_force_sink, fundamental_circuit, szabo_welzl_pairs
+from oracles import (
+    Isomorphism,
+    _det,
+    apply_isomorphism,
+    brute_force_sink,
+    fundamental_circuit,
+    szabo_welzl_pairs,
+)
 
 
 @st.composite

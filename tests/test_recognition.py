@@ -19,12 +19,18 @@ from usomat import (
     build_matousek,
     check_orientation,
     extract_influence_graph,
+    global_sink,
     is_uso,
 )
 from usomat.cube import matousek_rows, xor_table
 from usomat.matousek import orientation_from_rows
 from usomat.random_facet import path_family
-from oracles import edge_consistent_scan, extract_influence_graph_by_scan, szabo_welzl_pairs
+from oracles import (
+    edge_consistent_scan,
+    extract_influence_graph_by_scan,
+    sink_by_scan,
+    szabo_welzl_pairs,
+)
 
 TWISTED = Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5))  # USO but not Matousek-type
 
@@ -43,10 +49,19 @@ def uso_by_definition(o):
     return szabo_welzl_pairs(o)
 
 
+def sink_outcome(f, o):
+    """f(o), or the text of the ValueError it raises."""
+    try:
+        return f(o)
+    except ValueError as exc:
+        return str(exc)
+
+
 def agree(o):
-    """Check the three fast routes against the oracles; return the extraction outcome."""
+    """Check the four fast routes against the oracles; return the extraction outcome."""
     assert check_orientation(o) == edge_consistent_scan(o), o
     assert outcome(is_uso, o) == outcome(uso_by_definition, o), o
+    assert sink_outcome(global_sink, o) == sink_outcome(sink_by_scan, o), o
     extracted = outcome(extract_influence_graph, o)
     assert extracted == outcome(extract_influence_graph_by_scan, o), o
     return extracted
