@@ -130,6 +130,11 @@ class Orientation:
         return self._table is not None
 
     @property
+    def known_rows(self) -> Optional[tuple[int, ...]]:
+        """The flip rows if the row view is already known, else None; never reads the table."""
+        return None if self._flip is None else self.rows
+
+    @property
     def rows(self) -> Optional[tuple[int, ...]]:
         """The flip rows r_d, or None when the orientation is not Matousek-type."""
         if self._flip is None:
@@ -292,9 +297,10 @@ def check_orientation(o: Orientation) -> bool:
     """Edge consistency: each cube edge points out of exactly one endpoint.
 
     With flip rows, o(v) and o(v xor {d}) differ in bit d exactly when r_d
-    has its loop bit d, so the rows decide it in O(n).
+    has its loop bit d, so known rows decide it in O(n).  A table whose
+    rows have not been read yet is checked edge by edge.
     """
-    rows = o.rows
+    rows = o.known_rows
     if rows is not None:
         return all(row >> d & 1 for d, row in enumerate(rows))
     outs = _outmap_array(o)
@@ -391,8 +397,9 @@ def global_sink(o: Orientation) -> int:
     exactly as the table scan does.  For acyclic rows with loop bits the
     system is unitriangular in topological order, so the sink is unique;
     for a built orientation o(0) = 0 and the sink is the empty vertex.
+    A table whose rows have not been read yet is scanned.
     """
-    rows = o.rows
+    rows = o.known_rows
     if rows is not None:
         sink, kernel = _xor_solutions(rows, o.base)
         if sink is None:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .cube import MAX_ROW_DIMENSION, Orientation, global_sink
+from .cube import MAX_DIMENSION, MAX_ROW_DIMENSION, Orientation, global_sink
 from .matousek import InfluenceGraph, build_matousek
 
 # Each float64 uniform takes one 64-bit PCG64 output, so the picks are the
@@ -187,16 +187,16 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
     Trial t uses the generator stream seeded by (seed, t), so any prefix
     of the trial sequence is stable under a larger trial count and the
     whole run reproduces exactly.  Every returned sink is checked against
-    the known one.  The runs read a table when it has no more entries than
-    there are trials, and step along the flip rows otherwise.
+    the known one.  The runs read the table up to n = MAX_DIMENSION, and
+    step along the flip rows above it, where no table can be built.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     out = []
     for n in n_list:
         o = build_matousek(family_graph(family, n))
-        if 1 << n <= trials:
-            o.outmaps  # build the table: a read per leaf is cheaper than a row XOR per step
+        if n <= MAX_DIMENSION:
+            o.outmaps  # build the table: the runs read it instead of XORing rows
         sink = global_sink(o)
         start = sink ^ ((1 << n) - 1)
         # exact running sums: memory stays constant in the trial count

@@ -7,6 +7,7 @@ is compared with the slow definition on the table, which the oracles read
 vertex by vertex: the same answer, or the same ``ValueError``.
 """
 
+from importlib import import_module
 from itertools import permutations
 
 import pytest
@@ -35,6 +36,7 @@ from usomat.cli import main
 from usomat.enumeration import all_dags
 from usomat.matousek import orientation_from_rows
 from usomat.random_facet import path_family
+import usomat.cube as cube
 import usomat.matroid as matroid
 from oracles import (
     edge_consistent_scan,
@@ -43,6 +45,8 @@ from oracles import (
     sink_by_scan,
     szabo_welzl_pairs,
 )
+
+rf = import_module("usomat.random_facet")  # ``usomat.random_facet`` as an attribute is the function
 
 
 def outcome(f, *args):
@@ -168,6 +172,30 @@ def test_non_matousek_tables_compare_by_table():
     assert hash(twisted) == hash(Orientation(3, twisted.outmaps))
     assert twisted != Orientation.uniform(3)
     assert flip_facet(twisted, 2).rows is None  # the dense route
+
+
+def test_table_checks_keep_the_scan(monkeypatch):
+    def no_rows(o):
+        raise AssertionError("the row view was read")
+
+    dense = Orientation(3, build_matousek(path_family(3)).outmaps)
+    monkeypatch.setattr(cube, "matousek_rows", no_rows)
+    assert check_orientation(dense) and global_sink(dense) == 0
+    monkeypatch.undo()
+    assert dense.rows is not None and dense.known_rows == dense.rows
+    assert check_orientation(dense) and global_sink(dense) == 0
+
+
+def test_run_trials_reads_a_table_wherever_one_can_exist(monkeypatch):
+    seen = []
+
+    def recording(o, start, seed):
+        seen.append((o.n, o.has_table))
+        return random_facet(o, start, seed)
+
+    monkeypatch.setattr(rf, "random_facet", recording)
+    rf.run_trials("path", [3, MAX_DIMENSION + 1], 2, 0)
+    assert seen == [(3, True), (3, True), (MAX_DIMENSION + 1, False), (MAX_DIMENSION + 1, False)]
 
 
 def test_tables_are_capped():
