@@ -19,17 +19,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .cube import MAX_DIMENSION, MAX_ROW_DIMENSION, Orientation, global_sink
 from .matousek import InfluenceGraph, build_matousek
 
+if TYPE_CHECKING:  # numpy.random is imported only by the functions that draw
+    from numpy.random.bit_generator import ISeedSequence
+
 # Each float64 uniform takes one 64-bit PCG64 output, so the picks are the
 # same for any block size; small blocks waste less on short runs.
 _UNIFORM_BLOCK = 32
 _BITS = tuple(1 << d for d in range(MAX_ROW_DIMENSION))  # a search starts on span _BITS[:n]
+
+# run_trials seeds trials [k * _SEED_BLOCK, (k + 1) * _SEED_BLOCK) in one
+# pass: memory stays constant in the trial count, and since 2^32 is a
+# multiple of the block, no block holds trial numbers of two word counts.
+_SEED_BLOCK = 4096
+# numpy's SeedSequence constants: a 4-word pool of uint32, hashed on the way
+# in (A) and on the way out (B), the pool words mixed pairwise.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 
 @dataclass(frozen=True)
@@ -64,7 +81,7 @@ class TrialStats:
 def random_facet(
     o: Orientation,
     start: int | None = None,
-    seed: Union[int, np.random.SeedSequence] = 0,
+    seed: int | ISeedSequence = 0,
 ) -> RfResult:
     """Find the sink of a USO, counting outmap queries.
 
@@ -75,7 +92,10 @@ def random_facet(
 
     start defaults to the bitwise complement of the global sink.  Results
     are a pure function of (orientation, start, seed); the generator is a
-    PCG64 stream so runs reproduce across platforms.
+    PCG64 stream so runs reproduce across platforms.  seed is an int, a
+    numpy SeedSequence or any other ISeedSequence; PCG64 reads its state
+    from seed.generate_state(4, np.uint64), and an int s seeds exactly as
+    SeedSequence(s) does.
 
     An orientation that holds its table reads each leaf's outmap there.
     One in row form computes only the start's outmap, in O(n): every
@@ -88,8 +108,7 @@ def random_facet(
         start = global_sink(o) ^ full
     if not 0 <= start <= full:
         raise ValueError(f"start vertex {start} out of range for n={n}")
-    entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.PCG64(entropy))
+    rng = np.random.Generator(np.random.PCG64(seed))
     uniforms: list[float] = []
     used = 0
     if o.has_table:
@@ -181,17 +200,102 @@ def family_graph(name: str, n: int) -> InfluenceGraph:
     return FAMILIES[name](n)
 
 
+def _int_words(x: int) -> list[int]:
+    """x as SeedSequence reads an int: little-endian uint32 words, [0] for 0."""
+    if x < 0:
+        raise ValueError("expected non-negative integer")  # SeedSequence's message
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def trial_seed_words(seed: int, first: int, count: int) -> np.ndarray:
+    """The PCG64 seeding words of trials first .. first + count - 1, one row each.
+
+    Row i equals ``SeedSequence((seed, first + i)).generate_state(4,
+    np.uint64)``, computed for all rows in one vectorised pass of numpy's
+    SeedSequence algorithm: the entropy words of seed and of the trial
+    number go through the 4-word pool's hashmix and mix, and 8 output words
+    are read as little-endian uint64.  The trial numbers must agree from
+    bit 32 up, so that they have equally many words; ValueError otherwise.
+    """
+    if first < 0 or count < 1 or first >> 32 != (first + count - 1) >> 32:
+        raise ValueError(f"trials {first}..{first + count - 1} do not share their high words")
+    high = first >> 32
+    # Constant words broadcast as 1-element arrays: the pool only widens
+    # to count lanes where the trial number's low word reaches it.
+    entropy = [np.array([w], np.uint32) for w in _int_words(seed)]
+    entropy.append(np.arange(count, dtype=np.uint32) + np.uint32(first & _MASK32))
+    if high:
+        entropy += [np.array([w], np.uint32) for w in _int_words(high)]
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(1, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, len(entropy)):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+
+    state = np.empty((count, 8), "<u4")
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _seed_row_type() -> type:
+    """An ISeedSequence holding one row of trial_seed_words, made on first use."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedRow(ISeedSequence):
+        def __init__(self, row: np.ndarray) -> None:
+            self.row = row
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 asks for (4, np.uint64); the identity test skips np.dtype
+            if n_words != len(self.row) or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds exactly {len(self.row)} uint64 words")
+            return self.row
+
+    return SeedRow
+
+
 def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> list[TrialStats]:
     """Repeated runs per cube size on a named family, each from the sink's antipodal vertex.
 
-    Trial t uses the generator stream seeded by (seed, t), so any prefix
-    of the trial sequence is stable under a larger trial count and the
-    whole run reproduces exactly.  Every returned sink is checked against
-    the known one.  The runs read the table up to n = MAX_DIMENSION, and
-    step along the flip rows above it, where no table can be built.
+    Trial t uses the generator stream seeded by SeedSequence((seed, t)),
+    so any prefix of the trial sequence is stable under a larger trial
+    count and the whole run reproduces exactly.  The seeding words come
+    from trial_seed_words, 4,096 trials at a time.  Every returned sink is
+    checked against the known one.  The runs read the table up to n =
+    MAX_DIMENSION, and step along the flip rows above it, where no table
+    can be built.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _int_words(seed)  # a negative seed fails here, before any trial
+    seed_row = _seed_row_type()
     out = []
     for n in n_list:
         o = build_matousek(family_graph(family, n))
@@ -202,15 +306,18 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
         # exact running sums: memory stays constant in the trial count
         total = squares = high = 0
         low = 1 << n  # a run evaluates at most every vertex once
-        for t in range(trials):
-            res = random_facet(o, start, np.random.SeedSequence((seed, t)))
-            if res.sink != sink:
-                raise RuntimeError(f"run {t} on n={n} returned {res.sink}, sink is {sink}")
-            x = res.evaluations
-            total += x
-            squares += x * x
-            low = min(low, x)
-            high = max(high, x)
+        for first in range(0, trials, _SEED_BLOCK):
+            words = trial_seed_words(seed, first, min(_SEED_BLOCK, trials - first))
+            for t, row in enumerate(words, first):
+                res = random_facet(o, start, seed_row(row))
+                if res.sink != sink:
+                    raise RuntimeError(f"run {t} on n={n} returned {res.sink}, sink is {sink}")
+                x = res.evaluations
+                total += x
+                squares += x * x
+                low = min(low, x)
+                high = max(high, x)
+            del words, row  # free this block before the next is built: peak RSS holds one
         out.append(
             TrialStats(
                 family=family,

@@ -6,6 +6,7 @@ reusing library internals beyond plain data access.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -14,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from usomat import (
+    MAX_DIMENSION,
     CyclicExtension,
     CyclicInfluence,
     InfluenceGraph,
@@ -22,6 +24,11 @@ from usomat import (
     PLCPInstance,
     Q,
     RationalMatrix,
+    TrialStats,
+    build_matousek,
+    family_graph,
+    global_sink,
+    random_facet,
     solve_candidate,
 )
 
@@ -212,6 +219,49 @@ def random_facet_by_memo(
     if evaluated[sink]:
         raise ValueError(f"search ended on vertex {sink} with a nonempty outmap: not a USO")
     return sink, len(evaluated)
+
+
+def run_trials_by_seedsequence(
+    family: str, n_list: Sequence[int], trials: int, seed: int
+) -> list[TrialStats]:
+    """``usomat.run_trials`` with a fresh ``SeedSequence((seed, t))`` per trial.
+
+    The library computes the same seeding words for a block of trials in
+    one numpy pass; this is the per-trial loop it replaced.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    out = []
+    for n in n_list:
+        o = build_matousek(family_graph(family, n))
+        if n <= MAX_DIMENSION:
+            o.outmaps
+        sink = global_sink(o)
+        start = sink ^ ((1 << n) - 1)
+        total = squares = high = 0
+        low = 1 << n
+        for t in range(trials):
+            res = random_facet(o, start, np.random.SeedSequence((seed, t)))
+            if res.sink != sink:
+                raise RuntimeError(f"run {t} on n={n} returned {res.sink}, sink is {sink}")
+            x = res.evaluations
+            total += x
+            squares += x * x
+            low = min(low, x)
+            high = max(high, x)
+        out.append(
+            TrialStats(
+                family=family,
+                n=n,
+                trials=trials,
+                seed=seed,
+                mean=total / trials,
+                stddev=math.sqrt(Fraction(trials * squares - total * total, trials * trials)),
+                min=low,
+                max=high,
+            )
+        )
+    return out
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:

@@ -1,10 +1,12 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import usomat
 from usomat import (
     USO_PAIR_CAP,
     InfluenceGraph,
@@ -102,6 +104,10 @@ def test_syntax_errors_stay_with_argparse(argv, capsys):
         (["bench", "--family", "path", "--n", "65"], "sizes are 1..64"),
         (["build", "--family", "path", "--n", "21"], "cube dimension must be in 1..20"),
         (["realize", "--family", "path", "--n", "21"], "cube dimension must be in 1..20"),
+        (
+            ["bench", "--family", "path", "--n", "3", "--seed", "-1"],
+            "expected non-negative integer",
+        ),
     ],
 )
 def test_semantic_errors_exit_1_with_one_error_line(argv, fragment, capsys):
@@ -384,3 +390,23 @@ def test_console_script_installed():
     assert proc.returncode == 0
     assert "2,3,0,3,0" in proc.stdout
     assert "usomat 0.1.0" in proc.stderr
+
+
+def test_commands_without_draws_leave_numpy_random_unloaded():
+    """Only the Random Facet functions import numpy.random, when they run."""
+    script = (
+        "import sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "import usomat, usomat.cli\n"
+        "code = usomat.cli.main(['enumerate', '--n', '3'])\n"
+        "print(code, eager, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(usomat.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, eager, loaded = proc.stdout.splitlines()[-1].split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert (code, loaded) == ("0", "False")

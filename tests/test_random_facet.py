@@ -1,3 +1,4 @@
+import importlib
 from itertools import product
 
 import numpy as np
@@ -13,9 +14,9 @@ from usomat import (
     run_trials,
     stats_to_csv,
 )
-from usomat.random_facet import TrialStats, merged_family, path_family
+from usomat.random_facet import TrialStats, merged_family, path_family, trial_seed_words
 from usomat.enumeration import all_dags
-from oracles import brute_force_sink, random_facet_by_memo
+from oracles import brute_force_sink, random_facet_by_memo, run_trials_by_seedsequence
 
 
 def test_families_are_well_formed():
@@ -171,6 +172,53 @@ def test_run_trials_validation():
     with pytest.raises(ValueError) as err:
         run_trials("nope", [3], trials=5, seed=1)
     assert "loops" in str(err.value)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 1, 10**30])
+def test_trial_seed_words_match_seedsequence(seed):
+    # [0, 5000) spans two seeding blocks; the others meet at 2^32, where
+    # the trial number gains a second word
+    for first, count in [(0, 5000), (2**32 - 4096, 4096), (2**32, 4096)]:
+        words = trial_seed_words(seed, first, count)
+        want = [
+            np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
+            for t in range(first, first + count)
+        ]
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, want)
+
+
+def test_trial_seed_words_validation():
+    with pytest.raises(ValueError, match="do not share their high words"):
+        trial_seed_words(0, 2**32 - 1, 2)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        trial_seed_words(-1, 0, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_run_trials_matches_per_trial_seedsequence(family, seed):
+    sizes = [1, 2, 3, 4, 5, 6, 13, 21]  # n = 21 steps along the rows
+    for trials in (1, 7):
+        want = run_trials_by_seedsequence(family, sizes, trials, seed)
+        assert run_trials(family, sizes, trials, seed) == want
+    n = 1 + sorted(FAMILIES).index(family)  # the counts around one seeding block at n <= 4
+    for trials in (4095, 4096, 4097):
+        want = run_trials_by_seedsequence(family, [n], trials, seed)
+        assert run_trials(family, [n], trials, seed) == want
+
+
+def test_run_trials_seed_range(monkeypatch):
+    big = 2**64 + 1
+    assert run_trials("path", [5], 7, big) == run_trials_by_seedsequence("path", [5], 7, big)
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    # the package re-exports the function under the module's name
+    monkeypatch.setattr(importlib.import_module("usomat.random_facet"), "random_facet", no_trial)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_trials("path", [3], trials=5, seed=-1)
 
 
 def test_running_sums_match_numpy_statistics():
