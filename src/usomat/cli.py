@@ -130,15 +130,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _route_problem(route: str, got: Orientation, want: Orientation) -> Optional[str]:
-    """How one construction route's orientation differs from the graph's, or None."""
+    """How one construction route's orientation differs from the graph's, or None.
+
+    Both canonical forms have o(0) = 0, so vertex {d} holds row d, and the
+    first differing row names the first vertex where the tables differ.
+    """
     try:
         got = canonicalize(got)
     except ValueError as exc:
         return f"{route} route gives no Matousek USO ({exc})"
-    for v, (mine, theirs) in enumerate(zip(got.outmaps, want.outmaps)):
+    for d, (mine, theirs) in enumerate(zip(got.rows, want.rows), start=1):
         if mine != theirs:
             return (
-                f"{route} route disagrees with the graph at vertex {mask_to_dims(v)} "
+                f"{route} route disagrees with the graph at vertex {[d]} "
                 f"of the canonical form: {route} outmap {mask_to_dims(mine)}, "
                 f"graph outmap {mask_to_dims(theirs)}"
             )

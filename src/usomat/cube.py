@@ -6,9 +6,14 @@ assigns every vertex its *outmap*: the set of dimensions whose incident
 edge points away from the vertex.  An orientation is a unique sink
 orientation (USO) when every subcube has exactly one sink.
 
-Every check below decides a Matousek-type orientation from its n+1 flip
-integers (see :class:`Orientation`) and reads the dense table only for
-orientations that are not of that type.
+An orientation knows from birth whether it is Matousek-type: one built
+from a table is recognised by its constructor.  Every check below decides
+a Matousek-type orientation from its n+1 flip integers (see
+:class:`Orientation`) and reads the dense table only for orientations
+that are not of that type.  A table is built from rows only when
+``outmaps`` is read: for output, by code that reads a table vertex by
+vertex, and by ``run_trials``, whose search kernel reads a table up to
+``MAX_DIMENSION``.
 """
 
 from __future__ import annotations
@@ -53,29 +58,35 @@ def _check_n(n: int, cap: int = MAX_DIMENSION) -> None:
 
 
 class Orientation:
-    """A cube orientation with two views: the dense outmap table and the flip rows.
+    """A cube orientation: a dense outmap table, or flip rows for a Matousek-type one.
 
     ``outmaps[v]`` is the outmap bitmask of the vertex with bitmask ``v``:
     2^n entries using only the low n bits.  A Matousek-type orientation
     (every dimension d flips one constant set r_d) is also described by
     n+1 integers: o(v) = ``base`` XOR the ``rows`` r_d of the dimensions d
-    in v.  ``Orientation(n, outmaps)`` starts from a table and
-    :meth:`from_rows` from rows; the other view is computed on first read
-    and cached.  The table is refused above ``MAX_DIMENSION``; the row view
-    is None for a table that is not Matousek-type.  Two orientations are
-    equal when their tables are, so they compare and hash by rows when
-    both are Matousek-type.  Edge consistency is *not* enforced here, use
+    in v.  ``Orientation(n, outmaps)`` starts from a table and recognises it
+    once, when it is made (:func:`matousek_rows`); :meth:`from_rows` starts
+    from rows and builds the table only if ``outmaps`` is read.  For a table
+    that is not Matousek-type, ``base`` and ``rows`` are None and
+    ``mismatch`` is the first vertex where the flip rows o(0) xor o({d})
+    fail to rebuild it; otherwise ``mismatch`` is None.  The table is
+    refused above ``MAX_DIMENSION``.  Two orientations are equal when their
+    tables are, so they compare and hash by rows when both are
+    Matousek-type.  Edge consistency is *not* enforced here, use
     :func:`check_orientation`.
     """
 
-    __slots__ = ("n", "_table", "_flip")
+    __slots__ = ("n", "base", "rows", "mismatch", "_table")
 
     def __init__(self, n: int, outmaps: Sequence[int]) -> None:
         self.n = n
         self._table: Optional[tuple[int, ...]] = tuple(outmaps)
-        # (base, candidate rows, first vertex they fail to rebuild or None), once known
-        self._flip: Optional[tuple[int, tuple[int, ...], Optional[int]]] = None
         self.__post_init__()
+        rows, self.mismatch = matousek_rows(self._table)
+        if self.mismatch is None:
+            self.base, self.rows = self._table[0], rows
+        else:
+            self.base = self.rows = None
 
     def __post_init__(self) -> None:
         """Validate the table given to the constructor.
@@ -104,7 +115,7 @@ class Orientation:
         if reduce(or_, rows, base) & ~((1 << n) - 1):
             raise ValueError(f"base or rows use bits outside 1..{n}")
         o = cls.__new__(cls)
-        o.n, o._table, o._flip = n, None, (base, rows, None)
+        o.n, o.base, o.rows, o.mismatch, o._table = n, base, rows, None, None
         return o
 
     @classmethod
@@ -114,14 +125,13 @@ class Orientation:
 
     @property
     def outmaps(self) -> tuple[int, ...]:
-        """The dense table, built from the rows on first read."""
+        """The dense table; one born in row form builds it on first read."""
         if self._table is None:
             if self.n > MAX_DIMENSION:
                 raise ValueError(
                     f"an outmap table has 2^{self.n} entries; tables are capped at n = {MAX_DIMENSION}"
                 )
-            base, rows, _ = self._flip
-            self._table = xor_table(base, rows)
+            self._table = xor_table(self.base, self.rows)
         return self._table
 
     @property
@@ -129,29 +139,11 @@ class Orientation:
         """Whether the dense table is built: from birth, or since ``outmaps`` was read."""
         return self._table is not None
 
-    @property
-    def known_rows(self) -> Optional[tuple[int, ...]]:
-        """The flip rows if the row view is already known, else None; never reads the table."""
-        return None if self._flip is None else self.rows
-
-    @property
-    def rows(self) -> Optional[tuple[int, ...]]:
-        """The flip rows r_d, or None when the orientation is not Matousek-type."""
-        if self._flip is None:
-            matousek_rows(self)
-        _, rows, mismatch = self._flip
-        return rows if mismatch is None else None
-
-    @property
-    def base(self) -> Optional[int]:
-        """o(0) when the orientation is Matousek-type, else None."""
-        return None if self.rows is None else self._flip[0]
-
     def outmap(self, v: int) -> int:
         if self._table is not None:
             return self._table[v]
-        out, rows, _ = self._flip
-        for d, row in enumerate(rows):
+        out = self.base
+        for d, row in enumerate(self.rows):
             if v >> d & 1:
                 out ^= row
         return out
@@ -161,20 +153,18 @@ class Orientation:
             return NotImplemented
         if self.n != other.n:
             return False
-        mine, theirs = self.rows, other.rows
-        if mine is None and theirs is None:
+        if self.rows is None and other.rows is None:
             return self._table == other._table
-        return mine == theirs and self._flip[0] == other._flip[0]
+        return self.rows == other.rows and self.base == other.base
 
     def __hash__(self) -> int:
         rows = self.rows
-        return hash((self.n, self._table) if rows is None else (self.n, self._flip[0], rows))
+        return hash((self.n, self._table) if rows is None else (self.n, self.base, rows))
 
     def __repr__(self) -> str:
-        if self._table is not None:
+        if self.rows is None:
             return f"Orientation(n={self.n}, outmaps={self._table!r})"
-        base, rows, _ = self._flip
-        return f"Orientation.from_rows({self.n}, {base}, {rows!r})"
+        return f"Orientation.from_rows({self.n}, {self.base}, {self.rows!r})"
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "outmaps": [mask_to_dims(m) for m in self.outmaps]}
@@ -250,29 +240,29 @@ def xor_table(base: int, rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(table)
 
 
-def matousek_rows(o: Orientation) -> tuple[tuple[int, ...], Optional[int]]:
-    """Flip rows r_d = o(0) xor o({d}) and the first vertex the rows fail to rebuild.
+def matousek_rows(table: tuple[int, ...]) -> tuple[tuple[int, ...], Optional[int]]:
+    """Flip rows r_d = o(0) xor o({d}) of an outmap table, and the first vertex they fail to rebuild.
 
-    o is Matousek-type (every dimension flips one constant set) exactly when
-    ``xor_table(o(0), rows)`` rebuilds the whole table; then the vertex is
-    None.  Otherwise it is the first vertex v where the rebuild differs.  All
-    lower vertices match, so with d the highest dimension in v the pattern
-    o(v) xor o(v xor {d}) differs from r_d: v locates dimension d's
-    variation.  n+1 table reads, one XOR-doubling rebuild, one tuple compare,
-    once per orientation: the result is cached, and an orientation built
-    from rows has it from the start.
+    The table is Matousek-type (every dimension flips one constant set)
+    exactly when every vertex v has o(v) = o(0) xor the rows of the
+    dimensions in v; then the vertex is None.  It is checked half-cube by
+    half-cube: for bit d = 0..n-1, entries [2^d, 2^(d+1)) must be entries
+    [0, 2^d) XOR the row of bit d, and the first block that differs stops
+    the scan.  All lower vertices are rebuilt correctly, so the block's
+    first differing vertex v is the first vertex where the whole rebuild
+    differs, and o(v) xor o(v - 2^d) differs from the row of bit d: v
+    locates the variation of its highest dimension.  O(2^n), once per
+    table, by the constructor; no second 2^n tuple is built.
     """
-    if o._flip is None:
-        outs = o.outmaps
-        base = outs[0]
-        rows = tuple(base ^ outs[1 << d] for d in range(o.n))
-        rebuilt = xor_table(base, rows)
-        mismatch = None
-        if rebuilt != outs:
-            mismatch = next(v for v, (a, b) in enumerate(zip(rebuilt, outs)) if a != b)
-        o._flip = (base, rows, mismatch)
-    _, rows, mismatch = o._flip
-    return rows, mismatch
+    base = table[0]
+    rows = tuple(base ^ table[1 << d] for d in range(len(table).bit_length() - 1))
+    for d, row in enumerate(rows):
+        low = 1 << d
+        upper = table[low : 2 * low]
+        rebuilt = tuple([out ^ row for out in table[:low]])
+        if upper != rebuilt:
+            return rows, low + next(v for v, (a, b) in enumerate(zip(upper, rebuilt)) if a != b)
+    return rows, None
 
 
 def rows_acyclic(rows: Sequence[int]) -> bool:
@@ -297,10 +287,10 @@ def check_orientation(o: Orientation) -> bool:
     """Edge consistency: each cube edge points out of exactly one endpoint.
 
     With flip rows, o(v) and o(v xor {d}) differ in bit d exactly when r_d
-    has its loop bit d, so known rows decide it in O(n).  A table whose
-    rows have not been read yet is checked edge by edge.
+    has its loop bit d, so a Matousek-type orientation is decided in O(n).
+    Any other table is checked edge by edge.
     """
-    rows = o.known_rows
+    rows = o.rows
     if rows is not None:
         return all(row >> d & 1 for d, row in enumerate(rows))
     outs = _outmap_array(o)
@@ -397,9 +387,9 @@ def global_sink(o: Orientation) -> int:
     exactly as the table scan does.  For acyclic rows with loop bits the
     system is unitriangular in topological order, so the sink is unique;
     for a built orientation o(0) = 0 and the sink is the empty vertex.
-    A table whose rows have not been read yet is scanned.
+    Any other table is scanned.
     """
-    rows = o.known_rows
+    rows = o.rows
     if rows is not None:
         sink, kernel = _xor_solutions(rows, o.base)
         if sink is None:

@@ -17,7 +17,6 @@ from .cube import (
     _check_n,
     check_orientation,
     mask_to_dims,
-    matousek_rows,
     rows_acyclic,
 )
 
@@ -166,20 +165,18 @@ def extract_influence_graph(o: Orientation) -> InfluenceGraph:
     set per dimension d; otherwise the orientation is not of Matousek type.
     A constant but cyclic pattern is reported separately, since it certifies
     a non-USO table.  A table that is no orientation at all raises a plain
-    ``ValueError``.  With the row view this is O(n^2) and reads no table.
+    ``ValueError``.  The rows and the first mismatch vertex are the ones
+    the orientation holds from birth, so a Matousek-type one takes O(n^2)
+    and reads no table.
     """
-    rows, mismatch = matousek_rows(o)
-    if mismatch is not None:
-        if not check_orientation(o):
-            raise ValueError("outmap table is not an orientation")
-        raise NotMatousekType(
-            f"flip pattern of dimension {mismatch.bit_length()} varies across vertices "
-            f"(first at vertex {mask_to_dims(mismatch)})"
-        )
-    # a constant pattern without its loop bit gives both ends of every d-edge the same bit d
-    if not all(row >> d & 1 for d, row in enumerate(rows)):
+    if not check_orientation(o):
         raise ValueError("outmap table is not an orientation")
-    g = InfluenceGraph.from_rows(o.n, rows)
+    if o.rows is None:
+        raise NotMatousekType(
+            f"flip pattern of dimension {o.mismatch.bit_length()} varies across vertices "
+            f"(first at vertex {mask_to_dims(o.mismatch)})"
+        )
+    g = InfluenceGraph.from_rows(o.n, o.rows)
     if not g.is_acyclic():
         raise CyclicInfluence(f"constant flip pattern but cyclic: {list(g.edges)}")
     return g

@@ -95,13 +95,16 @@ def random_facet(
     PCG64 stream so runs reproduce across platforms.  seed is an int, a
     numpy SeedSequence or any other ISeedSequence; PCG64 reads its state
     from seed.generate_state(4, np.uint64), and an int s seeds exactly as
-    SeedSequence(s) does.
+    SeedSequence(s) does.  seed=None raises ValueError, since PCG64(None)
+    would draw fresh entropy from the operating system.
 
     An orientation that holds its table reads each leaf's outmap there.
     One in row form computes only the start's outmap, in O(n): every
     later leaf is the previous one with one bit d flipped, so its outmap
     is the previous one XOR r_d, and no table is built.
     """
+    if seed is None:
+        raise ValueError("random_facet needs a seed; None would draw fresh OS entropy")
     n = o.n
     full = (1 << n) - 1
     if start is None:

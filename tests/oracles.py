@@ -154,6 +154,21 @@ def extract_influence_graph_by_scan(o: Orientation) -> InfluenceGraph:
     return InfluenceGraph.from_rows(n, rows)
 
 
+def matousek_rows_by_rebuild(table: Sequence[int]) -> tuple[int, tuple[int, ...], int | None]:
+    """o(0), the flip rows o(0) xor o({d}), and the first vertex where they fail to rebuild the table.
+
+    The whole table is rebuilt from the rows by XOR doubling and compared
+    entry by entry; the vertex is None when the rebuild is the table.
+    """
+    base = table[0]
+    rows = tuple(base ^ table[1 << d] for d in range(len(table).bit_length() - 1))
+    rebuilt = [base]
+    for row in rows:
+        rebuilt += [out ^ row for out in rebuilt]
+    mismatch = next((v for v, (a, b) in enumerate(zip(rebuilt, table)) if a != b), None)
+    return base, rows, mismatch
+
+
 def sink_by_scan(o: Orientation) -> int:
     """The only vertex with an empty outmap, or the ValueError naming none or the two lowest."""
     sinks = [v for v in range(1 << o.n) if o.outmaps[v] == 0]

@@ -293,6 +293,18 @@ def test_realize_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_realize_builds_no_table_from_rows(capsys, monkeypatch):
+    """Both routes are compared with the graph by their canonical rows, not by 2^n tables."""
+    import usomat.cube
+
+    def no_table(base, rows):
+        raise AssertionError("a table was built from rows")
+
+    monkeypatch.setattr(usomat.cube, "xor_table", no_table)
+    assert main(["realize", "--family", "path", "--n", "6"]) == 0
+    assert capsys.readouterr().out.startswith("round-trip: exact match\n")
+
+
 def test_realize_writes_both_documents(tmp_path, capsys):
     src = write_graph(tmp_path / "g.json", CHAIN3)
     prefix = tmp_path / "chain3"

@@ -149,6 +149,8 @@ def test_evaluations_bounded_by_vertex_count():
 def test_start_validation():
     with pytest.raises(ValueError):
         random_facet(Orientation.uniform(2), start=4, seed=0)
+    with pytest.raises(ValueError, match="needs a seed"):
+        random_facet(Orientation.uniform(2), seed=None)
 
 
 def test_run_trials_loops_family():

@@ -1,11 +1,14 @@
-"""Recognition of Matousek-type tables by one XOR-doubling rebuild.
+"""Recognition of Matousek-type tables, half-cube by half-cube, at construction.
 
-``is_uso``, ``extract_influence_graph`` and ``check_orientation`` read a
-table through ``matousek_rows``.  Each is checked here against the slow
-definitions in ``oracles.py`` on exhaustive families of tables: the same
+``Orientation(n, outmaps)`` recognises its table through ``matousek_rows``,
+and ``check_orientation``, ``is_uso``, ``global_sink`` and
+``extract_influence_graph`` read what it found.  The recognition is checked
+against the full XOR-doubling rebuild, and each check against the slow
+definitions in ``oracles.py``, on exhaustive families of tables: the same
 answer, or the same exception class.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -28,6 +31,7 @@ from usomat.random_facet import path_family
 from oracles import (
     edge_consistent_scan,
     extract_influence_graph_by_scan,
+    matousek_rows_by_rebuild,
     sink_by_scan,
     szabo_welzl_pairs,
 )
@@ -57,8 +61,18 @@ def sink_outcome(f, o):
         return str(exc)
 
 
+def recognised_as_by_rebuild(o):
+    """Check the recognition made at birth against the full rebuild; return the mismatch vertex."""
+    base, rows, mismatch = matousek_rows_by_rebuild(o.outmaps)
+    assert matousek_rows(o.outmaps) == (rows, mismatch), o
+    want = (base, rows, None) if mismatch is None else (None, None, mismatch)
+    assert (o.base, o.rows, o.mismatch) == want, o
+    return mismatch
+
+
 def agree(o):
-    """Check the four fast routes against the oracles; return the extraction outcome."""
+    """Check the recognition and the four fast routes against the oracles; return the extraction outcome."""
+    recognised_as_by_rebuild(o)
     assert check_orientation(o) == edge_consistent_scan(o), o
     assert outcome(is_uso, o) == outcome(uso_by_definition, o), o
     assert sink_outcome(global_sink, o) == sink_outcome(sink_by_scan, o), o
@@ -131,8 +145,22 @@ def test_every_table_n_le_2():
     assert kinds(seen) == ALL_KINDS - {NotMatousekType}
 
 
+def test_one_bit_corruptions_find_the_rebuild_mismatch():
+    """Every corruption of one bit of one entry at n = 4, and a seeded sample at n = 8."""
+    rng = random.Random(8)
+    cases = (
+        (4, product(range(16), range(4))),
+        (8, [(rng.randrange(256), rng.randrange(8)) for _ in range(200)]),
+    )
+    for n, picks in cases:
+        table = build_matousek(path_family(n)).outmaps
+        for v, bit in picks:
+            corrupt = Orientation(n, table[:v] + (table[v] ^ 1 << bit,) + table[v + 1 :])
+            assert recognised_as_by_rebuild(corrupt) is not None
+
+
 def test_mismatch_names_dimension_and_vertex():
-    rows, mismatch = matousek_rows(TWISTED)
+    rows, mismatch = matousek_rows(TWISTED.outmaps)
     assert rows == (1, 2, 4) and mismatch == 0b101
     with pytest.raises(NotMatousekType, match=r"dimension 3 .*vertex \[1, 3\]"):
         extract_influence_graph(TWISTED)
@@ -140,7 +168,7 @@ def test_mismatch_names_dimension_and_vertex():
 
 def test_rows_of_a_built_table():
     g = InfluenceGraph(3, [(1, 2), (2, 3)])
-    assert matousek_rows(build_matousek(g)) == (g.rows, None)
+    assert matousek_rows(build_matousek(g).outmaps) == (g.rows, None)
 
 
 def twisted_times_uniform(n):

@@ -36,7 +36,6 @@ from usomat.cli import main
 from usomat.enumeration import all_dags
 from usomat.matousek import orientation_from_rows
 from usomat.random_facet import path_family
-import usomat.cube as cube
 import usomat.matroid as matroid
 from oracles import (
     edge_consistent_scan,
@@ -172,18 +171,6 @@ def test_non_matousek_tables_compare_by_table():
     assert hash(twisted) == hash(Orientation(3, twisted.outmaps))
     assert twisted != Orientation.uniform(3)
     assert flip_facet(twisted, 2).rows is None  # the dense route
-
-
-def test_table_checks_keep_the_scan(monkeypatch):
-    def no_rows(o):
-        raise AssertionError("the row view was read")
-
-    dense = Orientation(3, build_matousek(path_family(3)).outmaps)
-    monkeypatch.setattr(cube, "matousek_rows", no_rows)
-    assert check_orientation(dense) and global_sink(dense) == 0
-    monkeypatch.undo()
-    assert dense.rows is not None and dense.known_rows == dense.rows
-    assert check_orientation(dense) and global_sink(dense) == 0
 
 
 def test_run_trials_reads_a_table_wherever_one_can_exist(monkeypatch):
