@@ -11,13 +11,13 @@ Such a matroid is a P-matroid exactly when the pairs nest like balanced
 parentheses and F hits each pair according to the parity of the number of
 element pairs enclosed between its two members.  The nesting relation of
 the pairs is a dimension influence graph, which ties these extensions to
-Matousek-type orientations.
+Matousek-type orientations.  One scan of the order, O(n) with no cache,
+reads off the conditions, the nesting and the induced orientation.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .cube import Orientation
 from .matousek import InfluenceGraph
@@ -39,10 +39,11 @@ class CyclicExtension:
     circuit normalisation absorbs a global q sign).  Structural validity
     is enforced here; the P-matroid conditions are a separate check,
     :func:`validate_conditions`, because invalid combinations must remain
-    representable (the circuit-level cross-checks enumerate them).
+    representable (the circuit-level cross-checks enumerate them).  The
+    extension holds its three fields and nothing derived from them.
     """
 
-    __slots__ = ("n", "order", "flipped", "__dict__")
+    __slots__ = ("n", "order", "flipped")
 
     def __init__(self, n: int, order: Sequence[Element], flipped: Iterable[int]) -> None:
         if type(n) is not int or n < 1:
@@ -76,18 +77,9 @@ class CyclicExtension:
         ext.n, ext.order, ext.flipped = self.n, tuple(order), self.flipped
         return ext
 
-    @cached_property
-    def valid(self) -> bool:
-        """Whether the P-matroid conditions hold (:func:`validate_conditions`), checked once.
-
-        They do not depend on where q sits, so :func:`push_q_left` hands
-        the answer on to the extension it returns.
-        """
-        return validate_conditions(self)
-
-    @cached_property
+    @property
     def position(self) -> dict:
-        """Element token -> position 1..2n+1."""
+        """Element token -> position 1..2n+1, built anew on each read."""
         return {e: p for p, e in enumerate(self.order, start=1)}
 
     def complement(self, e: int) -> int:
@@ -125,11 +117,60 @@ class CyclicExtension:
         return cls(n, order, flipped)
 
 
+def _scan(ext: CyclicExtension) -> Optional[tuple[int, list[int], int, int]]:
+    """(parity, inside, q_inside, below_q), or ``None`` unless the conditions hold.
+
+    A token that closes the innermost open pair j leaves the lower members
+    seen since j opened as exactly the pairs nested in j (``inside[j-1]``);
+    bit j-1 of ``q_inside`` marks q seen in between.  Any other token opens
+    a pair, and one left open at the end crosses another.  Bit i-1 of
+    ``parity`` is rank(i) + [i before q] + [i in F] mod 2, rank counting
+    the lower members before i; ``below_q`` counts those before q.
+    """
+    n, flipped = ext.n, ext.flipped
+    open_pairs: list[tuple[int, int, bool]] = []  # (pair, lows at its opening, q seen then)
+    inside = [0] * n
+    lows = parity = q_inside = below_q = 0
+    q_seen = False
+    for e in ext.order:
+        if e == Q:
+            q_seen = True
+            below_q = lows.bit_count()
+            continue
+        i = e if e <= n else e - n
+        bit = 1 << (i - 1)
+        if e <= n:
+            if (lows.bit_count() + (not q_seen) + (e in flipped)) & 1:
+                parity |= bit
+            lows |= bit
+        if not open_pairs or open_pairs[-1][0] != i:
+            open_pairs.append((i, lows, q_seen))
+            continue
+        _, opened, q_then = open_pairs.pop()
+        nested = lows & ~opened & ~bit
+        hits = (i in flipped) + (i + n in flipped)
+        if (hits == 1) == (nested.bit_count() % 2 == 1):
+            return None
+        inside[i - 1] = nested
+        if q_seen != q_then:
+            q_inside |= bit
+    if open_pairs:
+        return None
+    return parity, inside, q_inside, below_q
+
+
+def _checked_scan(ext: CyclicExtension) -> tuple[int, list[int], int, int]:
+    scan = _scan(ext)
+    if scan is None:
+        raise ValueError("extension does not satisfy the P-matroid conditions")
+    return scan
+
+
 def validate_conditions(ext: CyclicExtension) -> bool:
     """The two P-matroid conditions on (order, F), restricted to the pairs.
 
-    The conditions describe the deletion of q: a q sitting between two pair
-    members adds one token to the gap, which the halving rounds away.
+    The conditions describe the deletion of q, so q's position does not
+    affect them.
 
     Condition 1 (nesting): for every pair, any other pair lies either fully
     inside or fully outside its position interval.
@@ -140,41 +181,17 @@ def validate_conditions(ext: CyclicExtension) -> bool:
     One scan of the order with a stack of open pairs checks both: the pairs
     nest exactly when every second member closes the innermost open pair.
     """
-    n = ext.n
-    open_pairs: list[tuple[int, int]] = []  # (pair, position of its first member)
-    for p, e in enumerate(ext.order, start=1):
-        if e == Q:
-            continue
-        i = e if e <= n else e - n
-        if not open_pairs or open_pairs[-1][0] != i:
-            open_pairs.append((i, p))
-            continue
-        a = open_pairs.pop()[1]
-        enclosed_pairs = (p - a - 1) // 2
-        hits = (i in ext.flipped) + (i + n in ext.flipped)
-        if (hits == 1) == (enclosed_pairs % 2 == 1):
-            return False
-    return not open_pairs  # a pair pushed twice crosses another
+    return _scan(ext) is not None
 
 
 def containment_graph(ext: CyclicExtension) -> InfluenceGraph:
     """Influence graph of the pair nesting: edge (i, j) when pair j sits
     strictly inside the position interval of pair i."""
-    if not ext.valid:
-        raise ValueError("extension does not satisfy the P-matroid conditions")
-    n = ext.n
-    pos = ext.position
-    edges = []
-    for i in range(1, n + 1):
-        a, b = sorted((pos[i], pos[i + n]))
-        for j in range(1, n + 1):
-            if j != i and a < pos[j] < b and a < pos[j + n] < b:
-                edges.append((i, j))
-    return InfluenceGraph(n, edges)
+    return InfluenceGraph.from_rows(ext.n, _checked_scan(ext)[1])
 
 
 def extension_to_uso(ext: CyclicExtension) -> Orientation:
-    """The orientation induced by the extension, in row form, in O(n^2) integer steps.
+    """The orientation induced by the extension, in row form, in O(n) integer steps.
 
     Vertex v keeps the basis c_i = i (bit i-1 of v clear) or i+n (set); the
     fundamental circuit through q, normalised q-positive, marks dimension i
@@ -184,37 +201,18 @@ def extension_to_uso(ext: CyclicExtension) -> Orientation:
         rank(c_i) + rank(q) + [c_i in F]
 
     is odd, where rank counts the support members at a smaller position.
-    Under the nesting condition every pairwise term of that parity is affine
-    in the two pairs' bits, so the flip pattern of each dimension is constant:
+    At v = 0 that is the scan's parity bit plus 1 + below_q.  Under the
+    nesting condition every pairwise term of that parity is affine in the
+    two pairs' bits, so the flip pattern of each dimension is constant:
     o(v) = o(0) XOR the rows r_j of the dimensions j in v.  Bit i != j of r_j
     is set when exactly one of element i and q lies strictly inside pair j's
     interval; bit j of r_j is the parity condition, always 1.
     """
-    if not ext.valid:
-        raise ValueError("extension does not satisfy the P-matroid conditions")
-    n = ext.n
-    full = (1 << n) - 1
-    pos = ext.position
-    q_pos = pos[Q]
-    lower = [pos[i] for i in range(1, n + 1)]  # positions of c_i at v = 0
-    ranked = sorted(lower)
-    # at v = 0, rank(c_i) = rank(i) among the lower members + [q before i] and
-    # rank(q) = below_q, so bit i of o(0) has the parity of
-    # 1 + below_q + rank(i) + [i before q] + [i in F]
-    offset = 1 + sum(p < q_pos for p in lower)  # 1 + below_q
-    base = 0
-    rows = []
-    for j, p in enumerate(lower):
-        bit = 1 << j
-        a, b = sorted((p, pos[j + 1 + n]))
-        inside = 0
-        for i, p_i in enumerate(lower):
-            if a < p_i < b:
-                inside |= 1 << i
-        rows.append(inside ^ (full if a < q_pos < b else bit))
-        if (offset + ranked.index(p) + (p < q_pos) + (j + 1 in ext.flipped)) & 1:
-            base |= bit
-    return Orientation.from_rows(n, base, rows)
+    parity, inside, q_inside, below_q = _checked_scan(ext)
+    full = (1 << ext.n) - 1
+    base = parity if below_q % 2 else parity ^ full
+    rows = [row ^ (full if q_inside >> j & 1 else 1 << j) for j, row in enumerate(inside)]
+    return Orientation.from_rows(ext.n, base, rows)
 
 
 def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:
@@ -224,15 +222,11 @@ def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:
     and whether the element was the pair's second member i+n (in which case
     the induced orientation changes on the upper i-facet, else on the lower).
     """
-    p = ext.position[Q]
-    if p == 1:
+    p = ext.order.index(Q)
+    if p == 0:
         raise ValueError("q is already at the front of the order")
-    tokens = list(ext.order)
-    crossed = tokens[p - 2]
-    tokens[p - 2], tokens[p - 1] = tokens[p - 1], tokens[p - 2]
-    new_ext = ext._reordered(tokens)
-    if "valid" in ext.__dict__:  # q's position does not affect the conditions
-        new_ext.valid = ext.valid
+    crossed = ext.order[p - 1]
+    new_ext = ext._reordered(ext.order[: p - 1] + (Q, crossed) + ext.order[p + 1 :])
     if crossed <= ext.n:
         return new_ext, crossed, False
     return new_ext, crossed - ext.n, True

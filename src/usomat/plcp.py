@@ -190,9 +190,10 @@ def realization_matrix(
             raise ValueError(f"need {2 * n + 1} abscissae, got {len(xs)}")
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("abscissae must be strictly increasing")
+    position = ext.position
     cols = []
     for e in list(range(1, 2 * n + 1)) + [Q]:
-        x = xs[ext.position[e] - 1]
+        x = xs[position[e] - 1]
         sign = -1 if e in ext.flipped else 1
         cols.append([sign * x**k for k in range(n)])
     return RationalMatrix([[cols[j][i] for j in range(2 * n + 1)] for i in range(n)])

@@ -191,6 +191,8 @@ def holt_klee_3face(o: Orientation, face: Face) -> bool:
     """
     if face.dimension != 3:
         raise ValueError(f"Holt-Klee screening needs a 3-face, got dimension {face.dimension}")
+    if face.fixed | face.spanning >= 1 << o.n:
+        raise ValueError(f"face {face} leaves the {o.n}-cube")
     span = face.spanning
     sources = [v for v in face.vertices() if o.outmap(v) & span == span]
     sinks = [v for v in face.vertices() if not o.outmap(v) & span]

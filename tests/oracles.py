@@ -431,6 +431,23 @@ def fundamental_circuit(ext: CyclicExtension, basis: Iterable, e) -> SignedSet:
     return circuit if e in circuit.plus else -circuit
 
 
+def containment_graph_by_positions(ext: CyclicExtension) -> InfluenceGraph:
+    """Edge (i, j) when both members of pair j sit strictly inside pair i's interval.
+
+    Reads positions only and checks no condition, so it answers on invalid
+    extensions too.
+    """
+    n = ext.n
+    pos = ext.position
+    edges = []
+    for i in range(1, n + 1):
+        a, b = sorted((pos[i], pos[i + n]))
+        for j in range(1, n + 1):
+            if j != i and a < pos[j] < b and a < pos[j + n] < b:
+                edges.append((i, j))
+    return InfluenceGraph(n, edges)
+
+
 def is_p_matroid(ext: CyclicExtension) -> bool:
     """Brute-force search for an almost-complementary sign-reversing circuit.
 

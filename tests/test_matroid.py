@@ -25,6 +25,7 @@ from oracles import (
     SignedSet,
     all_circuits,
     axioms_hold,
+    containment_graph_by_positions,
     extension_to_uso_by_circuits,
     fundamental_circuit,
     is_p_matroid,
@@ -195,12 +196,6 @@ def test_is_p_matroid_cap():
         is_p_matroid(ext)
 
 
-def test_conditions_match_brute_force_n2():
-    """Condition pair and brute-force circuit search agree on every (order, F)."""
-    for ext in all_extensions(2):
-        assert validate_conditions(ext) == is_p_matroid(ext)
-
-
 def test_containment_graph_nested():
     assert containment_graph(CHAIN2) == InfluenceGraph(2, [(1, 2)])
 
@@ -330,6 +325,40 @@ def test_closed_form_rejects_what_the_circuits_reject():
                     raised += 1
                 else:
                     assert extension_to_uso(moved) == want
+    assert raised == (2 * 4 - 4) * 3 + (24 * 16 - 64) * 5
+
+
+def test_conditions_match_brute_force_at_every_q_position():
+    """The conditions ignore q: at every q position they give the q-last
+    brute-force verdict, on every (order, F) with n <= 3."""
+    states = 0
+    for n in (1, 2, 3):
+        for ext in all_extensions(n):
+            want = is_p_matroid(ext)
+            for moved in every_q_position(ext):
+                assert validate_conditions(moved) == want, moved
+                states += 1
+    assert states == 8 * 3 + 384 * 5 + 46080 * 7
+
+
+def test_containment_graph_matches_the_position_loop():
+    """Every valid (order, F, q position) with n <= 3 against the position
+    loop; every invalid one with n <= 2 raises."""
+    valid = raised = 0
+    for n in (1, 2, 3):
+        for ext in all_extensions(n):
+            ok = validate_conditions(ext)
+            if not ok and n == 3:
+                continue
+            for moved in every_q_position(ext):
+                if ok:
+                    assert containment_graph(moved) == containment_graph_by_positions(moved), moved
+                    valid += 1
+                else:
+                    with pytest.raises(ValueError, match="does not satisfy the P-matroid conditions"):
+                        containment_graph(moved)
+                    raised += 1
+    assert valid == 4 * 3 + 64 * 5 + 1920 * 7
     assert raised == (2 * 4 - 4) * 3 + (24 * 16 - 64) * 5
 
 

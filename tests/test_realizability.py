@@ -5,6 +5,7 @@ from usomat import (
     Face,
     ForbiddenWitness,
     InfluenceGraph,
+    Orientation,
     build_matousek,
     containment_graph,
     find_forbidden,
@@ -148,6 +149,14 @@ def test_holt_klee_needs_3face():
     o = build_matousek(InfluenceGraph(3))
     with pytest.raises(ValueError):
         holt_klee_3face(o, Face(0, 0b011))
+
+
+def test_holt_klee_rejects_a_face_outside_the_cube():
+    rows = build_matousek(InfluenceGraph(3))
+    for o in (rows, Orientation(3, rows.outmaps)):  # row form and table form
+        for face in (Face(0, 0b1110), Face(0b1000, 0b0111)):
+            with pytest.raises(ValueError, match="leaves the 3-cube"):
+                holt_klee_3face(o, face)
 
 
 def test_holt_klee_rejects_double_sink_face():

@@ -15,7 +15,6 @@ import pytest
 from usomat import (
     MAX_DIMENSION,
     MAX_ROW_DIMENSION,
-    Branching,
     CyclicExtension,
     InfluenceGraph,
     Orientation,
@@ -30,7 +29,6 @@ from usomat import (
     is_uso,
     push_q_left,
     random_facet,
-    synthesize_extension,
 )
 from usomat.cli import main
 from usomat.enumeration import all_dags
@@ -239,26 +237,6 @@ def test_bench_beyond_the_table_cap(capsys):
         cells = row.split(",")
         n, mean, low, high = int(cells[1]), float(cells[4]), int(cells[6]), int(cells[7])
         assert n + 1 <= low <= mean <= high
-
-
-def test_a_q_walk_validates_once(monkeypatch):
-    validate = matroid.validate_conditions
-    calls = []
-
-    def counted(ext):
-        calls.append(ext)
-        return validate(ext)
-
-    monkeypatch.setattr(matroid, "validate_conditions", counted)
-    ext = synthesize_extension(Branching(3, {2: 1, 3: 1}))
-    steps = 0
-    o = extension_to_uso(ext)
-    while ext.order[0] != Q:
-        ext, d, upper = push_q_left(ext)
-        o = flip_facet(o, d, upper)
-        assert extension_to_uso(ext) == o
-        steps += 1
-    assert steps == 6 and len(calls) == 1
 
 
 def test_an_invalid_walk_raises_at_every_step():
