@@ -87,6 +87,21 @@ def _parse_n_list(text: str) -> list[int]:
     return list(values)
 
 
+def _orientation_json(o: Orientation) -> str:
+    """The text of ``json.dumps(o.to_json_obj(), indent=2)``, written directly.
+
+    An indent sends ``json.dumps`` to its pure-Python encoder.  Here the
+    lines of every outmap are built once per mask instead, each from the
+    mask without its top dimension.
+    """
+    lines = [""]
+    for d in range(1, o.n + 1):
+        item = f"\n      {d},"
+        lines += [below + item for below in lines]
+    entries = ["[" + lines[m][:-1] + "\n    ]" if m else "[]" for m in o.outmaps]
+    return f'{{\n  "n": {o.n},\n  "outmaps": [\n    ' + ",\n    ".join(entries) + "\n  ]\n}"
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     o = build_matousek(g)
@@ -99,7 +114,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _write_text(g.to_dot(), args.out)
     else:
-        _write_text(json.dumps(o.to_json_obj(), indent=2), args.out)
+        _write_text(_orientation_json(o), args.out)
     return 0
 
 

@@ -8,13 +8,18 @@ LCP: find w, z >= 0 with w - M z = q and w^T z = 0.  All arithmetic is
 exact over the rationals so sign decisions are never at the mercy of
 floating point.
 
-The cube walk behind :func:`plcp_to_uso` and :func:`is_p_matrix` visits all
-2^n complementary bases in Gray-code order, one fraction-free principal
-pivot per step: O(2^n n^2) operations on Python ints, with no Fraction
-inside the loop.  Each vertex's basic solution, and each principal minor,
-is read off the current tableau (Stickney & Watson 1978; the P-matrix test
-is the Schur-complement recursion of Tsatsomeros & Li, BIT 2000, in
-Gray-code order).
+The pivot tree behind :func:`plcp_to_uso` and :func:`is_p_matrix` reaches
+all 2^n complementary bases with one fraction-free principal pivot each,
+depth first through the binomial tree of index subsets, and updates only
+the free rows and the columns that later pivots read: O(n 2^n) operations
+on Python ints, with no Fraction inside the loop.  Each node holds one
+principal minor det(M[S, S]) and the basic values of the w variables
+outside S (Stickney & Watson 1978; the P-matrix test is the
+Schur-complement recursion of Tsatsomeros & Li, BIT 2000, in fraction-free
+form).  The z signs follow from a neighbour: pivoting w_s out of the basis
+of S - {s} gives z_s(S) = -w_s(S - {s}) / (det(M[S, S]) / det(M[S - {s},
+S - {s}])), so z_s(S) < 0 exactly when w_s(S - {s}) and that ratio have
+the same sign.
 """
 
 from __future__ import annotations
@@ -24,10 +29,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .cube import Orientation
 from .matroid import Q, CyclicExtension
 
-P_MATRIX_CAP = 12  # the cube walk doubles per extra dimension
+P_MATRIX_CAP = 12  # the pivot tree doubles per extra dimension
 
 
 class DegenerateQ(ValueError):
@@ -223,64 +230,77 @@ def _scaled_tableau(m: RationalMatrix, q: Sequence[Fraction] = ()) -> list[list[
     """Rows of [L*M | L*q] as ints, L the lcm of every denominator.
 
     Scaling by L > 0 keeps the sign of every basic solution and of every
-    principal minor, and makes the walk below integer-only.
+    principal minor, and makes the pivot tree below integer-only.
     """
     rows = [list(row) + ([q[r]] if q else []) for r, row in enumerate(m.rows)]
     scale = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
-def _gray_walk(tab: list[list[int]], n: int) -> Iterator[tuple[int, int]]:
-    """Principal pivots through every cube vertex in Gray-code order.
+def _pivot_tree(tab: list[list[int]], n: int) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """Fraction-free principal pivots to every index subset, depth first.
 
-    ``tab`` holds the integer tableau of vertex 0, where the basic
+    ``tab`` holds the integer tableau of the empty subset, where the basic
     variables are w = q + M z (rows 0..n-1; column n, if present, is q).
-    After yielding (v, d), ``tab`` is d times the tableau of the basis of
-    vertex v, and d is the principal minor det(M[v, v]) of the integer M.
-    Step k swaps pair i = ctz(k) by one fraction-free (Bareiss) pivot; every
-    entry stays a minor of the integer matrix [I | -M | q], so each division
-    by the previous d is exact.  A zero pivot means the next vertex's basis
-    is singular: it is yielded with d = 0 and the walk ends.
+    The subsets form the binomial tree: the children of S are S + {k} for
+    every k > max(S), each reached by one Bareiss pivot on (k, k).  Each
+    node comes out before its children, and they in decreasing k, so the
+    full set is the last node.  Yields (S, d, free, x): d is the principal
+    minor det(M[S, S]) of the integer M, ``free`` lists the rows r not in
+    S in increasing order, and x[i] is d times the basic value w of row
+    free[i] (the q column of S's tableau; empty when ``tab`` has none).
+
+    A node keeps, for its free rows only, d times the tableau columns past
+    max(S) and q, one list per column: its descendants pivot on nothing
+    else.  A pivot on k therefore touches (rows outside S) x (columns past
+    k), and the whole tree makes 2^n - 1 pivots in O(n 2^n) operations on
+    Python ints.  Every entry stays a minor of the integer [I | -M | q], so
+    each division by the parent's d is exact; a remainder raises
+    ArithmeticError.  A zero pivot means S + {k} has a singular principal
+    minor: it is yielded with d = 0 and the tree ends.
     """
-    v, d = 0, 1
-    yield v, d
-    for k in range(1, 1 << n):
-        i = (k & -k).bit_length() - 1
-        v ^= 1 << i
-        pivot_row = tab[i]
-        p = pivot_row[i]
+    width = len(tab[0]) if tab else n
+    cols = [[row[c] for row in tab] for c in range(width)]
+    free = list(range(n))
+    yield 0, 1, free, cols[n] if width > n else []
+    # a pending child: parent S, the parent's first kept column j, its d,
+    # its free rows and kept columns, and the pivot k
+    stack = [(0, 0, 1, free, cols, k) for k in range(n)]
+    while stack:
+        s, j, d, free, cols, k = stack.pop()
+        s |= 1 << k
+        pos = k - n + len(free)  # every row from j on is free, so row k sits here
+        pivot_col = cols[k - j]
+        p = pivot_col[pos]
         if p == 0:
-            yield v, 0
+            yield s, 0, [], []
             return
-        for r, row in enumerate(tab):
-            if r == i:
-                continue
-            f = row[i]
-            parts = [divmod(a * p - f * b, d) for a, b in zip(row, pivot_row)]
+        child = []
+        for col in cols[k - j + 1 :]:
+            b = col[pos]
+            parts = [divmod(a * p - f * b, d) for a, f in zip(col, pivot_col)]
             if any(rem for _, rem in parts):
-                raise ArithmeticError(f"inexact fraction-free pivot at vertex {v}")
+                raise ArithmeticError(f"inexact fraction-free pivot at subset {s}")
             new = [quo for quo, _ in parts]
-            new[i] = f
-            tab[r] = new
-        new = [-b for b in pivot_row]
-        new[i] = d
-        tab[i] = new
-        d = p
-        yield v, d
+            del new[pos]  # row k leaves the free rows (its entry is p*b - b*p = 0)
+            child.append(new)
+        free = free[:pos] + free[pos + 1 :]
+        yield s, p, free, child[-1] if width > n else []
+        stack.extend((s, k + 1, p, free, child, c) for c in range(k + 1, n))
 
 
 def is_p_matrix(m: RationalMatrix) -> bool:
     """All principal minors positive, checked exactly with early exit.
 
-    One cube walk visits every index subset, and its denominator there is
-    that principal minor times a positive scale.
+    The pivot tree visits every index subset, and its d there is that
+    principal minor times a positive scale.
     """
     if m.nrows != m.ncols:
         raise ValueError("P-matrix test needs a square matrix")
     n = m.nrows
     if n > P_MATRIX_CAP:
         raise ValueError(f"principal minor enumeration capped at n={P_MATRIX_CAP}")
-    return all(d > 0 for _, d in _gray_walk(_scaled_tableau(m), n))
+    return all(d > 0 for _, d, _, _ in _pivot_tree(_scaled_tableau(m), n))
 
 
 def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
@@ -317,28 +337,41 @@ def plcp_to_uso(instance: PLCPInstance) -> Orientation:
 
     Dimension i points away from vertex v exactly when the basic pair-i
     component is negative; for a P-matrix M this is a unique sink
-    orientation whose sink is the feasible complementary basis.  The signs
-    come from one cube walk; the sink (for a table without one, the vertex
+    orientation whose sink is the feasible complementary basis.  The w
+    signs come from the pivot tree and the z signs from the neighbour rule
+    of the module docstring; the sink (for a table without one, the vertex
     with the smallest outmap) is then re-solved from scratch as a
-    certificate that the walk read them right.
+    certificate that they were read right.
+
+    A zero principal minor raises ``ValueError`` wherever the tree meets
+    it, and only then does a zero basic component raise ``DegenerateQ``,
+    so which error comes out does not depend on the visiting order.
     """
     n = instance.n
-    tab = _scaled_tableau(instance.M, instance.q)
-    table = [0] * (1 << n)
-    for v, d in _gray_walk(tab, n):
+    size = 1 << n
+    wbits = np.zeros(size, dtype=np.int64)  # bit r, for r outside S: w_r < 0 at vertex S
+    negative = np.zeros(size, dtype=np.int64)  # 1 where det(M[S, S]) < 0
+    degenerate = None
+    for v, d, free, x in _pivot_tree(_scaled_tableau(instance.M, instance.q), n):
         if d == 0:
             raise ValueError("matrix is singular")
-        out = 0
-        for r, row in enumerate(tab):
-            x = row[n]
-            if x == 0:
-                raise DegenerateQ(f"zero component in the basic solution at vertex {v}")
-            if (x < 0) != (d < 0):
-                out |= 1 << r
-        table[v] = out
-    sink = min(range(1 << n), key=table.__getitem__)
+        if degenerate is None and 0 in x:
+            degenerate = v
+        wbits[v] = sum(1 << r for r, val in zip(free, x) if (val < 0) != (d < 0))
+        negative[v] = d < 0
+    if degenerate is not None:
+        raise DegenerateQ(f"zero component in the basic solution at vertex {degenerate}")
+    # bit s of a set S holding s: z_s(S) < 0 exactly when the signs of w_s(S - {s}),
+    # det(M[S - {s}, S - {s}]) and det(M[S, S]) hold an even number of minuses
+    table = wbits.copy()
+    signs = wbits ^ negative * (size - 1)
+    for s in range(n):
+        below = signs.reshape(-1, 2, 1 << s)[:, 0, :]
+        above = negative.reshape(-1, 2, 1 << s)[:, 1, :]
+        table.reshape(-1, 2, 1 << s)[:, 1, :] |= (1 ^ (below >> s & 1) ^ above) << s
+    sink = int(table.argmin())
     sol = solve_candidate(instance, sink)
     basic = [sol.z[i] if sink >> i & 1 else sol.w[i] for i in range(n)]
     if sum(1 << i for i, x in enumerate(basic) if x < 0) != table[sink]:
-        raise ArithmeticError(f"cube walk and direct solve disagree at vertex {sink}")
-    return Orientation(n, tuple(table))
+        raise ArithmeticError(f"pivot tree and direct solve disagree at vertex {sink}")
+    return Orientation(n, tuple(table.tolist()))

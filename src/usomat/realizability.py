@@ -43,31 +43,39 @@ class ForbiddenWitness:
         return {"kind": self.kind, "vertices": list(self.vertices)}
 
 
+def _in_masks(g: InfluenceGraph) -> list[int]:
+    """In-neighbour masks with the loop bit: entry v - 1 has u's bit when u -> v or u == v."""
+    return [sum(1 << d for d, row in enumerate(g.rows) if row >> v & 1) for v in range(g.n)]
+
+
 def find_forbidden(g: InfluenceGraph) -> Optional[ForbiddenWitness]:
     """First forbidden pattern in lexicographic vertex order, or None.
 
     Transitivity violations are reported before incomparable-influencer
-    pairs; within a kind the smallest (x, y, z) wins.
+    pairs; within a kind the smallest (x, y, z) wins.  Each (x, y) reads
+    its smallest z off one bitmask: the rows carry the loop bit, so x and y
+    never show up in a mask below.
     """
-    n = g.n
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if y == x or not g.has_edge(x, y):
-                continue
-            for z in range(1, n + 1):
-                if z in (x, y):
-                    continue
-                if g.has_edge(y, z) and not g.has_edge(x, z):
-                    return ForbiddenWitness("G1", (x, y, z))
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if y == x or not g.has_edge(y, x):
-                continue
-            for z in range(y + 1, n + 1):
-                if z == x or not g.has_edge(z, x):
-                    continue
-                if not g.has_edge(y, z) and not g.has_edge(z, y):
-                    return ForbiddenWitness("G2", (x, y, z))
+    rows = g.rows
+    for x, out_x in enumerate(rows):
+        others = out_x & ~(1 << x)
+        while others:
+            y = (others & -others).bit_length() - 1
+            others &= others - 1
+            # z with y -> z and not x -> z; out_x holds x itself and y
+            missing = rows[y] & ~out_x
+            if missing:
+                return ForbiddenWitness("G1", (x + 1, y + 1, (missing & -missing).bit_length()))
+    ins = _in_masks(g)
+    for x, in_x in enumerate(ins):
+        influencers = in_x & ~(1 << x)
+        while influencers:
+            y = (influencers & -influencers).bit_length() - 1
+            influencers &= influencers - 1
+            # z > y with z -> x, and neither y -> z nor z -> y
+            unrelated = influencers & ~rows[y] & ~ins[y]
+            if unrelated:
+                return ForbiddenWitness("G2", (x + 1, y + 1, (unrelated & -unrelated).bit_length()))
     return None
 
 
@@ -145,8 +153,7 @@ def is_branching_closure(g: InfluenceGraph) -> Optional[Branching]:
     sets are the in-sets: its closure is g.  A cyclic g therefore gives None.
     """
     n = g.n
-    # in-masks with the loop bit: ins[v - 1] has u's bit when u -> v or u == v
-    ins = [sum(1 << d for d, row in enumerate(g.rows) if row >> v & 1) for v in range(n)]
+    ins = _in_masks(g)
     # two dimensions share an in-mask only on a cycle; either one serves the argument above
     owner = {mask: u for u, mask in enumerate(ins, start=1)}
     parent: dict[int, int] = {}

@@ -18,6 +18,7 @@ from usomat import (
     MAX_DIMENSION,
     CyclicExtension,
     CyclicInfluence,
+    ForbiddenWitness,
     InfluenceGraph,
     NotMatousekType,
     Orientation,
@@ -429,6 +430,30 @@ def fundamental_circuit(ext: CyclicExtension, basis: Iterable, e) -> SignedSet:
         raise ValueError(f"extending element {e!r} already lies in the basis")
     circuit = read_off_signs(ext, base | {e})
     return circuit if e in circuit.plus else -circuit
+
+
+def find_forbidden_by_triples(g: InfluenceGraph) -> ForbiddenWitness | None:
+    """The first forbidden pattern by a triple loop over dimensions, G1 before G2."""
+    n = g.n
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            if y == x or not g.has_edge(x, y):
+                continue
+            for z in range(1, n + 1):
+                if z in (x, y):
+                    continue
+                if g.has_edge(y, z) and not g.has_edge(x, z):
+                    return ForbiddenWitness("G1", (x, y, z))
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            if y == x or not g.has_edge(y, x):
+                continue
+            for z in range(y + 1, n + 1):
+                if z == x or not g.has_edge(z, x):
+                    continue
+                if not g.has_edge(y, z) and not g.has_edge(z, y):
+                    return ForbiddenWitness("G2", (x, y, z))
+    return None
 
 
 def containment_graph_by_positions(ext: CyclicExtension) -> InfluenceGraph:

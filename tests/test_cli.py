@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import usomat
@@ -15,8 +16,9 @@ from usomat import (
     canonicalize,
     flip_facet,
 )
-from usomat.cli import _build_parser, main
+from usomat.cli import _build_parser, _orientation_json, main
 from usomat.cube import mask_to_dims
+from usomat.random_facet import FAMILIES, family_graph
 
 
 def write_graph(path, g: InfluenceGraph) -> str:
@@ -128,6 +130,20 @@ def test_build_family_to_stdout(capsys):
     assert main(["build", "--family", "path", "--n", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert Orientation.from_json_obj(doc).outmaps == (0, 3, 2, 1)
+
+
+def test_build_writes_the_bytes_of_the_indent_encoder(tmp_path, capsys):
+    """``build`` output equals ``json.dumps(..., indent=2)``: uniform tables, family builds, arbitrary tables."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        cases = [Orientation.uniform(n), Orientation(n, (0,) * (1 << n))]
+        cases += [build_matousek(family_graph(family, n)) for family in FAMILIES]
+        cases.append(Orientation(n, tuple(int(x) for x in rng.integers(0, 1 << n, size=1 << n))))
+        for o in cases:
+            assert _orientation_json(o) == json.dumps(o.to_json_obj(), indent=2)
+    out = tmp_path / "o.json"
+    assert main(["build", "--family", "merged", "--n", "5", "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(build_matousek(family_graph("merged", 5)).to_json_obj(), indent=2)
 
 
 def test_build_warns_on_forbidden_graph(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -29,9 +30,10 @@ from usomat import (
     translate_to_plcp,
 )
 from usomat.enumeration import all_branchings
-from usomat.plcp import CandidateSolution, format_fraction, parse_fraction
+from usomat.plcp import CandidateSolution, _pivot_tree, _scaled_tableau, format_fraction, parse_fraction
 from usomat.random_facet import FAMILIES
 from oracles import (
+    _det,
     fundamental_circuit,
     identity_matrix,
     is_p_matrix_by_minors,
@@ -350,3 +352,165 @@ def test_cube_walk_reports_singular_bases():
     with pytest.raises(ValueError, match="singular"):
         plcp_to_uso(inst)
     assert not is_p_matrix(inst.M)
+
+
+def _scale(m: RationalMatrix, q=()) -> int:
+    return lcm(*(x.denominator for row in m.rows for x in row), *(x.denominator for x in q))
+
+
+def _members(s: int) -> list[int]:
+    return [i for i in range(s.bit_length()) if s >> i & 1]
+
+
+def _tree_order(n: int, s: int = 0, first: int = 0):
+    """Each node, then its children S + {k}, k > max(S), in decreasing k."""
+    yield s
+    for k in range(n - 1, first - 1, -1):
+        yield from _tree_order(n, s | 1 << k, k + 1)
+
+
+def _random_matrix(rng, n: int, high: int, denominators=(1,)) -> list[list[Fraction]]:
+    return [
+        [Fraction(int(rng.integers(-high, high + 1)), int(rng.choice(denominators))) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def test_pivot_tree_visits_every_subset_once_with_its_minor():
+    """d is each principal minor of the scaled M; x is d times the scaled basic w; a zero minor ends the tree."""
+    rng = np.random.default_rng(2024)
+    complete = ended = 0
+    for n in range(1, 7):
+        for trial in range(12):
+            m = RationalMatrix(_random_matrix(rng, n, 3 if trial % 3 else 1, (1, 1, 2, 3)))
+            q = tuple(Fraction(int(rng.integers(1, 9)) * int(rng.choice([-1, 1])), 2) for _ in range(n))
+            scale = _scale(m, q)
+            want_order = list(_tree_order(n))
+            got = list(_pivot_tree(_scaled_tableau(m, q), n))
+            assert [s for s, _, _, _ in got] == want_order[: len(got)]
+            for s, d, free, x in got:
+                idx = _members(s)
+                minor = _det([[m[i, j] for j in idx] for i in idx]) if idx else Fraction(1)
+                assert d == scale ** len(idx) * minor
+                if d == 0:
+                    break
+                assert free == [r for r in range(n) if r not in idx]
+                try:
+                    sol = solve_candidate(PLCPInstance(n, m, q), s)
+                except DegenerateQ:
+                    continue
+                assert x == [d * scale * sol.w[r] for r in free]
+            if got[-1][1] == 0:
+                ended += 1
+                assert all(d != 0 for _, d, _, _ in got[:-1])
+            else:
+                complete += 1
+                assert len(got) == 1 << n
+    assert complete > 20 and ended > 10
+
+
+def test_pivot_tree_without_q_yields_the_same_minors():
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        m = RationalMatrix(_random_matrix(rng, n, 5))
+        with_q = [(s, d) for s, d, _, _ in _pivot_tree(_scaled_tableau(m, (Fraction(1),) * n), n)]
+        without = list(_pivot_tree(_scaled_tableau(m), n))
+        assert [(s, d) for s, d, _, _ in without] == with_q
+        assert all(x == [] for _, _, _, x in without)
+
+
+def _cycle_matrix(n: int, a: int) -> RationalMatrix:
+    """I + a P with P the cyclic shift: every proper principal minor is 1, the full one 1 - (-a)^n."""
+    return RationalMatrix([[int(i == j) + a * int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+
+
+def _vanishing_minors(m: RationalMatrix) -> list[tuple[int, ...]]:
+    n = m.nrows
+    return [
+        idx
+        for size in range(1, n + 1)
+        for idx in combinations(range(n), size)
+        if _det([[m[i, j] for j in idx] for i in idx]) == 0
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_is_p_matrix_reads_the_last_node(n):
+    """The full set is the tree's last node; a matrix failing only there is not a P-matrix."""
+    assert list(_tree_order(n))[-1] == (1 << n) - 1
+    for a, full in ((-2, 1 - 2**n), (-1, 0)):
+        m = _cycle_matrix(n, a)
+        for size in range(1, n):
+            for idx in combinations(range(n), size):
+                assert _det([[m[i, j] for j in idx] for i in idx]) == 1
+        assert _det([list(row) for row in m.rows]) == full
+        assert not is_p_matrix(m) and not is_p_matrix_by_minors(m)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_plcp_to_uso_reports_the_singular_minor_whatever_q_is(n):
+    """Singular only at {n}, the Gray-code order's last vertex, or only at the full set, the tree's last node."""
+    rng = np.random.default_rng(n)
+    while True:
+        rows = _random_matrix(rng, n, 4)
+        rows[n - 1][n - 1] = Fraction(0)
+        late_in_gray = RationalMatrix(rows)
+        if _vanishing_minors(late_in_gray) == [(n - 1,)]:
+            break
+    last_in_tree = _cycle_matrix(n, -1)
+    assert _vanishing_minors(last_in_tree) == [tuple(range(n))]
+    for m in (late_in_gray, last_in_tree):
+        for q in ((Fraction(1),) * n, (Fraction(0),) * n, tuple(Fraction(int(v)) for v in rng.integers(-3, 4, n))):
+            with pytest.raises(ValueError, match="singular"):
+                plcp_to_uso(PLCPInstance(n, m, q))
+        assert not is_p_matrix(m)
+
+
+def test_plcp_to_uso_error_is_singular_exactly_when_a_minor_vanishes():
+    """Random rationals, n <= 4: 'singular' iff the oracle finds a zero principal minor, else the oracle's result."""
+    rng = np.random.default_rng(99)
+    kinds = {"singular": 0, "degenerate": 0, "orientation": 0}
+    for _ in range(400):
+        n = int(rng.integers(1, 5))
+        m = RationalMatrix(_random_matrix(rng, n, 2, (1, 2)))
+        q = tuple(Fraction(int(v), 2) for v in rng.integers(-2, 3, n))
+        inst = PLCPInstance(n, m, q)
+        if _vanishing_minors(m):
+            with pytest.raises(ValueError, match="singular"):
+                plcp_to_uso(inst)
+            kinds["singular"] += 1
+            continue
+        try:
+            want = plcp_to_uso_per_vertex(inst)
+        except DegenerateQ:
+            with pytest.raises(DegenerateQ):
+                plcp_to_uso(inst)
+            kinds["degenerate"] += 1
+            continue
+        assert plcp_to_uso(inst) == want
+        kinds["orientation"] += 1
+    assert min(kinds.values()) > 30
+
+
+@pytest.mark.parametrize("family", ["path", "star"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_p_matrix_with_a_degenerate_q_raises(family, n):
+    """q = B_S x with x_r = 0 puts a zero basic component at vertex S, on the w side or the z side."""
+    m = _realize(synthesize_extension(is_branching_closure(FAMILIES[family](n)))).M
+    assert is_p_matrix(m)
+    rng = np.random.default_rng(n)
+    for _ in range(6):
+        s = int(rng.integers(0, 1 << n))
+        r = int(rng.integers(0, n))
+        x = [Fraction(int(rng.integers(1, 6)) * int(rng.choice([-1, 1]))) for _ in range(n)]
+        x[r] = Fraction(0)
+        # column i of the basis at s: -M e_i when pair i is on the z side, else e_i
+        q = tuple(
+            sum((-m[row, i] if s >> i & 1 else Fraction(int(row == i))) * x[i] for i in range(n))
+            for row in range(n)
+        )
+        inst = PLCPInstance(n, m, q)
+        with pytest.raises(DegenerateQ):
+            solve_candidate(inst, s)
+        with pytest.raises(DegenerateQ, match="zero component in the basic solution at vertex"):
+            plcp_to_uso(inst)

@@ -16,6 +16,8 @@ from usomat import (
 )
 from usomat.enumeration import all_branchings, all_dags
 from usomat.matousek import orientation_from_rows
+from usomat.random_facet import FAMILIES, family_graph
+from oracles import find_forbidden_by_triples
 
 G1 = InfluenceGraph(3, [(1, 2), (2, 3)])
 G2 = InfluenceGraph(3, [(1, 3), (2, 3)])
@@ -110,6 +112,18 @@ def every_digraph(n):
     pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
     for bits in range(1 << len(pairs)):
         yield InfluenceGraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def test_find_forbidden_matches_the_triple_loop():
+    """The same witness, or None, as the triple loop: every digraph (cycles included) with n <= 4, and the families."""
+    for n in (1, 2, 3, 4):
+        for g in every_digraph(n):
+            assert find_forbidden(g) == find_forbidden_by_triples(g)
+    for family in FAMILIES:
+        for n in range(1, 17):
+            g = family_graph(family, n)
+            assert find_forbidden(g) == find_forbidden_by_triples(g)
+    assert find_forbidden(family_graph("merged", 5)) is not None
 
 
 def test_is_branching_closure_on_every_digraph_n_le_4():
