@@ -31,10 +31,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cube import Orientation
+from .cube import MAX_DIMENSION, Orientation
 from .matroid import Q, CyclicExtension
-
-P_MATRIX_CAP = 12  # the pivot tree doubles per extra dimension
 
 
 class DegenerateQ(ValueError):
@@ -138,6 +136,8 @@ class PLCPInstance:
     q: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"instance size must be an integer of at least 1, got {self.n!r}")
         if self.M.nrows != self.n or self.M.ncols != self.n:
             raise ValueError(f"M must be {self.n}x{self.n}")
         if len(self.q) != self.n:
@@ -298,8 +298,8 @@ def is_p_matrix(m: RationalMatrix) -> bool:
     if m.nrows != m.ncols:
         raise ValueError("P-matrix test needs a square matrix")
     n = m.nrows
-    if n > P_MATRIX_CAP:
-        raise ValueError(f"principal minor enumeration capped at n={P_MATRIX_CAP}")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"principal minor enumeration capped at n={MAX_DIMENSION}")
     return all(d > 0 for _, d, _, _ in _pivot_tree(_scaled_tableau(m), n))
 
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from usomat import (
     MAX_DIMENSION,
+    Branching,
     CyclicExtension,
     CyclicInfluence,
     ForbiddenWitness,
@@ -562,3 +563,60 @@ def verify_circuit_axioms(ext: CyclicExtension) -> bool:
     if ext.n > CIRCUIT_AXIOM_CAP:
         raise ValueError(f"axiom enumeration capped at n={CIRCUIT_AXIOM_CAP}")
     return axioms_hold(all_circuits(ext))
+
+
+# -- exhaustive generators, by filtering ------------------------------------
+
+
+def all_dags_by_orders(n: int) -> Iterator[InfluenceGraph]:
+    """Every acyclic digraph on 1..n: each topological order times each
+    forward-edge subset, with repeats dropped by edge bitmask."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    pair_bit = {}
+    for d in range(1, n + 1):
+        for d2 in range(1, n + 1):
+            if d != d2:
+                pair_bit[d, d2] = len(pair_bit)
+    seen: set[int] = set()
+    for perm in permutations(range(1, n + 1)):
+        forward = [
+            pair_bit[perm[i], perm[j]]
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        for subset in range(1 << len(forward)):
+            mask = 0
+            rest = subset
+            while rest:
+                low = rest & -rest
+                mask |= 1 << forward[low.bit_length() - 1]
+                rest ^= low
+            if mask in seen:
+                continue
+            seen.add(mask)
+            edges = [pair for pair, b in pair_bit.items() if mask >> b & 1]
+            yield InfluenceGraph(n, edges)
+
+
+def all_branchings(n: int) -> Iterator[Branching]:
+    """Every forest of arborescences on 1..n ((n+1)^(n-1) of them)."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    choices = [[0] + [p for p in range(1, n + 1) if p != v] for v in range(1, n + 1)]
+    for picks in product(*choices):
+        parent = {v: p for v, p in enumerate(picks, start=1) if p}
+        ok = True
+        for start in parent:
+            v = start
+            hops = 0
+            while v in parent:
+                v = parent[v]
+                hops += 1
+                if hops > n:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            yield Branching(n, parent)

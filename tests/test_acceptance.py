@@ -27,10 +27,10 @@ from usomat import (
     synthesize_extension,
     uso_by_pairs,
 )
-from usomat.enumeration import all_branchings, all_dags
+from usomat.enumeration import all_dags
 from usomat.matroid import Q, containment_graph, validate_conditions
 from usomat.plcp import is_p_matrix, plcp_to_uso, realization_matrix, translate_to_plcp
-from oracles import brute_force_sink, is_p_matroid
+from oracles import all_branchings, brute_force_sink, is_p_matroid
 
 
 def _report(num: int, desc: str, ok: bool) -> None:

@@ -19,10 +19,10 @@ from usomat import (
     synthesize_extension,
     validate_conditions,
 )
-from usomat.enumeration import all_branchings
 from usomat.matroid import complement
 from oracles import (
     SignedSet,
+    all_branchings,
     all_circuits,
     axioms_hold,
     containment_graph_by_positions,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usomat import (
+    MAX_DIMENSION,
     Branching,
     CyclicExtension,
     DegenerateQ,
@@ -29,11 +30,11 @@ from usomat import (
     synthesize_extension,
     translate_to_plcp,
 )
-from usomat.enumeration import all_branchings
 from usomat.plcp import CandidateSolution, _pivot_tree, _scaled_tableau, format_fraction, parse_fraction
 from usomat.random_facet import FAMILIES
 from oracles import (
     _det,
+    all_branchings,
     fundamental_circuit,
     identity_matrix,
     is_p_matrix_by_minors,
@@ -160,8 +161,14 @@ def test_is_p_matrix_examples():
 def test_is_p_matrix_validation():
     with pytest.raises(ValueError):
         is_p_matrix(RationalMatrix([[1, 2]]))
-    with pytest.raises(ValueError):
-        is_p_matrix(identity_matrix(13))
+    with pytest.raises(ValueError, match=f"capped at n={MAX_DIMENSION}"):
+        is_p_matrix(identity_matrix(MAX_DIMENSION + 1))
+
+
+def test_is_p_matrix_runs_past_n_12():
+    """One cap for the pivot tree: the table cap that plcp_to_uso already runs under."""
+    m = _realize(synthesize_extension(is_branching_closure(FAMILIES["path"](13)))).M
+    assert is_p_matrix(m)
 
 
 def test_plcp_instance_json():
@@ -197,6 +204,14 @@ def test_plcp_instance_json_accepts_ints_and_fraction_strings():
 def test_plcp_instance_json_rejects_malformed(doc):
     with pytest.raises(ValueError):
         PLCPInstance.from_json_obj(doc)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_plcp_instance_rejects_sizes_below_one(n):
+    with pytest.raises(ValueError, match="instance size must be an integer of at least 1"):
+        PLCPInstance.from_json_obj({"n": n, "M": [], "q": []})
+    with pytest.raises(ValueError, match="instance size must be an integer of at least 1"):
+        PLCPInstance(n, RationalMatrix([]), ())
 
 
 def test_solve_candidate_identity():

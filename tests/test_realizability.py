@@ -14,10 +14,10 @@ from usomat import (
     synthesize_extension,
     validate_conditions,
 )
-from usomat.enumeration import all_branchings, all_dags
+from usomat.enumeration import all_dags
 from usomat.matousek import orientation_from_rows
 from usomat.random_facet import FAMILIES, family_graph
-from oracles import find_forbidden_by_triples
+from oracles import all_branchings, find_forbidden_by_triples
 
 G1 = InfluenceGraph(3, [(1, 2), (2, 3)])
 G2 = InfluenceGraph(3, [(1, 3), (2, 3)])
