@@ -42,10 +42,13 @@ ENUMERATE_CAP = 5  # 29281 labeled DAGs; all_dags alone takes about 20 s for the
 
 
 def _read_json(path: str) -> object:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _write_text(text: str, out: Optional[str]) -> None:

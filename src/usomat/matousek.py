@@ -56,7 +56,7 @@ class InfluenceGraph:
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "InfluenceGraph":
         """Build from out-neighbour masks; the loop bit may be present or not."""
-        g = cls(n)
+        _check_n(n, MAX_ROW_DIMENSION)
         full = (1 << n) - 1
         fixed = []
         for d, row in enumerate(rows, start=1):
@@ -65,7 +65,8 @@ class InfluenceGraph:
             fixed.append(row | 1 << (d - 1))
         if len(fixed) != n:
             raise ValueError(f"need {n} rows, got {len(fixed)}")
-        g.rows = tuple(fixed)
+        g = cls.__new__(cls)
+        g.n, g.rows = n, tuple(fixed)
         return g
 
     @property
@@ -80,10 +81,6 @@ class InfluenceGraph:
 
     def has_edge(self, d: int, d2: int) -> bool:
         return bool(self.rows[d - 1] >> (d2 - 1) & 1)
-
-    def out_row(self, d: int) -> int:
-        """Out-neighbour mask of d including the loop bit."""
-        return self.rows[d - 1]
 
     def is_acyclic(self) -> bool:
         """True when the non-loop edges form a DAG (repeatedly strip sinks)."""

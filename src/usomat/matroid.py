@@ -82,9 +82,6 @@ class CyclicExtension:
         """Element token -> position 1..2n+1, built anew on each read."""
         return {e: p for p, e in enumerate(self.order, start=1)}
 
-    def complement(self, e: int) -> int:
-        return complement(e, self.n)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CyclicExtension)

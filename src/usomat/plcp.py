@@ -5,21 +5,22 @@ element, negated for flip-set members.  Splitting the resulting n x (2n+1)
 matrix into the blocks of the first pair members, the second pair members
 and q turns the complementarity problem over the matroid into a standard
 LCP: find w, z >= 0 with w - M z = q and w^T z = 0.  All arithmetic is
-exact over the rationals so sign decisions are never at the mercy of
-floating point.
+exact, so sign decisions are never at the mercy of floating point:
+Fractions at the boundary, Python ints in every elimination.  One
+fraction-free step, :func:`_pivot_step`, serves both the linear solves and
+the pivot tree.
 
 The pivot tree behind :func:`plcp_to_uso` and :func:`is_p_matrix` reaches
 all 2^n complementary bases with one fraction-free principal pivot each,
 depth first through the binomial tree of index subsets, and updates only
 the free rows and the columns that later pivots read: O(n 2^n) operations
-on Python ints, with no Fraction inside the loop.  Each node holds one
-principal minor det(M[S, S]) and the basic values of the w variables
-outside S (Stickney & Watson 1978; the P-matrix test is the
-Schur-complement recursion of Tsatsomeros & Li, BIT 2000, in fraction-free
-form).  The z signs follow from a neighbour: pivoting w_s out of the basis
-of S - {s} gives z_s(S) = -w_s(S - {s}) / (det(M[S, S]) / det(M[S - {s},
-S - {s}])), so z_s(S) < 0 exactly when w_s(S - {s}) and that ratio have
-the same sign.
+on Python ints.  Each node holds one principal minor det(M[S, S]) and the
+basic values of the w variables outside S (Stickney & Watson 1978; the
+P-matrix test is the Schur-complement recursion of Tsatsomeros & Li, BIT
+2000, in fraction-free form).  The z signs follow from a neighbour:
+pivoting w_s out of the basis of S - {s} gives z_s(S) = -w_s(S - {s}) /
+(det(M[S, S]) / det(M[S - {s}, S - {s}])), so z_s(S) < 0 exactly when
+w_s(S - {s}) and that ratio have the same sign.
 """
 
 from __future__ import annotations
@@ -89,42 +90,35 @@ class RationalMatrix:
         """Rows of whitespace-separated fractions, one line per row."""
         return "\n".join(" ".join(format_fraction(x) for x in row) for row in self.rows)
 
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-x for x in row] for row in self.rows])
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self, js: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix([[row[j] for j in js] for row in self.rows])
-
     def solve(self, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """Exact solution of A x = rhs for square invertible A."""
-        return tuple(self.solve_matrix([[b] for b in rhs]).column(0))
+        return tuple(row[0] for row in self.solve_matrix([[b] for b in rhs]).rows)
 
     def solve_matrix(self, rhs: "RationalMatrix | Sequence[Sequence[Fraction | int]]") -> "RationalMatrix":
+        """Exact X with A X = B, by fraction-free Gauss-Jordan on the integer [A | B].
+
+        Each pivot is the first nonzero entry of its column on or below the
+        diagonal, and :func:`_pivot_step` updates every other row.  Then
+        each pivoted row has d, the latest pivot, on the diagonal and zeros
+        elsewhere in A, so X = B / d at the end.
+        """
         if self.nrows != self.ncols:
             raise ValueError("solve needs a square matrix")
         b = rhs if isinstance(rhs, RationalMatrix) else RationalMatrix(rhs)
         if b.nrows != self.nrows:
             raise ValueError("right-hand side has mismatched row count")
         k = self.nrows
-        a = [list(self.rows[i]) + list(b.rows[i]) for i in range(k)]
-        width = k + b.ncols
+        tab = _scaled_tableau(RationalMatrix(a + r for a, r in zip(self.rows, b.rows)))
+        d = 1
         for col in range(k):
-            pivot = next((r for r in range(col, k) if a[r][col]), None)
+            pivot = next((r for r in range(col, k) if tab[r][col]), None)
             if pivot is None:
                 raise ValueError("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            p = a[col][col]
-            for c in range(col, width):
-                a[col][c] /= p
-            for r in range(k):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    for c in range(col, width):
-                        a[r][c] -= f * a[col][c]
-        return RationalMatrix([row[k:] for row in a])
+            tab[col], tab[pivot] = tab[pivot], tab[col]
+            top = tab[col]
+            tab = [row if row is top else _pivot_step(row, top, col, d) for row in tab]
+            d = top[col]
+        return RationalMatrix([Fraction(x, d) for x in row[k:]] for row in tab)
 
 
 @dataclass(frozen=True)
@@ -218,12 +212,9 @@ def translate_to_plcp(v: RationalMatrix, ext: Optional[CyclicExtension] = None) 
         raise ValueError(f"realization matrix must be {n}x{2 * n + 1}")
     if ext is not None and ext.n != n:
         raise ValueError(f"extension has n={ext.n}, matrix has n={n}")
-    v_s = v.columns(range(n))
-    rest = v.columns(range(n, 2 * n + 1))
-    folded = -v_s.solve_matrix(rest)
-    m = folded.columns(range(n))
-    q = folded.column(n)
-    return PLCPInstance(n, m, q)
+    v_s = RationalMatrix(row[:n] for row in v.rows)
+    folded = v_s.solve_matrix([[-x for x in row[n:]] for row in v.rows]).rows
+    return PLCPInstance(n, RationalMatrix(row[:n] for row in folded), tuple(row[n] for row in folded))
 
 
 def _scaled_tableau(m: RationalMatrix, q: Sequence[Fraction] = ()) -> list[list[int]]:
@@ -235,6 +226,20 @@ def _scaled_tableau(m: RationalMatrix, q: Sequence[Fraction] = ()) -> list[list[
     rows = [list(row) + ([q[r]] if q else []) for r, row in enumerate(m.rows)]
     scale = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
+def _pivot_step(vec: list[int], pivot_vec: list[int], pos: int, d: int) -> list[int]:
+    """(p * vec - vec[pos] * pivot_vec) / d with p = pivot_vec[pos], exactly.
+
+    Both callers keep every entry a minor of their integer input and pass
+    the previous pivot as d, so each division is exact (Bareiss 1968); a
+    remainder raises ArithmeticError.
+    """
+    p, b = pivot_vec[pos], vec[pos]
+    parts = [divmod(a * p - f * b, d) for a, f in zip(vec, pivot_vec)]
+    if any(rem for _, rem in parts):
+        raise ArithmeticError("inexact fraction-free pivot")
+    return [quo for quo, _ in parts]
 
 
 def _pivot_tree(tab: list[list[int]], n: int) -> Iterator[tuple[int, int, list[int], list[int]]]:
@@ -255,9 +260,9 @@ def _pivot_tree(tab: list[list[int]], n: int) -> Iterator[tuple[int, int, list[i
     else.  A pivot on k therefore touches (rows outside S) x (columns past
     k), and the whole tree makes 2^n - 1 pivots in O(n 2^n) operations on
     Python ints.  Every entry stays a minor of the integer [I | -M | q], so
-    each division by the parent's d is exact; a remainder raises
-    ArithmeticError.  A zero pivot means S + {k} has a singular principal
-    minor: it is yielded with d = 0 and the tree ends.
+    :func:`_pivot_step` divides by the parent's d exactly.  A zero pivot
+    means S + {k} has a singular principal minor: it is yielded with d = 0
+    and the tree ends.
     """
     width = len(tab[0]) if tab else n
     cols = [[row[c] for row in tab] for c in range(width)]
@@ -277,11 +282,7 @@ def _pivot_tree(tab: list[list[int]], n: int) -> Iterator[tuple[int, int, list[i
             return
         child = []
         for col in cols[k - j + 1 :]:
-            b = col[pos]
-            parts = [divmod(a * p - f * b, d) for a, f in zip(col, pivot_col)]
-            if any(rem for _, rem in parts):
-                raise ArithmeticError(f"inexact fraction-free pivot at subset {s}")
-            new = [quo for quo, _ in parts]
+            new = _pivot_step(col, pivot_col, pos, d)
             del new[pos]  # row k leaves the free rows (its entry is p*b - b*p = 0)
             child.append(new)
         free = free[:pos] + free[pos + 1 :]
@@ -313,13 +314,8 @@ def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
     n = instance.n
     if not 0 <= vertex < 1 << n:
         raise ValueError(f"vertex {vertex} out of range for n={n}")
-    cols = []
-    for i in range(n):
-        if vertex >> i & 1:
-            cols.append([-instance.M[r, i] for r in range(n)])
-        else:
-            cols.append([Fraction(int(r == i)) for r in range(n)])
-    basis = RationalMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    m = instance.M.rows
+    basis = RationalMatrix([-m[r][i] if vertex >> i & 1 else int(r == i) for i in range(n)] for r in range(n))
     x = basis.solve(instance.q)
     if any(val == 0 for val in x):
         raise DegenerateQ(f"zero component in the basic solution at vertex {vertex}")
@@ -348,6 +344,8 @@ def plcp_to_uso(instance: PLCPInstance) -> Orientation:
     so which error comes out does not depend on the visiting order.
     """
     n = instance.n
+    if n > MAX_DIMENSION:
+        raise ValueError(f"principal minor enumeration capped at n={MAX_DIMENSION}")
     size = 1 << n
     wbits = np.zeros(size, dtype=np.int64)  # bit r, for r outside S: w_r < 0 at vertex S
     negative = np.zeros(size, dtype=np.int64)  # 1 where det(M[S, S]) < 0

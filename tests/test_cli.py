@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -182,6 +183,22 @@ def test_build_malformed_json_fails(tmp_path, capsys):
     src.write_text("{not json")
     assert main(["build", str(src)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_check_deeply_nested_stdin_fails_with_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP_JSON))
+    assert main(["check", "-"]) == 1
+    assert_one_error_line(capsys.readouterr(), "nested too deeply")
+
+
+def test_build_deeply_nested_graph_file_fails_with_one_error_line(tmp_path, capsys):
+    src = tmp_path / "g.json"
+    src.write_text(DEEP_JSON)
+    assert main(["build", str(src)]) == 1
+    assert_one_error_line(capsys.readouterr(), "nested too deeply")
 
 
 @pytest.mark.parametrize(

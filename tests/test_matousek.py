@@ -28,7 +28,6 @@ def test_graph_construction():
     assert g.edges == ((1, 2), (2, 3))
     assert g.has_edge(1, 2) and not g.has_edge(2, 1)
     assert g.has_edge(2, 2)  # implicit loop
-    assert g.out_row(1) == 0b011
 
 
 def test_graph_rejects_bad_edges():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -77,6 +78,32 @@ def test_matrix_solve_matrix_inverse():
         for i in range(2)
     ]
     assert RationalMatrix(product) == identity_matrix(2)
+
+
+def test_solve_matrix_on_sparse_random_systems():
+    """Seeded sparse systems up to 6 x 6, so that pivots often swap rows: exact solve or "singular"."""
+    rng = random.Random(20261018)
+    solved = singular = 0
+    for _ in range(500):
+        size, width, density = rng.randint(1, 6), rng.randint(1, 3), rng.uniform(0.35, 0.7)
+
+        def entry():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < density else Fraction(0)
+
+        a = [[entry() for _ in range(size)] for _ in range(size)]
+        b = [[entry() for _ in range(width)] for _ in range(size)]
+        if _det(a) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                RationalMatrix(a).solve_matrix(b)
+            singular += 1
+            continue
+        x = RationalMatrix(a).solve_matrix(b)
+        assert (x.nrows, x.ncols) == (size, width)
+        for i in range(size):
+            for j in range(width):
+                assert sum(a[i][k] * x[k, j] for k in range(size)) == b[i][j]
+        solved += 1
+    assert solved > 150 and singular > 150
 
 
 def test_matrix_text():
@@ -360,6 +387,19 @@ def test_plcp_to_uso_certifies_the_sink(monkeypatch):
     monkeypatch.setattr(usomat.plcp, "solve_candidate", negated)
     with pytest.raises(ArithmeticError, match="disagree at vertex"):
         plcp_to_uso(_realize(CHAIN2))
+
+
+def test_plcp_to_uso_refuses_past_the_cap_before_the_walk(monkeypatch):
+    import usomat.plcp
+
+    def walk(*args):
+        raise AssertionError("the pivot tree ran past the cap")
+
+    monkeypatch.setattr(usomat.plcp, "_pivot_tree", walk)
+    n = MAX_DIMENSION + 1
+    inst = PLCPInstance(n, identity_matrix(n), (Fraction(1),) * n)
+    with pytest.raises(ValueError, match=f"capped at n={MAX_DIMENSION}"):
+        plcp_to_uso(inst)
 
 
 def test_cube_walk_reports_singular_bases():
