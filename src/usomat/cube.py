@@ -274,12 +274,15 @@ def rows_acyclic(rows: Sequence[int]) -> bool:
     alive = (1 << len(rows)) - 1
     while alive:
         removable = 0
-        for d in mask_to_dims(alive):
-            if rows[d - 1] & alive & ~(1 << (d - 1)) == 0:
-                removable |= 1 << (d - 1)
+        rest = alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rows[low.bit_length() - 1] & alive & ~low == 0:
+                removable |= low
         if removable == 0:
             return False
-        alive &= ~removable
+        alive ^= removable
     return True
 
 

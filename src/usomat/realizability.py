@@ -45,7 +45,14 @@ class ForbiddenWitness:
 
 def _in_masks(g: InfluenceGraph) -> list[int]:
     """In-neighbour masks with the loop bit: entry v - 1 has u's bit when u -> v or u == v."""
-    return [sum(1 << d for d, row in enumerate(g.rows) if row >> v & 1) for v in range(g.n)]
+    ins = [0] * g.n
+    for u, row in enumerate(g.rows):
+        bit = 1 << u
+        while row:
+            low = row & -row
+            row ^= low
+            ins[low.bit_length() - 1] |= bit
+    return ins
 
 
 def find_forbidden(g: InfluenceGraph) -> Optional[ForbiddenWitness]:

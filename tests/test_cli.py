@@ -421,6 +421,19 @@ def test_enumerate_json(capsys):
     assert doc == {"n": 2, "dags": 3, "uso_failures": 0, "realizable": 3, "mismatches": 0}
 
 
+def test_enumerate_counts_a_cyclic_graph_as_a_uso_failure(capsys, monkeypatch):
+    """is_uso decides acyclicity: a cyclic input is a counted failure, not an error line."""
+    import usomat.cli
+
+    monkeypatch.setattr(usomat.cli, "all_dags", lambda n: iter([InfluenceGraph(2, [(1, 2), (2, 1)])]))
+    assert main(["enumerate", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    doc = json.loads(captured.out)
+    # the 2-cycle has no three-dimension pattern, yet is no branching closure
+    assert doc == {"n": 2, "dags": 1, "uso_failures": 1, "realizable": 1, "mismatches": 1}
+
+
 def test_enumerate_rejects_large_n(capsys):
     assert main(["enumerate", "--n", "6"]) == 1
     assert_one_error_line(capsys.readouterr(), "--n must be between 1 and 5")

@@ -305,6 +305,19 @@ def test_pipeline_agrees_with_extension_uso():
             assert plcp_to_uso(inst) == extension_to_uso(ext)
 
 
+def test_three_routes_agree_on_every_branching_n5():
+    """Graph, extension and LCP give one canonical USO for each of the 6^4 branchings at n = 5."""
+    count = 0
+    for b in all_branchings(5):
+        ext = synthesize_extension(b)
+        via_graph = canonicalize(build_matousek(b.transitive_closure()))
+        via_matroid = canonicalize(extension_to_uso(ext))
+        via_lcp = canonicalize(plcp_to_uso(translate_to_plcp(realization_matrix(ext), ext)))
+        assert via_graph == via_matroid == via_lcp, b
+        count += 1
+    assert count == 1296
+
+
 def test_random_increasing_abscissae_same_uso():
     """Any strictly increasing abscissae realize the same orientation."""
     rng = np.random.default_rng(20240817)
