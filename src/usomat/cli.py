@@ -38,8 +38,8 @@ from .random_facet import FAMILIES, family_graph, run_trials, stats_to_csv
 from .realizability import find_forbidden, is_branching_closure, synthesize_extension
 from .enumeration import all_dags
 
-ENUMERATE_CAP = 5  # 29281 labeled DAGs; for the 3781503 at n = 6 (Python 3.11, 2 CPUs) all_dags
-# alone takes about 18 s, with find_forbidden and is_branching_closure 62 s, the full census 91 s
+ENUMERATE_CAP = 6  # 3781503 labeled DAGs: about 91 s for the census (Python 3.11, 2 CPUs), all_dags
+# alone 18 s; n = 7 has 1138779265 and would take hours
 
 
 def _read_json(path: str) -> object:
@@ -182,9 +182,12 @@ def cmd_realize(args: argparse.Namespace) -> int:
         return 1
     ext = synthesize_extension(branching)
     inst = translate_to_plcp(realization_matrix(ext), ext)
-    problem = _route_problem("extension", extension_to_uso(ext), want) or _route_problem(
-        "LCP", plcp_to_uso(inst), want
-    )
+    problem = _route_problem("extension", extension_to_uso(ext), want)
+    if problem is None:
+        try:  # a P-matrix M is certified here: plcp_to_uso refuses any other
+            problem = _route_problem("LCP", plcp_to_uso(inst), want)
+        except ValueError as exc:
+            problem = f"LCP route: {exc}"
     if problem is not None:
         print(f"verification failed: {problem}; nothing written", file=sys.stderr)
         return 1

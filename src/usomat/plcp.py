@@ -17,10 +17,10 @@ the free rows and the columns that later pivots read: O(n 2^n) operations
 on Python ints.  Each node holds one principal minor det(M[S, S]) and the
 basic values of the w variables outside S (Stickney & Watson 1978; the
 P-matrix test is the Schur-complement recursion of Tsatsomeros & Li, BIT
-2000, in fraction-free form).  The z signs follow from a neighbour:
-pivoting w_s out of the basis of S - {s} gives z_s(S) = -w_s(S - {s}) /
-(det(M[S, S]) / det(M[S - {s}, S - {s}])), so z_s(S) < 0 exactly when
-w_s(S - {s}) and that ratio have the same sign.
+2000, in fraction-free form).  :func:`plcp_to_uso` accepts P-matrices
+only, so every d it meets is positive and z_s(S) < 0 exactly when
+w_s(S - {s}) > 0: the z signs are the edge-consistent complements of the
+w signs.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cube import MAX_DIMENSION, Orientation
+from .cube import MAX_DIMENSION, Orientation, mask_to_dims
 from .matroid import Q, CyclicExtension
 
 
 class DegenerateQ(ValueError):
     """A complementary basic solution has an exactly-zero component."""
-
-
-def format_fraction(x: Fraction) -> str:
-    return str(x)
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -88,7 +84,7 @@ class RationalMatrix:
 
     def to_text(self) -> str:
         """Rows of whitespace-separated fractions, one line per row."""
-        return "\n".join(" ".join(format_fraction(x) for x in row) for row in self.rows)
+        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
     def solve(self, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """Exact solution of A x = rhs for square invertible A."""
@@ -140,8 +136,8 @@ class PLCPInstance:
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
-            "M": [[format_fraction(x) for x in row] for row in self.M.rows],
-            "q": [format_fraction(x) for x in self.q],
+            "M": [[str(x) for x in row] for row in self.M.rows],
+            "q": [str(x) for x in self.q],
         }
 
     @classmethod
@@ -329,44 +325,36 @@ def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
 
 
 def plcp_to_uso(instance: PLCPInstance) -> Orientation:
-    """Orient each cube vertex by the signs of its basic solution.
+    """Orient each cube vertex by the signs of its basic solution, for a P-matrix M.
 
     Dimension i points away from vertex v exactly when the basic pair-i
-    component is negative; for a P-matrix M this is a unique sink
+    component is negative; since M is a P-matrix this is a unique sink
     orientation whose sink is the feasible complementary basis.  The w
-    signs come from the pivot tree and the z signs from the neighbour rule
-    of the module docstring; the sink (for a table without one, the vertex
-    with the smallest outmap) is then re-solved from scratch as a
-    certificate that they were read right.
+    signs come from the pivot tree and the z signs by edge consistency; the
+    sink is then re-solved from scratch as a certificate that they were
+    read right.
 
-    A zero principal minor raises ``ValueError`` wherever the tree meets
-    it, and only then does a zero basic component raise ``DegenerateQ``,
-    so which error comes out does not depend on the visiting order.
+    A nonpositive principal minor raises ``ValueError`` naming its index
+    set, before any zero basic component raises ``DegenerateQ``.
     """
     n = instance.n
     if n > MAX_DIMENSION:
         raise ValueError(f"principal minor enumeration capped at n={MAX_DIMENSION}")
-    size = 1 << n
-    wbits = np.zeros(size, dtype=np.int64)  # bit r, for r outside S: w_r < 0 at vertex S
-    negative = np.zeros(size, dtype=np.int64)  # 1 where det(M[S, S]) < 0
+    table = np.zeros(1 << n, dtype=np.int64)  # bit r, for r outside S: w_r < 0 at vertex S
     degenerate = None
     for v, d, free, x in _pivot_tree(_scaled_tableau(instance.M, instance.q), n):
-        if d == 0:
-            raise ValueError("matrix is singular")
+        if d <= 0:
+            sign = "zero" if d == 0 else "negative"
+            raise ValueError(f"M is not a P-matrix: det(M[S, S]) is {sign} for S = {mask_to_dims(v)}")
         if degenerate is None and 0 in x:
             degenerate = v
-        wbits[v] = sum(1 << r for r, val in zip(free, x) if (val < 0) != (d < 0))
-        negative[v] = d < 0
+        table[v] = sum(1 << r for r, val in zip(free, x) if val < 0)
     if degenerate is not None:
         raise DegenerateQ(f"zero component in the basic solution at vertex {degenerate}")
-    # bit s of a set S holding s: z_s(S) < 0 exactly when the signs of w_s(S - {s}),
-    # det(M[S - {s}, S - {s}]) and det(M[S, S]) hold an even number of minuses
-    table = wbits.copy()
-    signs = wbits ^ negative * (size - 1)
+    # bit s of a set S holding s: z_s(S) < 0 exactly when w_s(S - {s}) > 0
     for s in range(n):
-        below = signs.reshape(-1, 2, 1 << s)[:, 0, :]
-        above = negative.reshape(-1, 2, 1 << s)[:, 1, :]
-        table.reshape(-1, 2, 1 << s)[:, 1, :] |= (1 ^ (below >> s & 1) ^ above) << s
+        halves = table.reshape(-1, 2, 1 << s)
+        halves[:, 1, :] |= ~halves[:, 0, :] & 1 << s
     sink = int(table.argmin())
     sol = solve_candidate(instance, sink)
     basic = [sol.z[i] if sink >> i & 1 else sol.w[i] for i in range(n)]

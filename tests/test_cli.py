@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from usomat import (
     USO_PAIR_CAP,
     InfluenceGraph,
     Orientation,
+    PLCPInstance,
+    RationalMatrix,
     build_matousek,
     canonicalize,
     flip_facet,
@@ -103,7 +106,7 @@ def test_syntax_errors_stay_with_argparse(argv, capsys):
         (["bench", "--family", "path", "--n", "4..2"], "bad cube size list"),
         (["bench", "--family", "path", "--n", "0"], "bad cube size list"),
         (["bench", "--family", "path", "--n", "1..1000000000000"], "bad cube size list"),
-        (["enumerate", "--n", "0"], "--n must be between 1 and 5"),
+        (["enumerate", "--n", "0"], "--n must be between 1 and 6"),
         (["bench", "--family", "path", "--n", "65"], "sizes are 1..64"),
         (["build", "--family", "path", "--n", "21"], "cube dimension must be in 1..20"),
         (["realize", "--family", "path", "--n", "21"], "cube dimension must be in 1..20"),
@@ -326,6 +329,21 @@ def test_realize_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("m", [[[1, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 2, 0], [2, 1, 0], [0, 0, 1]]])
+def test_realize_names_the_lcp_route_when_it_refuses_m(tmp_path, capsys, monkeypatch, m):
+    """A singular or an indefinite M is refused as not a P-matrix, even where q is degenerate for it."""
+    import usomat.cli
+
+    inst = PLCPInstance(3, RationalMatrix(m), (Fraction(-1), Fraction(-2), Fraction(-3)))
+    monkeypatch.setattr(usomat.cli, "translate_to_plcp", lambda v, ext: inst)
+    assert main(["realize", "--family", "path", "--n", "3", "--out", str(tmp_path / "path3")]) == 1
+    captured = capsys.readouterr()
+    assert "verification failed: LCP route: M is not a P-matrix" in captured.err
+    assert captured.err.endswith("; nothing written\n")
+    assert "error:" not in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_realize_builds_no_table_from_rows(capsys, monkeypatch):
     """Both routes are compared with the graph by their canonical rows, not by 2^n tables."""
     import usomat.cube
@@ -435,8 +453,8 @@ def test_enumerate_counts_a_cyclic_graph_as_a_uso_failure(capsys, monkeypatch):
 
 
 def test_enumerate_rejects_large_n(capsys):
-    assert main(["enumerate", "--n", "6"]) == 1
-    assert_one_error_line(capsys.readouterr(), "--n must be between 1 and 5")
+    assert main(["enumerate", "--n", "7"]) == 1
+    assert_one_error_line(capsys.readouterr(), "--n must be between 1 and 6")
 
 
 def test_console_script_installed():

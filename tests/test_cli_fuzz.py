@@ -154,7 +154,7 @@ def test_bench_options(family, n, trials, seed):
 
 
 # n = 5 is left out: its 29,281 DAGs take seconds, and the bench covers it
-enumerate_sizes = st.integers(-2, 4).map(str) | st.sampled_from(["6", "99", "", "x", "2.0", "1,2"])
+enumerate_sizes = st.integers(-2, 4).map(str) | st.sampled_from(["7", "99", "", "x", "2.0", "1,2"])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

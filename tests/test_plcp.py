@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -31,7 +32,7 @@ from usomat import (
     synthesize_extension,
     translate_to_plcp,
 )
-from usomat.plcp import CandidateSolution, _pivot_tree, _scaled_tableau, format_fraction, parse_fraction
+from usomat.plcp import CandidateSolution, _pivot_tree, _scaled_tableau, parse_fraction
 from usomat.random_facet import FAMILIES
 from oracles import (
     _det,
@@ -49,7 +50,7 @@ CHAIN2 = CyclicExtension(2, (1, 2, 4, 3, Q), {4})
 
 def test_fraction_round_trip():
     for s in ("0", "5", "-5", "3/4", "-22/7"):
-        assert format_fraction(parse_fraction(s)) == s
+        assert str(parse_fraction(s)) == s
     assert parse_fraction("4/8") == Fraction(1, 2)
     with pytest.raises(ValueError):
         parse_fraction("x")
@@ -359,32 +360,47 @@ def test_cube_walk_matches_oracles_on_families(family):
         assert is_p_matrix(inst.M) and is_p_matrix_by_minors(inst.M)
 
 
+def _against_oracles(inst: PLCPInstance) -> str:
+    """plcp_to_uso refuses a non-P M, naming a nonpositive minor, whatever q is; else it does what the per-vertex oracle does."""
+    p_matrix = is_p_matrix_by_minors(inst.M)
+    assert is_p_matrix(inst.M) == p_matrix
+    if not p_matrix:
+        with pytest.raises(ValueError, match="not a P-matrix") as info:
+            plcp_to_uso(inst)
+        message = str(info.value)
+        idx = [d - 1 for d in ast.literal_eval(message.rpartition("S = ")[2])]
+        minor = _det([[inst.M[i, j] for j in idx] for i in idx])
+        assert minor <= 0 and ("is zero" if minor == 0 else "is negative") in message
+        return "refused"
+    try:
+        want = plcp_to_uso_per_vertex(inst)
+    except DegenerateQ:
+        with pytest.raises(DegenerateQ):
+            plcp_to_uso(inst)
+        return "degenerate"
+    assert plcp_to_uso(inst) == want
+    return "orientation"
+
+
+def _dominant_shift(m: RationalMatrix) -> RationalMatrix:
+    """M + c I with c = 1 + n max |m_ij|: strictly diagonally dominant with a positive diagonal, so a P-matrix."""
+    n = m.nrows
+    c = 1 + n * max(abs(x) for row in m.rows for x in row)
+    return RationalMatrix([[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m.rows)])
+
+
 small_fractions = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_cube_walk_matches_oracles_on_random_rationals(n, data):
-    """Random rational (M, q), most of them not P-matrices, some q degenerate."""
+    """Random rational (M, q), most M not P-matrices, some q degenerate; M + c I is a P-matrix with mixed signs."""
     rows = data.draw(st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n))
-    q = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
-    inst = PLCPInstance(n, RationalMatrix(rows), tuple(q))
-    p_matrix = is_p_matrix_by_minors(inst.M)
-    assert is_p_matrix(inst.M) == p_matrix
-    try:
-        want = plcp_to_uso_per_vertex(inst)
-    except ValueError as exc:
-        want = exc
-    try:
-        got = plcp_to_uso(inst)
-    except ValueError as exc:
-        got = exc
-    if isinstance(want, Orientation):
-        assert got == want
-    else:
-        assert isinstance(got, ValueError)
-        if p_matrix:
-            assert isinstance(want, DegenerateQ) and isinstance(got, DegenerateQ)
+    q = tuple(data.draw(st.lists(small_fractions, min_size=n, max_size=n)))
+    m = RationalMatrix(rows)
+    _against_oracles(PLCPInstance(n, m, q))
+    assert _against_oracles(PLCPInstance(n, _dominant_shift(m), q)) != "refused"
 
 
 def test_plcp_to_uso_certifies_the_sink(monkeypatch):
@@ -417,7 +433,7 @@ def test_plcp_to_uso_refuses_past_the_cap_before_the_walk(monkeypatch):
 
 def test_cube_walk_reports_singular_bases():
     inst = PLCPInstance(2, RationalMatrix([[1, 1], [1, 1]]), (Fraction(1), Fraction(2)))
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ValueError, match=r"not a P-matrix: det\(M\[S, S\]\) is zero for S = \[1, 2\]"):
         plcp_to_uso(inst)
     assert not is_p_matrix(inst.M)
 
@@ -513,51 +529,43 @@ def test_is_p_matrix_reads_the_last_node(n):
                 assert _det([[m[i, j] for j in idx] for i in idx]) == 1
         assert _det([list(row) for row in m.rows]) == full
         assert not is_p_matrix(m) and not is_p_matrix_by_minors(m)
+        sign = "negative" if full else "zero"
+        with pytest.raises(ValueError, match=rf"is {sign} for S = \[{', '.join(map(str, range(1, n + 1)))}\]$"):
+            plcp_to_uso(PLCPInstance(n, m, (Fraction(1),) * n))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_plcp_to_uso_reports_the_singular_minor_whatever_q_is(n):
-    """Singular only at {n}, the Gray-code order's last vertex, or only at the full set, the tree's last node."""
+    """Singular only at {n}, the tree's first node after the root, or only at the full set, its last node."""
     rng = np.random.default_rng(n)
     while True:
         rows = _random_matrix(rng, n, 4)
         rows[n - 1][n - 1] = Fraction(0)
-        late_in_gray = RationalMatrix(rows)
-        if _vanishing_minors(late_in_gray) == [(n - 1,)]:
+        first_in_tree = RationalMatrix(rows)
+        if _vanishing_minors(first_in_tree) == [(n - 1,)]:
             break
     last_in_tree = _cycle_matrix(n, -1)
     assert _vanishing_minors(last_in_tree) == [tuple(range(n))]
-    for m in (late_in_gray, last_in_tree):
+    for m, named in ((first_in_tree, [n]), (last_in_tree, list(range(1, n + 1)))):
         for q in ((Fraction(1),) * n, (Fraction(0),) * n, tuple(Fraction(int(v)) for v in rng.integers(-3, 4, n))):
-            with pytest.raises(ValueError, match="singular"):
+            with pytest.raises(ValueError, match="not a P-matrix") as info:
                 plcp_to_uso(PLCPInstance(n, m, q))
+            assert str(info.value).endswith(f"is zero for S = {named}")
         assert not is_p_matrix(m)
 
 
-def test_plcp_to_uso_error_is_singular_exactly_when_a_minor_vanishes():
-    """Random rationals, n <= 4: 'singular' iff the oracle finds a zero principal minor, else the oracle's result."""
+def test_plcp_to_uso_refuses_exactly_the_non_p_matrices():
+    """Random rationals, n <= 4, and their diagonally dominant shifts: refused iff not a P-matrix, else the oracle's result."""
     rng = np.random.default_rng(99)
-    kinds = {"singular": 0, "degenerate": 0, "orientation": 0}
+    kinds = {"refused": 0, "degenerate": 0, "orientation": 0}
     for _ in range(400):
         n = int(rng.integers(1, 5))
         m = RationalMatrix(_random_matrix(rng, n, 2, (1, 2)))
         q = tuple(Fraction(int(v), 2) for v in rng.integers(-2, 3, n))
-        inst = PLCPInstance(n, m, q)
-        if _vanishing_minors(m):
-            with pytest.raises(ValueError, match="singular"):
-                plcp_to_uso(inst)
-            kinds["singular"] += 1
-            continue
-        try:
-            want = plcp_to_uso_per_vertex(inst)
-        except DegenerateQ:
-            with pytest.raises(DegenerateQ):
-                plcp_to_uso(inst)
-            kinds["degenerate"] += 1
-            continue
-        assert plcp_to_uso(inst) == want
-        kinds["orientation"] += 1
-    assert min(kinds.values()) > 30
+        for matrix in (m, _dominant_shift(m)):
+            kinds[_against_oracles(PLCPInstance(n, matrix, q))] += 1
+    # 800 instances: over 400 P-matrix ones compared with the oracle, over 150 of each outcome
+    assert kinds["degenerate"] + kinds["orientation"] > 400 and min(kinds.values()) > 150, kinds
 
 
 @pytest.mark.parametrize("family", ["path", "star"])
