@@ -19,7 +19,6 @@ from usomat.matroid import containment_graph
 from usomat.plcp import (
     is_p_matrix,
     plcp_to_uso,
-    realization_matrix,
     solve_candidate,
     translate_to_plcp,
 )
@@ -39,13 +38,13 @@ print("flip set:", sorted(ext.flipped))
 print("nesting graph matches:", containment_graph(ext) == g)
 print("extension orientation matches:", canonicalize(extension_to_uso(ext)) == target)
 
-# Road three: place the elements on the moment curve.  Columns are
-# sign * (1, x, x^2) at increasing abscissae; splitting the matrix and
-# folding through the basis half gives M and q with exact fractions.
-v = realization_matrix(ext)
-print("\nmoment-curve matrix:")
-print(v.to_text())
-inst = translate_to_plcp(v, ext)
+# Road three: place the elements on the moment curve.  Element e at
+# position x_e contributes s_e * (1, x_e, x_e^2), with s_e = -1 on the
+# flip set.  In the basis of elements 1..3, a Vandermonde matrix with
+# signed columns, the other vectors give M and q in closed form.
+print("\npositions x_e:", ext.position)
+print("M[j][t] = -s_j s_t L_j(x_t), q_j = -s_j s_q L_j(x_q), L_j the Lagrange basis on x_1, x_2, x_3")
+inst = translate_to_plcp(ext)
 print("\nM =")
 print(inst.M.to_text())
 print("q =", " ".join(str(x) for x in inst.q))

@@ -50,7 +50,6 @@ from .plcp import (
     RationalMatrix,
     is_p_matrix,
     plcp_to_uso,
-    realization_matrix,
     solve_candidate,
     translate_to_plcp,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "RationalMatrix",
     "is_p_matrix",
     "plcp_to_uso",
-    "realization_matrix",
     "solve_candidate",
     "translate_to_plcp",
     "FAMILIES",

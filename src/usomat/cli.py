@@ -33,7 +33,7 @@ from .matousek import (
     extract_influence_graph,
 )
 from .matroid import extension_to_uso
-from .plcp import plcp_to_uso, realization_matrix, translate_to_plcp
+from .plcp import plcp_to_uso, translate_to_plcp
 from .random_facet import FAMILIES, family_graph, run_trials, stats_to_csv
 from .realizability import find_forbidden, is_branching_closure, synthesize_extension
 from .enumeration import all_dags
@@ -181,7 +181,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
         print(f"not realizable: {witness.kind} at {x},{y},{z}", file=sys.stderr)
         return 1
     ext = synthesize_extension(branching)
-    inst = translate_to_plcp(realization_matrix(ext), ext)
+    inst = translate_to_plcp(ext)
     problem = _route_problem("extension", extension_to_uso(ext), want)
     if problem is None:
         try:  # a P-matrix M is certified here: plcp_to_uso refuses any other

@@ -26,11 +26,6 @@ Q = "q"
 Element = Union[int, str]
 
 
-def complement(e: int, n: int) -> int:
-    """The partner of e in its complementary pair."""
-    return e + n if e <= n else e - n
-
-
 class CyclicExtension:
     """Permutation plus sign-flip data of a simple cyclic extension.
 

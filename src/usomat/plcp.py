@@ -1,10 +1,12 @@
 """Exact-rational linear complementarity instances from cyclic extensions.
 
 A cyclic extension is realized by vectors on the moment curve, one per
-element, negated for flip-set members.  Splitting the resulting n x (2n+1)
-matrix into the blocks of the first pair members, the second pair members
-and q turns the complementarity problem over the matroid into a standard
-LCP: find w, z >= 0 with w - M z = q and w^T z = 0.  All arithmetic is
+element, negated for flip-set members.  Writing the vectors of the second
+pair members and q in the basis of the first pair members turns the
+complementarity problem over the matroid into a standard LCP: find
+w, z >= 0 with w - M z = q and w^T z = 0.  That basis is a Vandermonde
+matrix with signed columns, so :func:`translate_to_plcp` reads M and q
+off the Lagrange basis on its nodes, in closed form.  All arithmetic is
 exact, so sign decisions are never at the mercy of floating point:
 Fractions at the boundary, Python ints in every elimination.  One
 fraction-free step, :func:`_pivot_step`, serves both the linear solves and
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from math import lcm, prod
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -169,48 +171,25 @@ class CandidateSolution:
         return all(x >= 0 for x in self.w) and all(x >= 0 for x in self.z)
 
 
-def realization_matrix(
-    ext: CyclicExtension, abscissae: Optional[Sequence[Fraction | int]] = None
-) -> RationalMatrix:
-    """Moment-curve vectors of all 2n+1 elements, flip-set columns negated.
+def translate_to_plcp(ext: CyclicExtension) -> PLCPInstance:
+    """The LCP data (M, q) of an extension's moment-curve realization, in closed form.
 
-    Column order is 1..n, n+1..2n, q.  The element on position p sits at
-    parameter abscissae[p-1] (default p) and contributes the powers
-    1, x, ..., x^(n-1).
+    Element e sits at x_e, its position, with sign s_e (-1 on the flip
+    set), and contributes s_e (1, x_e, ..., x_e^(n-1)).  Folding through
+    the basis of elements 1..n, a Vandermonde matrix with signed columns,
+    gives M[j][t] = -s_j s_t L_j(x_t) and q_j = -s_j s_q L_j(x_q), where
+    L_j is the Lagrange basis on the positions of elements 1..n.  With P
+    the product of (x - x_k) over those nodes, L_j(x_t) is
+    P(x_t) / ((x_t - x_j) P'(x_j)): one Fraction per entry, no elimination.
     """
-    n = ext.n
-    if abscissae is None:
-        xs = [Fraction(p) for p in range(1, 2 * n + 2)]
-    else:
-        xs = [Fraction(x) for x in abscissae]
-        if len(xs) != 2 * n + 1:
-            raise ValueError(f"need {2 * n + 1} abscissae, got {len(xs)}")
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ValueError("abscissae must be strictly increasing")
-    position = ext.position
-    cols = []
-    for e in list(range(1, 2 * n + 1)) + [Q]:
-        x = xs[position[e] - 1]
-        sign = -1 if e in ext.flipped else 1
-        cols.append([sign * x**k for k in range(n)])
-    return RationalMatrix([[cols[j][i] for j in range(2 * n + 1)] for i in range(n)])
-
-
-def translate_to_plcp(v: RationalMatrix, ext: Optional[CyclicExtension] = None) -> PLCPInstance:
-    """Fold a realization matrix into (M, q).
-
-    With V = [V_S | V_T | v_q] split after columns n and 2n, the basis
-    change to the first block gives M = -V_S^{-1} V_T and q = -V_S^{-1} v_q.
-    Passing the source extension just adds a dimension cross-check.
-    """
-    n = v.nrows
-    if v.ncols != 2 * n + 1:
-        raise ValueError(f"realization matrix must be {n}x{2 * n + 1}")
-    if ext is not None and ext.n != n:
-        raise ValueError(f"extension has n={ext.n}, matrix has n={n}")
-    v_s = RationalMatrix(row[:n] for row in v.rows)
-    folded = v_s.solve_matrix([[-x for x in row[n:]] for row in v.rows]).rows
-    return PLCPInstance(n, RationalMatrix(row[:n] for row in folded), tuple(row[n] for row in folded))
+    n, x = ext.n, ext.position
+    s = {e: -1 if e in ext.flipped else 1 for e in x}
+    nodes = range(1, n + 1)
+    cols = [*range(n + 1, 2 * n + 1), Q]
+    weight = [s[j] * prod(x[j] - x[k] for k in nodes if k != j) for j in nodes]  # s_j P'(x_j)
+    value = [s[t] * prod(x[t] - x[k] for k in nodes) for t in cols]  # s_t P(x_t)
+    rows = [[Fraction(-v, w * (x[t] - x[j])) for t, v in zip(cols, value)] for j, w in zip(nodes, weight)]
+    return PLCPInstance(n, RationalMatrix(row[:n] for row in rows), tuple(row[n] for row in rows))
 
 
 def _scaled_tableau(m: RationalMatrix, q: Sequence[Fraction] = ()) -> list[list[int]]:

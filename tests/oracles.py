@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -319,6 +319,50 @@ def plcp_to_uso_per_vertex(instance: PLCPInstance) -> Orientation:
                 out |= 1 << i
         table.append(out)
     return Orientation(n, tuple(table))
+
+
+def realization_matrix(
+    ext: CyclicExtension, abscissae: Optional[Sequence[Fraction | int]] = None
+) -> RationalMatrix:
+    """Moment-curve vectors of all 2n+1 elements, flip-set columns negated.
+
+    Column order is 1..n, n+1..2n, q.  The element on position p sits at
+    parameter abscissae[p-1] (default p) and contributes the powers
+    1, x, ..., x^(n-1).
+    """
+    n = ext.n
+    if abscissae is None:
+        xs = [Fraction(p) for p in range(1, 2 * n + 2)]
+    else:
+        xs = [Fraction(x) for x in abscissae]
+        if len(xs) != 2 * n + 1:
+            raise ValueError(f"need {2 * n + 1} abscissae, got {len(xs)}")
+        if any(a >= b for a, b in zip(xs, xs[1:])):
+            raise ValueError("abscissae must be strictly increasing")
+    position = ext.position
+    cols = []
+    for e in list(range(1, 2 * n + 1)) + [Q]:
+        x = xs[position[e] - 1]
+        sign = -1 if e in ext.flipped else 1
+        cols.append([sign * x**k for k in range(n)])
+    return RationalMatrix([[cols[j][i] for j in range(2 * n + 1)] for i in range(n)])
+
+
+def translate_by_elimination(v: RationalMatrix, ext: Optional[CyclicExtension] = None) -> PLCPInstance:
+    """Fold a realization matrix into (M, q) by eliminating its first block.
+
+    With V = [V_S | V_T | v_q] split after columns n and 2n, the basis
+    change to the first block gives M = -V_S^{-1} V_T and q = -V_S^{-1} v_q.
+    Passing the source extension just adds a dimension cross-check.
+    """
+    n = v.nrows
+    if v.ncols != 2 * n + 1:
+        raise ValueError(f"realization matrix must be {n}x{2 * n + 1}")
+    if ext is not None and ext.n != n:
+        raise ValueError(f"extension has n={ext.n}, matrix has n={n}")
+    v_s = RationalMatrix(row[:n] for row in v.rows)
+    folded = v_s.solve_matrix([[-x for x in row[n:]] for row in v.rows]).rows
+    return PLCPInstance(n, RationalMatrix(row[:n] for row in folded), tuple(row[n] for row in folded))
 
 
 def kernel_signs(columns: list[list[Fraction]]) -> list[int]:

@@ -29,7 +29,7 @@ from usomat import (
 )
 from usomat.enumeration import all_dags
 from usomat.matroid import Q, containment_graph, validate_conditions
-from usomat.plcp import is_p_matrix, plcp_to_uso, realization_matrix, translate_to_plcp
+from usomat.plcp import is_p_matrix, plcp_to_uso, translate_to_plcp
 from oracles import all_branchings, brute_force_sink, is_p_matroid
 
 
@@ -99,7 +99,7 @@ def test_04_three_construction_routes_agree():
             g = containment_graph(ext)
             via_graph = canonicalize(build_matousek(g))
             via_matroid = canonicalize(extension_to_uso(ext))
-            inst = translate_to_plcp(realization_matrix(ext), ext)
+            inst = translate_to_plcp(ext)
             via_lcp = canonicalize(plcp_to_uso(inst))
             assert via_graph == via_matroid == via_lcp
             count += 1
@@ -114,7 +114,7 @@ def test_05_translated_matrices_are_p_matrices():
     for n in (1, 2, 3, 4):
         for b in all_branchings(n):
             ext = synthesize_extension(b)
-            inst = translate_to_plcp(realization_matrix(ext), ext)
+            inst = translate_to_plcp(ext)
             assert is_p_matrix(inst.M)
             count += 1
     _report(5, f"all principal minors positive for every translated matrix, "

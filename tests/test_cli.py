@@ -335,7 +335,7 @@ def test_realize_names_the_lcp_route_when_it_refuses_m(tmp_path, capsys, monkeyp
     import usomat.cli
 
     inst = PLCPInstance(3, RationalMatrix(m), (Fraction(-1), Fraction(-2), Fraction(-3)))
-    monkeypatch.setattr(usomat.cli, "translate_to_plcp", lambda v, ext: inst)
+    monkeypatch.setattr(usomat.cli, "translate_to_plcp", lambda ext: inst)
     assert main(["realize", "--family", "path", "--n", "3", "--out", str(tmp_path / "path3")]) == 1
     captured = capsys.readouterr()
     assert "verification failed: LCP route: M is not a P-matrix" in captured.err

@@ -19,7 +19,6 @@ from usomat import (
     synthesize_extension,
     validate_conditions,
 )
-from usomat.matroid import complement
 from oracles import (
     SignedSet,
     all_branchings,
@@ -55,11 +54,6 @@ def test_signed_set_basics():
     assert s.sign(1) == 1 and s.sign(2) == -1 and s.sign(3) == 0
     with pytest.raises(ValueError):
         SignedSet(frozenset({1}), frozenset({1}))
-
-
-def test_complement_pairs():
-    assert complement(1, 3) == 4
-    assert complement(4, 3) == 1
 
 
 def test_extension_validation():
@@ -259,7 +253,7 @@ def scramble(ext, rng):
     n = ext.n
     swap = {i for i in range(1, n + 1) if rng.random() < 0.5}
     order = [
-        t if t == Q or (t if t <= n else t - n) not in swap else complement(t, n)
+        t if t == Q or (t if t <= n else t - n) not in swap else (t + n if t <= n else t - n)
         for t in ext.order
     ]
     flipped = set()

@@ -1,7 +1,7 @@
 import ast
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 
 import numpy as np
@@ -27,7 +27,6 @@ from usomat import (
     is_branching_closure,
     is_p_matrix,
     plcp_to_uso,
-    realization_matrix,
     solve_candidate,
     synthesize_extension,
     translate_to_plcp,
@@ -42,6 +41,8 @@ from oracles import (
     is_p_matrix_by_minors,
     kernel_signs,
     plcp_to_uso_per_vertex,
+    realization_matrix,
+    translate_by_elimination,
 )
 
 TRIVIAL = CyclicExtension(1, (1, 2, Q), {2})
@@ -150,7 +151,7 @@ def test_kernel_signs_match_reading_off():
 
 
 def test_translate_trivial():
-    inst = translate_to_plcp(realization_matrix(TRIVIAL), TRIVIAL)
+    inst = translate_to_plcp(TRIVIAL)
     assert inst.M.rows == ((Fraction(1),),)
     assert inst.q == (Fraction(-1),)
 
@@ -164,7 +165,7 @@ def test_translate_identity_blocks():
         cols.append([Fraction(-int(r == i)) for r in range(n)])
     cols.append([Fraction(-1)] * n)
     v = RationalMatrix([[cols[j][i] for j in range(2 * n + 1)] for i in range(n)])
-    inst = translate_to_plcp(v)
+    inst = translate_by_elimination(v)
     assert inst.M == identity_matrix(n)
     assert inst.q == (Fraction(1),) * n
 
@@ -172,9 +173,63 @@ def test_translate_identity_blocks():
 def test_translate_shape_checks():
     v = realization_matrix(TRIVIAL)
     with pytest.raises(ValueError):
-        translate_to_plcp(RationalMatrix([[1, 2]]))
+        translate_by_elimination(RationalMatrix([[1, 2]]))
     with pytest.raises(ValueError):
-        translate_to_plcp(v, CHAIN2)
+        translate_by_elimination(v, CHAIN2)
+
+
+def _same_as_elimination(ext: CyclicExtension) -> bool:
+    return translate_to_plcp(ext) == translate_by_elimination(realization_matrix(ext), ext)
+
+
+def test_closed_form_matches_elimination_on_every_extension_up_to_n2():
+    """All orders and flip sets, P-matroid or not: M = -V_S^-1 V_T needs only distinct positions."""
+    count = 0
+    for n in (1, 2):
+        tokens = [*range(1, 2 * n + 1), Q]
+        for order in permutations(tokens):
+            for flips in range(1 << 2 * n):
+                ext = CyclicExtension(n, order, [e for e in range(1, 2 * n + 1) if flips >> e - 1 & 1])
+                assert _same_as_elimination(ext), ext
+                count += 1
+    assert count == 1944
+
+
+def test_closed_form_matches_elimination_on_every_branching_up_to_n5():
+    count = 0
+    for n in range(1, 6):
+        for b in all_branchings(n):
+            assert _same_as_elimination(synthesize_extension(b)), b
+            count += 1
+    assert count == 1441
+
+
+def test_closed_form_matches_elimination_on_arbitrary_extensions():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        order = [*range(1, 2 * n + 1), Q]
+        rng.shuffle(order)
+        ext = CyclicExtension(n, order, [e for e in range(1, 2 * n + 1) if rng.random() < 0.5])
+        assert _same_as_elimination(ext), ext
+
+
+@pytest.mark.parametrize("family", ["path", "star"])
+def test_closed_form_matches_elimination_on_families_at_n32(family):
+    assert _same_as_elimination(synthesize_extension(is_branching_closure(FAMILIES[family](32))))
+
+
+def test_closed_form_residual_at_n64():
+    """V_S [M | q] = -[V_T | v_q] exactly, each column of [M | q] scaled to integers."""
+    n = 64
+    ext = synthesize_extension(is_branching_closure(FAMILIES["path"](n)))
+    inst = translate_to_plcp(ext)
+    v = [[int(x) for x in row] for row in realization_matrix(ext).rows]
+    for t, col in enumerate([*zip(*inst.M.rows), inst.q]):
+        scale = lcm(*(x.denominator for x in col))
+        ints = [int(x * scale) for x in col]
+        for row in v:
+            assert sum(a * b for a, b in zip(row, ints)) == -row[n + t] * scale
 
 
 def test_is_p_matrix_examples():
@@ -182,7 +237,7 @@ def test_is_p_matrix_examples():
     assert not is_p_matrix(RationalMatrix([[0, 1], [1, 0]]))
     assert not is_p_matrix(RationalMatrix([[1, 0], [0, -1]]))
     chain3 = synthesize_extension(Branching(3, {2: 1, 3: 2}))
-    inst = translate_to_plcp(realization_matrix(chain3), chain3)
+    inst = translate_to_plcp(chain3)
     assert is_p_matrix(inst.M)
 
 
@@ -195,12 +250,12 @@ def test_is_p_matrix_validation():
 
 def test_is_p_matrix_runs_past_n_12():
     """One cap for the pivot tree: the table cap that plcp_to_uso already runs under."""
-    m = _realize(synthesize_extension(is_branching_closure(FAMILIES["path"](13)))).M
+    m = translate_to_plcp(synthesize_extension(is_branching_closure(FAMILIES["path"](13)))).M
     assert is_p_matrix(m)
 
 
 def test_plcp_instance_json():
-    inst = translate_to_plcp(realization_matrix(CHAIN2), CHAIN2)
+    inst = translate_to_plcp(CHAIN2)
     again = PLCPInstance.from_json_obj(inst.to_json_obj())
     assert again == inst
     with pytest.raises(ValueError):
@@ -290,7 +345,7 @@ def test_plcp_to_uso_propagates_degenerate():
 
 def test_unique_feasible_candidate_is_sink():
     for ext in (TRIVIAL, CHAIN2, synthesize_extension(Branching(3, {2: 1}))):
-        inst = translate_to_plcp(realization_matrix(ext), ext)
+        inst = translate_to_plcp(ext)
         o = plcp_to_uso(inst)
         feasible = [
             v for v in range(1 << inst.n) if solve_candidate(inst, v).feasible
@@ -302,7 +357,7 @@ def test_pipeline_agrees_with_extension_uso():
     for n in (1, 2, 3):
         for b in all_branchings(n):
             ext = synthesize_extension(b)
-            inst = translate_to_plcp(realization_matrix(ext), ext)
+            inst = translate_to_plcp(ext)
             assert plcp_to_uso(inst) == extension_to_uso(ext)
 
 
@@ -313,7 +368,7 @@ def test_three_routes_agree_on_every_branching_n5():
         ext = synthesize_extension(b)
         via_graph = canonicalize(build_matousek(b.transitive_closure()))
         via_matroid = canonicalize(extension_to_uso(ext))
-        via_lcp = canonicalize(plcp_to_uso(translate_to_plcp(realization_matrix(ext), ext)))
+        via_lcp = canonicalize(plcp_to_uso(translate_to_plcp(ext)))
         assert via_graph == via_matroid == via_lcp, b
         count += 1
     assert count == 1296
@@ -324,30 +379,26 @@ def test_random_increasing_abscissae_same_uso():
     rng = np.random.default_rng(20240817)
     for b in all_branchings(3):
         ext = synthesize_extension(b)
-        base = plcp_to_uso(translate_to_plcp(realization_matrix(ext), ext))
+        base = plcp_to_uso(translate_to_plcp(ext))
         steps = rng.integers(1, 50, size=7)
         total = 0
         xs = []
         for s in steps:
             total += int(s)
             xs.append(Fraction(total, 7))
-        other = plcp_to_uso(translate_to_plcp(realization_matrix(ext, xs), ext))
+        other = plcp_to_uso(translate_by_elimination(realization_matrix(ext, xs), ext))
         assert other == base
 
 
 def test_chain_pipeline_canonicalizes_to_matousek():
-    inst = translate_to_plcp(realization_matrix(CHAIN2), CHAIN2)
+    inst = translate_to_plcp(CHAIN2)
     assert canonicalize(plcp_to_uso(inst)) == build_matousek(InfluenceGraph(2, [(1, 2)]))
-
-
-def _realize(ext: CyclicExtension) -> PLCPInstance:
-    return translate_to_plcp(realization_matrix(ext), ext)
 
 
 def test_cube_walk_matches_oracles_on_every_branching():
     for n in (1, 2, 3, 4):
         for b in all_branchings(n):
-            inst = _realize(synthesize_extension(b))
+            inst = translate_to_plcp(synthesize_extension(b))
             assert plcp_to_uso(inst) == plcp_to_uso_per_vertex(inst)
             assert is_p_matrix(inst.M) and is_p_matrix_by_minors(inst.M)
 
@@ -355,7 +406,7 @@ def test_cube_walk_matches_oracles_on_every_branching():
 @pytest.mark.parametrize("family", ["path", "star"])
 def test_cube_walk_matches_oracles_on_families(family):
     for n in range(1, 9):
-        inst = _realize(synthesize_extension(is_branching_closure(FAMILIES[family](n))))
+        inst = translate_to_plcp(synthesize_extension(is_branching_closure(FAMILIES[family](n))))
         assert plcp_to_uso(inst) == plcp_to_uso_per_vertex(inst)
         assert is_p_matrix(inst.M) and is_p_matrix_by_minors(inst.M)
 
@@ -415,7 +466,7 @@ def test_plcp_to_uso_certifies_the_sink(monkeypatch):
 
     monkeypatch.setattr(usomat.plcp, "solve_candidate", negated)
     with pytest.raises(ArithmeticError, match="disagree at vertex"):
-        plcp_to_uso(_realize(CHAIN2))
+        plcp_to_uso(translate_to_plcp(CHAIN2))
 
 
 def test_plcp_to_uso_refuses_past_the_cap_before_the_walk(monkeypatch):
@@ -572,7 +623,7 @@ def test_plcp_to_uso_refuses_exactly_the_non_p_matrices():
 @pytest.mark.parametrize("n", [5, 6])
 def test_p_matrix_with_a_degenerate_q_raises(family, n):
     """q = B_S x with x_r = 0 puts a zero basic component at vertex S, on the w side or the z side."""
-    m = _realize(synthesize_extension(is_branching_closure(FAMILIES[family](n)))).M
+    m = translate_to_plcp(synthesize_extension(is_branching_closure(FAMILIES[family](n)))).M
     assert is_p_matrix(m)
     rng = np.random.default_rng(n)
     for _ in range(6):

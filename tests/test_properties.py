@@ -170,11 +170,11 @@ def test_matrix_solve_verifies(size, data):
 @settings(max_examples=25)
 @given(influence_graphs(max_n=3))
 def test_realizable_graphs_round_trip_through_plcp(g):
-    from usomat.plcp import plcp_to_uso, realization_matrix, translate_to_plcp
+    from usomat.plcp import plcp_to_uso, translate_to_plcp
 
     b = is_branching_closure(g)
     if b is None:
         return
     ext = synthesize_extension(b)
-    inst = translate_to_plcp(realization_matrix(ext), ext)
+    inst = translate_to_plcp(ext)
     assert canonicalize(plcp_to_uso(inst)) == build_matousek(g)
