@@ -36,10 +36,10 @@ from .matroid import extension_to_uso
 from .plcp import plcp_to_uso, translate_to_plcp
 from .random_facet import FAMILIES, family_graph, run_trials, stats_to_csv
 from .realizability import find_forbidden, is_branching_closure, synthesize_extension
-from .enumeration import all_dags
+from .enumeration import block_acyclic, block_branching_closure, block_witness_free, dag_blocks
 
-ENUMERATE_CAP = 6  # 3781503 labeled DAGs: about 91 s for the census (Python 3.11, 2 CPUs), all_dags
-# alone 18 s; n = 7 has 1138779265 and would take hours
+ENUMERATE_CAP = 6  # 3781503 labeled DAGs: about 1 to 1.3 s for the census (Python 3.11, numpy 2.4,
+# 2 shared CPUs), dag_blocks alone 0.5 s; n = 7 has 1138779265, about 300 times as many
 
 
 def _read_json(path: str) -> object:
@@ -215,17 +215,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if not 1 <= n <= ENUMERATE_CAP:
         raise ValueError(f"--n must be between 1 and {ENUMERATE_CAP}")
     dags = uso_failures = realizable = mismatches = 0
-    for g in all_dags(n):
-        dags += 1
-        # build_matousek's orientation, without its own acyclicity check: is_uso decides that
-        if not is_uso(Orientation.from_rows(g.n, 0, g.rows)):
-            uso_failures += 1
-        witness_free = find_forbidden(g) is None
-        branching = is_branching_closure(g) is not None
-        if witness_free:
-            realizable += 1
-        if witness_free != branching:
-            mismatches += 1
+    for rows in dag_blocks(n):
+        # acyclic rows are what is_uso accepts for build_matousek's orientation
+        witness_free = block_witness_free(rows)
+        dags += len(rows)
+        uso_failures += int((~block_acyclic(rows)).sum())
+        realizable += int(witness_free.sum())
+        mismatches += int((witness_free != block_branching_closure(rows)).sum())
     if args.format == "csv":
         text = "n,dags,uso_failures,realizable,mismatches\n"
         text += f"{n},{dags},{uso_failures},{realizable},{mismatches}\n"

@@ -1,52 +1,186 @@
-"""Every labeled influence DAG at small n, each built exactly once.
+"""Every labeled influence DAG at small n, written once, as blocks of rows.
 
 Labeled DAG counts grow fast (1, 3, 25, 543, 29281, 3781503 for n = 1..6,
 OEIS A003024), so the generator is meant for desk-scale sweeps only.
-Every DAG splits into layers in exactly one way: its sinks, then the sinks
-of what is left, and so on.  A vertex above the bottom layer has at least
-one out-neighbour in the layer just below it and any out-neighbours
-further down.  Choosing the layers and then those out-rows writes each DAG
-once, with no filter and no deduplication.
+Deleting the last vertex of a DAG on m + 1 vertices leaves a DAG on m
+vertices, so every DAG is, in exactly one way, a smaller DAG plus a new
+vertex with out-set O and in-set I such that no path leads from O to I.
+A block carries the reachability masks of its DAGs, self included: the
+OR of the masks over O is reach(O), the pairs with reach(O) & I == 0 are
+kept, and the children's rows and masks follow by masked ORs.  Nothing
+is filtered out afterwards and nothing is deduplicated.
+
+A block is a numpy array with one line per DAG: column d - 1 holds the
+out-neighbour mask of dimension d with its loop bit, as in
+``InfluenceGraph.rows``, in the smallest unsigned dtype that holds n bits.
+The census classifies whole blocks with three bitwise passes.  Each is the
+batch form of a scalar predicate that the library keeps for the single
+graphs whose witnesses and branchings it needs: :func:`block_acyclic` of
+``rows_acyclic``, :func:`block_witness_free` of ``find_forbidden`` and
+:func:`block_branching_closure` of ``is_branching_closure``.  They read
+rows only, so they are defined on any digraph, cyclic ones included.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
-from .cube import Face, mask_to_dims
+import numpy as np
+
 from .matousek import InfluenceGraph
+
+BLOCK_BYTES = 1 << 18  # rows in one block: 42 DAGs on 5 vertices extended per pass at n = 6
+
+_ROW_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def row_dtype(n: int) -> np.dtype:
+    """The smallest unsigned integer dtype with n bits; ``ValueError`` past 64."""
+    for dtype in map(np.dtype, _ROW_DTYPES):
+        if n <= 8 * dtype.itemsize:
+            return dtype
+    raise ValueError(f"rows of {n} vertices do not fit in 64 bits")
+
+
+def dag_blocks(n: int) -> Iterator[np.ndarray]:
+    """Every acyclic digraph on vertices 1..n, each exactly once, as blocks of rows.
+
+    Each block has one line per DAG and holds at most ``BLOCK_BYTES`` of rows.
+    """
+    for cols, _ in _dag_columns(n):
+        yield cols.T
 
 
 def all_dags(n: int) -> Iterator[InfluenceGraph]:
-    """Every acyclic digraph on vertices 1..n, each exactly once."""
+    """Every acyclic digraph on vertices 1..n, each exactly once: the lines of :func:`dag_blocks`."""
+    for rows in dag_blocks(n):
+        for line in rows.tolist():
+            yield InfluenceGraph.from_rows(n, line)
+
+
+def _dag_columns(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of :func:`dag_blocks`, transposed, with the reach masks of their DAGs.
+
+    A transposed block has one line per vertex and one column per DAG, so
+    that every pass runs along the DAGs.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
-    for rows in _layers_above(0, (1 << n) - 1, 0, [0] * n):
-        yield InfluenceGraph.from_rows(n, rows)
+    single = np.ones((1, 1), row_dtype(n))
+    return _extensions(single, single, n)
 
 
-def _layers_above(layer: int, rest: int, lower: int, rows: list[int]) -> Iterator[list[int]]:
-    """Fill ``rows`` for the vertices in rest, stacked in layers above layer.
-
-    lower is the union of the layers below layer; layer 0 stands for the
-    floor under the sinks, whose rows are 0.  The one list is overwritten
-    in place and yielded whenever every vertex has its row.
-    """
-    if not rest:
-        yield rows
+def _extensions(
+    cols: np.ndarray, reach: np.ndarray, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The DAGs on n vertices that extend the given ones, with their reach masks."""
+    m, count = cols.shape
+    if m == n:
+        yield cols, reach
         return
-    choices = [
-        hit | other
-        for hit in Face(0, layer).vertices()
-        if hit
-        for other in Face(0, lower).vertices()
-    ] if layer else [0]
-    for top in Face(0, rest).vertices():
-        if not top:
-            continue
-        dims = mask_to_dims(top)
-        for picks in product(choices, repeat=len(dims)):
-            for d, row in zip(dims, picks):
-                rows[d - 1] = row
-            yield from _layers_above(top, rest ^ top, lower | layer, rows)
+    # (parent, O, I) candidates per pass, each a child of m + 1 masks if kept
+    budget = max(1, BLOCK_BYTES // (cols.itemsize * (m + 1)))
+    span = 1 << m  # choices of O, and of I
+    parents = max(1, budget // (span * span))
+    outs = min(span, max(1, budget // span))
+    ins = min(span, budget)
+    for p in range(0, count, parents):
+        for o in range(0, span, outs):
+            for i in range(0, span, ins):
+                yield from _extensions(
+                    *_children(
+                        cols[:, p : p + parents],
+                        reach[:, p : p + parents],
+                        _masks(o, min(outs, span - o), cols.dtype),
+                        _masks(i, min(ins, span - i), cols.dtype),
+                    ),
+                    n,
+                )
+
+
+def _masks(start: int, count: int, dtype: np.dtype) -> np.ndarray:
+    """The count masks start, start + 1, ... as an array."""
+    return np.arange(count, dtype=dtype) + dtype.type(start)
+
+
+def _children(
+    cols: np.ndarray, reach: np.ndarray, outs: np.ndarray, ins: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each parent with a new last vertex, for each out-set in outs and in-set in ins with no path between."""
+    m = len(cols)
+    dtype = cols.dtype
+    zero, one, new = dtype.type(0), dtype.type(1), dtype.type(1 << m)
+    shifts = np.arange(m, dtype=dtype)[:, None]
+    reach_out = np.zeros((cols.shape[1], len(outs)), dtype)
+    for j, in_out in enumerate((outs >> shifts) & one):
+        reach_out |= reach[j][:, None] * in_out
+    flat = np.flatnonzero((reach_out[:, :, None] & ins) == zero)
+    p, o = np.divmod(flat // len(ins), len(outs))
+    in_set = ins[flat % len(ins)]
+    new_reach = reach_out[p, o] | new
+    old_reach = reach[:, p]
+    child = np.empty((m + 1, len(flat)), dtype)
+    child[:m] = cols[:, p] | ((in_set >> shifts) & one) << dtype.type(m)
+    child[m] = outs[o] | new
+    child_reach = np.empty_like(child)
+    # an old vertex reaches the new one exactly when it reaches I, and then all the new one reaches
+    child_reach[:m] = old_reach | np.where((old_reach & in_set) != zero, new_reach, zero)
+    child_reach[m] = new_reach
+    return child, child_reach
+
+
+def _columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block transposed, so that each vertex's masks are contiguous, and 0..n-1 as a column."""
+    return np.ascontiguousarray(rows.T), np.arange(rows.shape[1], dtype=rows.dtype)[:, None]
+
+
+def _in_masks(cols: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """ins[y, k]: the vertices x with x -> y in graph k, y itself included."""
+    one = cols.dtype.type(1)
+    ins = np.zeros_like(cols)
+    for x, shift in enumerate(shifts[:, 0]):
+        ins |= ((cols[x] >> shifts) & one) << shift
+    return ins
+
+
+def block_acyclic(rows: np.ndarray) -> np.ndarray:
+    """``rows_acyclic`` of each line: strip every sink at once, one round per vertex."""
+    cols, shifts = _columns(rows)
+    zero, one = cols.dtype.type(0), cols.dtype.type(1)
+    others = cols & ~(one << shifts)
+    alive = np.full(len(rows), np.bitwise_or.reduce(one << shifts[:, 0]), cols.dtype)
+    for _ in shifts:
+        # a vertex is a sink when no live vertex besides itself is in its row
+        sinks = ((others & alive) == zero).astype(cols.dtype)
+        alive &= ~np.bitwise_or.reduce(sinks << shifts, axis=0)
+    return alive == zero
+
+
+def block_witness_free(rows: np.ndarray) -> np.ndarray:
+    """``find_forbidden(g) is None`` for each line: neither a G1 nor a G2 pattern."""
+    cols, shifts = _columns(rows)
+    zero, one = cols.dtype.type(0), cols.dtype.type(1)
+    ins = _in_masks(cols, shifts)
+    strict_ins = ins & ~(one << shifts)
+    reached = cols.copy()
+    ins_below = np.zeros_like(cols)
+    for y, shift in enumerate(shifts[:, 0]):
+        into_y = (cols >> shift) & one  # x -> y
+        reached |= into_y * cols[y]  # x -> y -> z
+        ins_below |= into_y * strict_ins[y]  # z -> y <- x, z != y
+    # no G1: the rows over row_x, which holds x itself, add nothing to it;
+    # no G2: every other in-neighbour of a vertex that x points to is related to x
+    transitive = (reached == cols).all(axis=0)
+    incomparable = ((ins_below & ~(cols | ins)) != zero).any(axis=0)
+    return transitive & ~incomparable
+
+
+def block_branching_closure(rows: np.ndarray) -> np.ndarray:
+    """``is_branching_closure(g) is not None`` for each line: each nonempty above_v is an in-mask."""
+    cols, shifts = _columns(rows)
+    ins = _in_masks(cols, shifts)
+    above = ins & ~(cols.dtype.type(1) << shifts)
+    parented = above == cols.dtype.type(0)
+    for u in range(len(cols)):
+        parented |= above == ins[u]
+    return parented.all(axis=0)

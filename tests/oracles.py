@@ -29,7 +29,10 @@ from usomat import (
     TrialStats,
     build_matousek,
     family_graph,
+    find_forbidden,
     global_sink,
+    is_branching_closure,
+    is_uso,
     random_facet,
     solve_candidate,
 )
@@ -641,6 +644,29 @@ def all_dags_by_orders(n: int) -> Iterator[InfluenceGraph]:
             seen.add(mask)
             edges = [pair for pair, b in pair_bit.items() if mask >> b & 1]
             yield InfluenceGraph(n, edges)
+
+
+def census_by_graphs(n: int) -> dict:
+    """The counts of ``usomat enumerate --n n``, one graph at a time through the scalar predicates."""
+    dags = uso_failures = realizable = mismatches = 0
+    for g in all_dags_by_orders(n):
+        dags += 1
+        # build_matousek's orientation, without its own acyclicity check: is_uso decides that
+        if not is_uso(Orientation.from_rows(g.n, 0, g.rows)):
+            uso_failures += 1
+        witness_free = find_forbidden(g) is None
+        branching = is_branching_closure(g) is not None
+        if witness_free:
+            realizable += 1
+        if witness_free != branching:
+            mismatches += 1
+    return {
+        "n": n,
+        "dags": dags,
+        "uso_failures": uso_failures,
+        "realizable": realizable,
+        "mismatches": mismatches,
+    }
 
 
 def all_branchings(n: int) -> Iterator[Branching]:

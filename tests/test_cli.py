@@ -440,10 +440,11 @@ def test_enumerate_json(capsys):
 
 
 def test_enumerate_counts_a_cyclic_graph_as_a_uso_failure(capsys, monkeypatch):
-    """is_uso decides acyclicity: a cyclic input is a counted failure, not an error line."""
+    """The acyclicity pass decides: a cyclic input is a counted failure, not an error line."""
     import usomat.cli
 
-    monkeypatch.setattr(usomat.cli, "all_dags", lambda n: iter([InfluenceGraph(2, [(1, 2), (2, 1)])]))
+    two_cycle = np.array([InfluenceGraph(2, [(1, 2), (2, 1)]).rows], dtype=np.uint8)
+    monkeypatch.setattr(usomat.cli, "dag_blocks", lambda n: iter([two_cycle]))
     assert main(["enumerate", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert "error:" not in captured.err
