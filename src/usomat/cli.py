@@ -36,10 +36,7 @@ from .matroid import extension_to_uso
 from .plcp import plcp_to_uso, translate_to_plcp
 from .random_facet import FAMILIES, family_graph, run_trials, stats_to_csv
 from .realizability import find_forbidden, is_branching_closure, synthesize_extension
-from .enumeration import block_acyclic, block_branching_closure, block_witness_free, dag_blocks
-
-ENUMERATE_CAP = 6  # 3781503 labeled DAGs: about 1 to 1.3 s for the census (Python 3.11, numpy 2.4,
-# 2 shared CPUs), dag_blocks alone 0.5 s; n = 7 has 1138779265, about 300 times as many
+from .enumeration import ENUMERATE_CAP, block_acyclic, block_branching_closure, block_witness_free, dag_blocks
 
 
 def _read_json(path: str) -> object:

@@ -1,7 +1,8 @@
 """Every labeled influence DAG at small n, written once, as blocks of rows.
 
 Labeled DAG counts grow fast (1, 3, 25, 543, 29281, 3781503 for n = 1..6,
-OEIS A003024), so the generator is meant for desk-scale sweeps only.
+OEIS A003024, then 1138779265 at n = 7), so the generator refuses n past
+``ENUMERATE_CAP``.
 Deleting the last vertex of a DAG on m + 1 vertices leaves a DAG on m
 vertices, so every DAG is, in exactly one way, a smaller DAG plus a new
 vertex with out-set O and in-set I such that no path leads from O to I.
@@ -12,7 +13,8 @@ is filtered out afterwards and nothing is deduplicated.
 
 A block is a numpy array with one line per DAG: column d - 1 holds the
 out-neighbour mask of dimension d with its loop bit, as in
-``InfluenceGraph.rows``, in the smallest unsigned dtype that holds n bits.
+``InfluenceGraph.rows``, as ``np.uint8``.  The generator stops at
+``ENUMERATE_CAP`` vertices, so eight bits always hold a row.
 The census classifies whole blocks with three bitwise passes.  Each is the
 batch form of a scalar predicate that the library keeps for the single
 graphs whose witnesses and branchings it needs: :func:`block_acyclic` of
@@ -29,23 +31,17 @@ import numpy as np
 
 from .matousek import InfluenceGraph
 
+ENUMERATE_CAP = 6  # 3781503 labeled DAGs: dag_blocks alone 0.6 to 0.7 s, the census 1.4 to 1.7 s
+# (Python 3.11, numpy 2.4, 2 shared CPUs); n = 7 has 1138779265, about 300 times as many
+
 BLOCK_BYTES = 1 << 18  # rows in one block: 42 DAGs on 5 vertices extended per pass at n = 6
-
-_ROW_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
-
-
-def row_dtype(n: int) -> np.dtype:
-    """The smallest unsigned integer dtype with n bits; ``ValueError`` past 64."""
-    for dtype in map(np.dtype, _ROW_DTYPES):
-        if n <= 8 * dtype.itemsize:
-            return dtype
-    raise ValueError(f"rows of {n} vertices do not fit in 64 bits")
 
 
 def dag_blocks(n: int) -> Iterator[np.ndarray]:
     """Every acyclic digraph on vertices 1..n, each exactly once, as blocks of rows.
 
-    Each block has one line per DAG and holds at most ``BLOCK_BYTES`` of rows.
+    Each block is a ``np.uint8`` array with one line per DAG and holds at most
+    ``BLOCK_BYTES`` of rows.  ``ValueError`` unless 1 <= n <= ``ENUMERATE_CAP``.
     """
     for cols, _ in _dag_columns(n):
         yield cols.T
@@ -64,9 +60,9 @@ def _dag_columns(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     A transposed block has one line per vertex and one column per DAG, so
     that every pass runs along the DAGs.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    single = np.ones((1, 1), row_dtype(n))
+    if not 1 <= n <= ENUMERATE_CAP:
+        raise ValueError(f"DAGs are enumerated for 1 to {ENUMERATE_CAP} vertices, not {n}")
+    single = np.ones((1, 1), np.uint8)
     return _extensions(single, single, n)
 
 
@@ -78,50 +74,30 @@ def _extensions(
     if m == n:
         yield cols, reach
         return
-    # (parent, O, I) candidates per pass, each a child of m + 1 masks if kept
-    budget = max(1, BLOCK_BYTES // (cols.itemsize * (m + 1)))
-    span = 1 << m  # choices of O, and of I
-    parents = max(1, budget // (span * span))
-    outs = min(span, max(1, budget // span))
-    ins = min(span, budget)
+    # (parent, O, I) candidates per pass, each a child of m + 1 one-byte masks if kept
+    parents = max(1, BLOCK_BYTES // ((m + 1) * 4**m))
+    masks = np.arange(1 << m, dtype=np.uint8)  # the choices of O, and of I
     for p in range(0, count, parents):
-        for o in range(0, span, outs):
-            for i in range(0, span, ins):
-                yield from _extensions(
-                    *_children(
-                        cols[:, p : p + parents],
-                        reach[:, p : p + parents],
-                        _masks(o, min(outs, span - o), cols.dtype),
-                        _masks(i, min(ins, span - i), cols.dtype),
-                    ),
-                    n,
-                )
+        yield from _extensions(*_children(cols[:, p : p + parents], reach[:, p : p + parents], masks), n)
 
 
-def _masks(start: int, count: int, dtype: np.dtype) -> np.ndarray:
-    """The count masks start, start + 1, ... as an array."""
-    return np.arange(count, dtype=dtype) + dtype.type(start)
-
-
-def _children(
-    cols: np.ndarray, reach: np.ndarray, outs: np.ndarray, ins: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each parent with a new last vertex, for each out-set in outs and in-set in ins with no path between."""
+def _children(cols: np.ndarray, reach: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each parent with a new last vertex, for each out-set O and in-set I in masks with no path from O to I."""
     m = len(cols)
-    dtype = cols.dtype
-    zero, one, new = dtype.type(0), dtype.type(1), dtype.type(1 << m)
-    shifts = np.arange(m, dtype=dtype)[:, None]
-    reach_out = np.zeros((cols.shape[1], len(outs)), dtype)
-    for j, in_out in enumerate((outs >> shifts) & one):
+    span = len(masks)
+    zero, one, new = np.uint8(0), np.uint8(1), np.uint8(1 << m)
+    shifts = np.arange(m, dtype=np.uint8)[:, None]
+    reach_out = np.zeros((cols.shape[1], span), np.uint8)
+    for j, in_out in enumerate((masks >> shifts) & one):
         reach_out |= reach[j][:, None] * in_out
-    flat = np.flatnonzero((reach_out[:, :, None] & ins) == zero)
-    p, o = np.divmod(flat // len(ins), len(outs))
-    in_set = ins[flat % len(ins)]
+    flat = np.flatnonzero((reach_out[:, :, None] & masks) == zero)
+    p, o = np.divmod(flat // span, span)
+    in_set = masks[flat % span]
     new_reach = reach_out[p, o] | new
     old_reach = reach[:, p]
-    child = np.empty((m + 1, len(flat)), dtype)
-    child[:m] = cols[:, p] | ((in_set >> shifts) & one) << dtype.type(m)
-    child[m] = outs[o] | new
+    child = np.empty((m + 1, len(flat)), np.uint8)
+    child[:m] = cols[:, p] | ((in_set >> shifts) & one) << np.uint8(m)
+    child[m] = masks[o] | new
     child_reach = np.empty_like(child)
     # an old vertex reaches the new one exactly when it reaches I, and then all the new one reaches
     child_reach[:m] = old_reach | np.where((old_reach & in_set) != zero, new_reach, zero)

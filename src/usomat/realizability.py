@@ -124,16 +124,6 @@ class Branching:
             out.append(v)
         return out
 
-    def descendants(self, v: int) -> set[int]:
-        """All strict descendants of v."""
-        out: set[int] = set()
-        stack = self.children(v)
-        while stack:
-            c = stack.pop()
-            out.add(c)
-            stack.extend(self.children(c))
-        return out
-
     def transitive_closure(self) -> InfluenceGraph:
         edges = [(a, v) for v in range(1, self.n + 1) for a in self.ancestors(v)]
         return InfluenceGraph(self.n, edges)
@@ -237,15 +227,18 @@ def synthesize_extension(b: Branching) -> CyclicExtension:
     """
     n = b.n
     order: list = []
+    flipped: list[int] = []
 
-    def emit(v: int) -> None:
+    def emit(v: int) -> int:
+        """Write v's subtree and return its size, v included."""
         order.append(v)
-        for c in b.children(v):
-            emit(c)
+        size = 1 + sum(emit(c) for c in b.children(v))
         order.append(v + n)
+        if size % 2 == 1:  # an even number of strict descendants
+            flipped.append(v + n)
+        return size
 
     for r in b.roots():
         emit(r)
     order.append(Q)
-    flipped = [v + n for v in range(1, n + 1) if len(b.descendants(v)) % 2 == 0]
     return CyclicExtension(n, order, flipped)

@@ -66,7 +66,6 @@ def test_branching_validation():
     assert b.roots() == [1]
     assert b.children(1) == [2]
     assert b.ancestors(3) == [2, 1]
-    assert b.descendants(1) == {2, 3}
     with pytest.raises(ValueError):
         Branching(2, {1: 2, 2: 1})
     with pytest.raises(ValueError):
