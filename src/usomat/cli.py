@@ -29,14 +29,13 @@ from .matousek import (
     InfluenceGraph,
     NotMatousekType,
     build_matousek,
-    canonicalize,
     extract_influence_graph,
 )
 from .matroid import extension_to_uso
 from .plcp import plcp_to_uso, translate_to_plcp
 from .random_facet import FAMILIES, family_graph, run_trials, stats_to_csv
 from .realizability import find_forbidden, is_branching_closure, synthesize_extension
-from .enumeration import ENUMERATE_CAP, block_acyclic, block_branching_closure, block_witness_free, dag_blocks
+from .enumeration import ENUMERATE_CAP, classify_block, dag_blocks
 
 
 def _read_json(path: str) -> object:
@@ -145,17 +144,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _route_problem(route: str, got: Orientation, want: Orientation) -> Optional[str]:
+def _route_problem(route: str, got: Orientation, g: InfluenceGraph) -> Optional[str]:
     """How one construction route's orientation differs from the graph's, or None.
 
-    Both canonical forms have o(0) = 0, so vertex {d} holds row d, and the
-    first differing row names the first vertex where the tables differ.
+    The canonical form of a Matousek USO is the orientation of its influence
+    graph, with o(0) = 0, so vertex {d} holds row d of the graph, and the
+    first differing row names the first vertex where the canonical forms differ.
     """
     try:
-        got = canonicalize(got)
+        rows = extract_influence_graph(got).rows
     except ValueError as exc:
         return f"{route} route gives no Matousek USO ({exc})"
-    for d, (mine, theirs) in enumerate(zip(got.rows, want.rows), start=1):
+    for d, (mine, theirs) in enumerate(zip(rows, g.rows), start=1):
         if mine != theirs:
             return (
                 f"{route} route disagrees with the graph at vertex {[d]} "
@@ -167,7 +167,7 @@ def _route_problem(route: str, got: Orientation, want: Orientation) -> Optional[
 
 def cmd_realize(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    want = build_matousek(g)  # a cyclic graph stops here with CyclicInfluence
+    build_matousek(g)  # a cyclic graph stops here with CyclicInfluence
     branching = is_branching_closure(g)
     if branching is None:
         witness = find_forbidden(g)
@@ -179,10 +179,10 @@ def cmd_realize(args: argparse.Namespace) -> int:
         return 1
     ext = synthesize_extension(branching)
     inst = translate_to_plcp(ext)
-    problem = _route_problem("extension", extension_to_uso(ext), want)
+    problem = _route_problem("extension", extension_to_uso(ext), g)
     if problem is None:
         try:  # a P-matrix M is certified here: plcp_to_uso refuses any other
-            problem = _route_problem("LCP", plcp_to_uso(inst), want)
+            problem = _route_problem("LCP", plcp_to_uso(inst), g)
         except ValueError as exc:
             problem = f"LCP route: {exc}"
     if problem is not None:
@@ -214,11 +214,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     dags = uso_failures = realizable = mismatches = 0
     for rows in dag_blocks(n):
         # acyclic rows are what is_uso accepts for build_matousek's orientation
-        witness_free = block_witness_free(rows)
+        acyclic, witness_free, closure = classify_block(rows)
         dags += len(rows)
-        uso_failures += int((~block_acyclic(rows)).sum())
+        uso_failures += int((~acyclic).sum())
         realizable += int(witness_free.sum())
-        mismatches += int((witness_free != block_branching_closure(rows)).sum())
+        mismatches += int((witness_free != closure).sum())
     if args.format == "csv":
         text = "n,dags,uso_failures,realizable,mismatches\n"
         text += f"{n},{dags},{uso_failures},{realizable},{mismatches}\n"

@@ -15,12 +15,12 @@ A block is a numpy array with one line per DAG: column d - 1 holds the
 out-neighbour mask of dimension d with its loop bit, as in
 ``InfluenceGraph.rows``, as ``np.uint8``.  The generator stops at
 ``ENUMERATE_CAP`` vertices, so eight bits always hold a row.
-The census classifies whole blocks with three bitwise passes.  Each is the
-batch form of a scalar predicate that the library keeps for the single
-graphs whose witnesses and branchings it needs: :func:`block_acyclic` of
-``rows_acyclic``, :func:`block_witness_free` of ``find_forbidden`` and
-:func:`block_branching_closure` of ``is_branching_closure``.  They read
-rows only, so they are defined on any digraph, cyclic ones included.
+The census classifies each block in one bitwise pass, :func:`classify_block`,
+which gives three verdicts per DAG.  Each is the batch form of a scalar
+predicate that the library keeps for the single graphs whose witnesses and
+branchings it needs: ``rows_acyclic``, ``find_forbidden`` and
+``is_branching_closure``.  The pass reads rows only, so it is defined on any
+digraph, cyclic ones included.
 """
 
 from __future__ import annotations
@@ -105,58 +105,43 @@ def _children(cols: np.ndarray, reach: np.ndarray, masks: np.ndarray) -> tuple[n
     return child, child_reach
 
 
-def _columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The block transposed, so that each vertex's masks are contiguous, and 0..n-1 as a column."""
-    return np.ascontiguousarray(rows.T), np.arange(rows.shape[1], dtype=rows.dtype)[:, None]
+def classify_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(acyclic, witness_free, branching_closure)`` for each line of a block.
 
-
-def _in_masks(cols: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """ins[y, k]: the vertices x with x -> y in graph k, y itself included."""
-    one = cols.dtype.type(1)
-    ins = np.zeros_like(cols)
+    These are ``rows_acyclic``, ``find_forbidden(g) is None`` and
+    ``is_branching_closure(g) is not None``, read off one transposed copy of
+    the block and one table of in-masks.
+    """
+    cols = np.ascontiguousarray(rows.T)  # each vertex's masks contiguous
+    zero, one = cols.dtype.type(0), cols.dtype.type(1)
+    shifts = np.arange(len(cols), dtype=cols.dtype)[:, None]
+    loops = one << shifts
+    ins = np.zeros_like(cols)  # ins[y, k]: the x with x -> y in graph k, y itself included
     for x, shift in enumerate(shifts[:, 0]):
         ins |= ((cols[x] >> shifts) & one) << shift
-    return ins
+    above = ins & ~loops
 
-
-def block_acyclic(rows: np.ndarray) -> np.ndarray:
-    """``rows_acyclic`` of each line: strip every sink at once, one round per vertex."""
-    cols, shifts = _columns(rows)
-    zero, one = cols.dtype.type(0), cols.dtype.type(1)
-    others = cols & ~(one << shifts)
-    alive = np.full(len(rows), np.bitwise_or.reduce(one << shifts[:, 0]), cols.dtype)
+    # acyclic: strip every sink at once, one round per vertex
+    others = cols & ~loops
+    alive = np.full(len(rows), np.bitwise_or.reduce(loops[:, 0]), cols.dtype)
     for _ in shifts:
         # a vertex is a sink when no live vertex besides itself is in its row
         sinks = ((others & alive) == zero).astype(cols.dtype)
         alive &= ~np.bitwise_or.reduce(sinks << shifts, axis=0)
-    return alive == zero
 
-
-def block_witness_free(rows: np.ndarray) -> np.ndarray:
-    """``find_forbidden(g) is None`` for each line: neither a G1 nor a G2 pattern."""
-    cols, shifts = _columns(rows)
-    zero, one = cols.dtype.type(0), cols.dtype.type(1)
-    ins = _in_masks(cols, shifts)
-    strict_ins = ins & ~(one << shifts)
     reached = cols.copy()
     ins_below = np.zeros_like(cols)
     for y, shift in enumerate(shifts[:, 0]):
         into_y = (cols >> shift) & one  # x -> y
         reached |= into_y * cols[y]  # x -> y -> z
-        ins_below |= into_y * strict_ins[y]  # z -> y <- x, z != y
+        ins_below |= into_y * above[y]  # z -> y <- x, z != y
     # no G1: the rows over row_x, which holds x itself, add nothing to it;
     # no G2: every other in-neighbour of a vertex that x points to is related to x
     transitive = (reached == cols).all(axis=0)
     incomparable = ((ins_below & ~(cols | ins)) != zero).any(axis=0)
-    return transitive & ~incomparable
 
-
-def block_branching_closure(rows: np.ndarray) -> np.ndarray:
-    """``is_branching_closure(g) is not None`` for each line: each nonempty above_v is an in-mask."""
-    cols, shifts = _columns(rows)
-    ins = _in_masks(cols, shifts)
-    above = ins & ~(cols.dtype.type(1) << shifts)
-    parented = above == cols.dtype.type(0)
-    for u in range(len(cols)):
-        parented |= above == ins[u]
-    return parented.all(axis=0)
+    # a branching closure: each nonempty above_v is some vertex's in-mask
+    parented = above == zero
+    for in_u in ins:
+        parented |= above == in_u
+    return alive == zero, transitive & ~incomparable, parented.all(axis=0)

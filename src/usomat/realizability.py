@@ -15,9 +15,10 @@ non-realizability of concrete orientations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import combinations
+from typing import Optional
 
-from .cube import Face, Orientation, mask_to_dims
+from .cube import Face, Orientation
 from .matousek import InfluenceGraph
 from .matroid import Q, CyclicExtension
 
@@ -163,57 +164,54 @@ def is_branching_closure(g: InfluenceGraph) -> Optional[Branching]:
     return Branching(n, parent)
 
 
-def _face_paths(o: Orientation, face: Face, src: int, dst: int) -> Iterator[tuple[int, ...]]:
-    """All simple directed paths src -> dst inside the face."""
-    path = [src]
-    on_path = {src}
-
-    def walk(v: int) -> Iterator[tuple[int, ...]]:
-        if v == dst:
-            yield tuple(path)
-            return
-        for d in mask_to_dims(face.spanning):
-            if not o.outmap(v) >> (d - 1) & 1:
-                continue
-            w = v ^ (1 << (d - 1))
-            if w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            yield from walk(w)
-            path.pop()
-            on_path.remove(w)
-
-    return walk(src)
-
-
 def holt_klee_3face(o: Orientation, face: Face) -> bool:
     """Three internally vertex-disjoint source-to-sink paths in a 3-face?
 
     Requires the face to be three-dimensional with a unique source and a
     unique sink; realizable orientations pass this on every 3-face.
+
+    By Menger's theorem the number of internally disjoint paths from the
+    source to a sink it does not point at is the fewest vertices, source and
+    sink excluded, whose removal cuts the sink off.  So three such paths
+    exist exactly when no two vertices cut it off.  When the source points
+    straight at the sink, that edge is one path with no interior; the other
+    two avoid it, so the edge is dropped and no single vertex may cut the
+    sink off.
     """
     if face.dimension != 3:
         raise ValueError(f"Holt-Klee screening needs a 3-face, got dimension {face.dimension}")
     if face.fixed | face.spanning >= 1 << o.n:
         raise ValueError(f"face {face} leaves the {o.n}-cube")
     span = face.spanning
-    sources = [v for v in face.vertices() if o.outmap(v) & span == span]
-    sinks = [v for v in face.vertices() if not o.outmap(v) & span]
+    out = {v: o.outmap(v) & span for v in face.vertices()}
+    sources = [v for v, m in out.items() if m == span]
+    sinks = [v for v, m in out.items() if not m]
     if len(sources) != 1 or len(sinks) != 1:
         raise ValueError("face restriction must have a unique source and sink")
     src, dst = sources[0], sinks[0]
-    paths = list(_face_paths(o, face, src, dst))
-    interiors = [frozenset(p[1:-1]) for p in paths]
-    for i in range(len(interiors)):
-        for j in range(i + 1, len(interiors)):
-            if interiors[i] & interiors[j]:
-                continue
-            ij = interiors[i] | interiors[j]
-            for k in range(j + 1, len(interiors)):
-                if not ij & interiors[k]:
-                    return True
-    return False
+    adjacent = (src ^ dst).bit_count() == 1
+    if adjacent:  # every edge at the source leaves it, so it points at the sink
+        out[src] ^= src ^ dst
+    inner = [v for v in out if v not in (src, dst)]
+    return not any(_cut_off(out, src, dst, cut) for cut in combinations(inner, 2 - adjacent))
+
+
+def _cut_off(out: dict[int, int], src: int, dst: int, removed: tuple[int, ...]) -> bool:
+    """No path src -> dst along the face's out-edges avoids the removed vertices?"""
+    seen = {src, *removed}
+    stack = [src]
+    while stack:
+        v = stack.pop()
+        edges = out[v]
+        while edges:
+            w = v ^ (edges & -edges)
+            edges &= edges - 1
+            if w == dst:
+                return False
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return True
 
 
 def synthesize_extension(b: Branching) -> CyclicExtension:
@@ -228,11 +226,14 @@ def synthesize_extension(b: Branching) -> CyclicExtension:
     n = b.n
     order: list = []
     flipped: list[int] = []
+    children: dict[int, list[int]] = {}
+    for c in sorted(b.parent):
+        children.setdefault(b.parent[c], []).append(c)
 
     def emit(v: int) -> int:
         """Write v's subtree and return its size, v included."""
         order.append(v)
-        size = 1 + sum(emit(c) for c in b.children(v))
+        size = 1 + sum(emit(c) for c in children.get(v, ()))
         order.append(v + n)
         if size % 2 == 1:  # an even number of strict descendants
             flipped.append(v + n)

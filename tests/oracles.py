@@ -19,6 +19,7 @@ from usomat import (
     Branching,
     CyclicExtension,
     CyclicInfluence,
+    Face,
     ForbiddenWitness,
     InfluenceGraph,
     NotMatousekType,
@@ -33,6 +34,7 @@ from usomat import (
     global_sink,
     is_branching_closure,
     is_uso,
+    mask_to_dims,
     random_facet,
     solve_candidate,
 )
@@ -502,6 +504,35 @@ def find_forbidden_by_triples(g: InfluenceGraph) -> ForbiddenWitness | None:
                 if not g.has_edge(y, z) and not g.has_edge(z, y):
                     return ForbiddenWitness("G2", (x, y, z))
     return None
+
+
+def holt_klee_by_paths(o: Orientation, face: Face) -> bool:
+    """Holt-Klee on a 3-face: every simple source-to-sink path, then a triple with disjoint interiors."""
+    if face.dimension != 3:
+        raise ValueError(f"Holt-Klee screening needs a 3-face, got dimension {face.dimension}")
+    if face.fixed | face.spanning >= 1 << o.n:
+        raise ValueError(f"face {face} leaves the {o.n}-cube")
+    span = face.spanning
+    sources = [v for v in face.vertices() if o.outmap(v) & span == span]
+    sinks = [v for v in face.vertices() if not o.outmap(v) & span]
+    if len(sources) != 1 or len(sinks) != 1:
+        raise ValueError("face restriction must have a unique source and sink")
+    src, dst = sources[0], sinks[0]
+    paths = []
+
+    def walk(path: list[int]) -> None:
+        v = path[-1]
+        if v == dst:
+            paths.append(tuple(path))
+            return
+        for d in mask_to_dims(span):
+            w = v ^ (1 << (d - 1))
+            if o.outmap(v) >> (d - 1) & 1 and w not in path:
+                walk(path + [w])
+
+    walk([src])
+    interiors = [frozenset(p[1:-1]) for p in paths]
+    return any(not (a & b or a & c or b & c) for a, b, c in combinations(interiors, 3))
 
 
 def containment_graph_by_positions(ext: CyclicExtension) -> InfluenceGraph:

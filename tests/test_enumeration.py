@@ -11,9 +11,7 @@ from usomat.enumeration import (
     ENUMERATE_CAP,
     _dag_columns,
     all_dags,
-    block_acyclic,
-    block_branching_closure,
-    block_witness_free,
+    classify_block,
     dag_blocks,
 )
 from usomat.matousek import InfluenceGraph
@@ -28,11 +26,6 @@ def test_all_dags_yields_each_dag_once(n, count):
     assert len(rows) == count
     assert len(set(rows)) == count
     assert set(rows) == {g.rows for g in all_dags_by_orders(n)}
-
-
-def test_all_dags_needs_a_vertex():
-    with pytest.raises(ValueError):
-        next(all_dags(0))
 
 
 def test_dags_are_enumerated_up_to_the_cap_only():
@@ -70,7 +63,7 @@ def every_digraph_block(n):
 
 
 def scalar_twins(n, rows):
-    """The scalar predicates that block_acyclic, block_witness_free and block_branching_closure batch."""
+    """The scalar predicates whose verdicts classify_block batches."""
     graphs = [InfluenceGraph.from_rows(n, line) for line in rows.tolist()]
     return [
         [is_uso(Orientation.from_rows(n, 0, g.rows)) for g in graphs],
@@ -80,7 +73,7 @@ def scalar_twins(n, rows):
 
 
 def block_passes(rows):
-    return [block_acyclic(rows).tolist(), block_witness_free(rows).tolist(), block_branching_closure(rows).tolist()]
+    return [verdicts.tolist() for verdicts in classify_block(rows)]
 
 
 def test_block_passes_match_their_scalar_twins_on_every_digraph_up_to_4():

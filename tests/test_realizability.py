@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from usomat import (
@@ -17,7 +19,7 @@ from usomat import (
 from usomat.enumeration import all_dags
 from usomat.matousek import orientation_from_rows
 from usomat.random_facet import FAMILIES, family_graph
-from oracles import all_branchings, find_forbidden_by_triples
+from oracles import all_branchings, find_forbidden_by_triples, holt_klee_by_paths
 
 G1 = InfluenceGraph(3, [(1, 2), (2, 3)])
 G2 = InfluenceGraph(3, [(1, 3), (2, 3)])
@@ -182,6 +184,39 @@ def test_realizable_n3_passes_holt_klee():
     for b in all_branchings(3):
         o = build_matousek(b.transitive_closure())
         assert holt_klee_3face(o, Face(0, 0b111))
+
+
+def every_3cube_orientation():
+    """All 2^12 edge-consistent orientations of the 3-cube, cyclic ones included."""
+    edges = [(v, 1 << d) for v in range(8) for d in range(3) if not v >> d & 1]
+    for picks in product((0, 1), repeat=len(edges)):
+        out = [0] * 8
+        for (v, bit), up in zip(edges, picks):
+            out[v if up else v | bit] |= bit
+        yield Orientation(3, tuple(out))
+
+
+def holt_klee_or_error(check, o, face):
+    try:
+        return check(o, face)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_holt_klee_cut_test_matches_the_path_search():
+    """The same verdict or the same error on every 3-cube orientation and every 3-face of the n = 4 DAG USOs."""
+    verdicts = {True: 0, False: 0}
+    for o in every_3cube_orientation():
+        got = holt_klee_or_error(holt_klee_3face, o, Face(0, 0b111))
+        assert got == holt_klee_or_error(holt_klee_by_paths, o, Face(0, 0b111))
+        if isinstance(got, bool):
+            verdicts[got] += 1
+    assert verdicts == {True: 1224, False: 144}  # the other 2,728 have no unique source and sink
+    faces = [Face(fixed, 0b1111 ^ 1 << d) for d in range(4) for fixed in (0, 1 << d)]
+    for g in all_dags(4):
+        o = build_matousek(g)
+        for face in faces:
+            assert holt_klee_or_error(holt_klee_3face, o, face) == holt_klee_or_error(holt_klee_by_paths, o, face)
 
 
 def test_witness_face_fails_holt_klee():
