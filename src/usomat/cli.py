@@ -273,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n",
         required=True,
         help=f"cube sizes, each in 1..{MAX_ROW_DIMENSION}: '8', '4,8,12' or '4..12' "
-        "(above n = 20 the orientations stay in row form and build no 2^n table)",
+        "(the orientations stay in row form and build no 2^n table)",
     )
     p.add_argument("--trials", type=int, default=1000, help="runs per cube size (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in every row (default 0)")

@@ -11,7 +11,9 @@ evaluated on any orientation.
 
 A small harness contrasts influence-graph families: realizable ones
 (loops, path closure, star) against a non-realizable cousin obtained by
-making two chain dimensions incomparable.
+making two chain dimensions incomparable.  It runs large blocks of
+trials in lockstep, one numpy lane per trial, each stepping its own
+PCG64 stream in numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cube import MAX_DIMENSION, MAX_ROW_DIMENSION, Orientation, global_sink
+from .cube import MAX_ROW_DIMENSION, Orientation, global_sink
 from .matousek import InfluenceGraph, build_matousek
 
 if TYPE_CHECKING:  # numpy.random is imported only by the functions that draw
@@ -47,6 +49,27 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
+
+# run_trials runs a seeding block of at least this many trials in lockstep
+# (random_facet_lanes) and smaller ones trial by trial.  numpy's call
+# overhead is paid once per step for all lanes, and a block takes as many
+# steps as its longest trial, so lockstep wins only with enough lanes.  The
+# break-even moves with n and the family, from under 512 lanes (loops,
+# star, path at n <= 8) to about 1,000 (path at n = 48 and 64); at 1,000
+# lockstep lost beyond noise for no family from n = 4 to 64 (README), and
+# bench's default of 1,000 trials runs in lockstep.
+_LOCKSTEP_MIN = 1000
+# numpy's PCG64: a 128-bit LCG, state * _PCG_MULT + inc, with XSL-RR output.
+# Every uint64 operand is a numpy uint64, so numpy 1.x's value-based
+# casting cannot turn a mixed expression into float64.
+_U64 = np.uint64
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO_1, _MULT_LO_0 = _U64(_PCG_MULT >> 32 & _MASK32), _U64(_PCG_MULT & _MASK32)
+_LOW32, _ONE = _U64(_MASK32), _U64(1)
+_BIT64 = np.left_shift(_ONE, np.arange(MAX_ROW_DIMENSION, dtype=np.uint64))
+_CHUNK = 12  # picks select a set bit through tables over 12-bit chunks of the span
+_CHUNK_MASK = _U64((1 << _CHUNK) - 1)
 
 
 @dataclass(frozen=True)
@@ -160,6 +183,146 @@ def random_facet(
     if out:
         raise ValueError(f"search ended on vertex {w} with a nonempty outmap: not a USO")
     return RfResult(w, leaves, n)
+
+
+def _pcg_seed(words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The PCG64 states (hi, lo, inc_hi, inc_lo) that rows of seeding words give.
+
+    As numpy seeds PCG64: initstate = w0 * 2^64 + w1, inc = 2 * (w2 * 2^64
+    + w3) + 1; the state starts at 0, steps, gains initstate and steps.
+    """
+    w0, w1, w2, w3 = words.T
+    inc_hi = (w2 << _ONE) | (w3 >> _U64(63))
+    inc_lo = (w3 << _ONE) | _ONE
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < w1)  # the carry of the low words
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """state * _PCG_MULT + inc mod 2^128, on 64-bit halves."""
+    # the high 64 bits of lo * _MULT_LO, from 32-bit halves
+    a0, a1 = lo & _LOW32, lo >> _U64(32)
+    p00, p01, p10 = a0 * _MULT_LO_0, a0 * _MULT_LO_1, a1 * _MULT_LO_0
+    mid = (p00 >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    lo_hi = a1 * _MULT_LO_1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = hi * _MULT_LO + lo * _MULT_HI + lo_hi + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _pcg_uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Generator.random() of a stepped state: XSL-RR output, top 53 bits scaled to [0, 1)."""
+    x = hi ^ lo
+    rot = hi >> _U64(58)
+    x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+    return (x >> _U64(11)) * 2.0**-53
+
+
+@cache
+def _select_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For every 12-bit chunk c: its popcount, and the positions of its set bits at c * 12 + rank."""
+    popcount = np.zeros(1, np.int8)
+    select = np.zeros((1, _CHUNK), np.int8)
+    for b in range(_CHUNK):  # the chunks c + 2^b: the set bits of c, then b
+        upper = select.copy()
+        upper[np.arange(len(upper)), popcount] = b
+        popcount = np.concatenate([popcount, popcount + 1])
+        select = np.concatenate([select, upper])
+    return popcount, select.ravel()
+
+
+def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``random_facet(o, start, row)`` for every row of seeding words, run in lockstep.
+
+    Returns the sinks (uint64) and the evaluation counts (int64), one per
+    row, equal to the per-row runs'.  Each row is one lane of numpy
+    arrays, and one loop step makes one pick and then one pop, where due,
+    for every live lane.  A lane steps its own PCG64 stream in numpy, so
+    the picks are the ones ``Generator(PCG64(row))`` draws.  The leaves'
+    outmaps step along the rows, so o must be Matousek-type; no table is
+    built.  The first lane that ends on a vertex with a nonempty outmap
+    raises random_facet's ValueError.
+    """
+    if o.rows is None:
+        raise ValueError("lockstep runs step along the rows; this orientation has none")
+    n, m = o.n, len(words)
+    popcount, select = _select_tables()
+    rows = np.array(o.rows, np.uint64)
+    hi, lo, inc_hi, inc_lo = _pcg_seed(words)
+    w = np.full(m, start, np.uint64)
+    out = np.full(m, o.outmap(start), np.uint64)
+    span = np.full(m, (1 << n) - 1, np.uint64)
+    k = np.full(m, n, np.int8)  # popcount of span
+    top = np.zeros(m, np.int8)
+    leaves = np.zeros(m, np.int64)
+    # stack entry (lane, j) at lane * n + j: a pick's dimension, the rest of
+    # its span and the rest's size, which is not n - j once a flip reused j
+    pick_dim = np.empty(m * n, np.int8)
+    pick_rest = np.empty(m * n, np.min_scalar_type((1 << n) - 1))
+    rest_size = np.empty(m * n, np.int8)
+    lane = np.arange(m)  # the row each position holds
+    sinks, outs, counts = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m, np.int64)
+    while len(lane):
+        # picks: lanes with a nonempty span draw idx and push its dimension
+        p = np.flatnonzero(k)
+        if len(p):
+            hi[p], lo[p] = h, l = _pcg_step(hi[p], lo[p], inc_hi[p], inc_lo[p])
+            kp = k[p]
+            # no clamp to k - 1, unlike random_facet: u = j * 2^-53 with j <
+            # 2^53, so u * k lies at least k * 2^-53 below k, more than half
+            # an ulp of the floats just below k, and rounds to one of them
+            idx = (_pcg_uniform(h, l) * kp).astype(np.int8)
+            # the idx-th lowest set bit of the span: step past each chunk
+            # holding at most idx set bits, then one gather in the chunk reached
+            sp = span[p]
+            s, base = sp, np.zeros(len(p), np.intp)
+            for _ in range(_CHUNK, n, _CHUNK):
+                c = popcount[(s & _CHUNK_MASK).astype(np.intp)]
+                past = idx >= c
+                idx = idx - c * past
+                s = np.where(past, s >> _U64(_CHUNK), s)
+                base += _CHUNK * past
+            d = select[(s & _CHUNK_MASK).astype(np.intp) * _CHUNK + idx] + base
+            span[p] = rest = sp & ~_BIT64[d]
+            k[p] = kp = kp - 1
+            tp = top[p]
+            at = p * n + tp
+            pick_dim[at], pick_rest[at], rest_size[at] = d, rest, kp
+            top[p] = tp + 1
+            leaves[p[kp == 0]] += 1
+        # pops: lanes at a leaf take their last pending facet, and cross into
+        # it when the facet sink leaves along its face's pick
+        q = np.flatnonzero((k == 0) & (top > 0))
+        if len(q):
+            top[q] = tq = top[q] - 1
+            at = q * n + tq
+            d = pick_dim[at]
+            bit = _BIT64[d]
+            oq = out[q]
+            cross = (oq & bit) != 0
+            f, d, at = q[cross], d[cross], at[cross]
+            w[f] ^= bit[cross]
+            out[f] = oq[cross] ^ rows[d]
+            span[f] = pick_rest[at]
+            k[f] = size = rest_size[at]
+            leaves[f[size == 0]] += 1  # a flip into an empty rest is a leaf too
+        done = (k == 0) & (top == 0)
+        if 2 * np.count_nonzero(done) >= len(lane):  # compact once half the lanes are done
+            ids = lane[done]
+            sinks[ids], outs[ids], counts[ids] = w[done], out[done], leaves[done]
+            live = ~done
+            lane, hi, lo, inc_hi, inc_lo, w, out, span, k, top, leaves = (
+                a[live] for a in (lane, hi, lo, inc_hi, inc_lo, w, out, span, k, top, leaves)
+            )
+            pick_dim, pick_rest, rest_size = (
+                a.reshape(-1, n)[live].ravel() for a in (pick_dim, pick_rest, rest_size)
+            )
+    bad = np.flatnonzero(outs)
+    if len(bad):
+        raise ValueError(f"search ended on vertex {sinks[bad[0]]} with a nonempty outmap: not a USO")
+    return sinks, counts
 
 
 def loops_family(n: int) -> InfluenceGraph:
@@ -290,20 +453,18 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
     Trial t uses the generator stream seeded by SeedSequence((seed, t)),
     so any prefix of the trial sequence is stable under a larger trial
     count and the whole run reproduces exactly.  The seeding words come
-    from trial_seed_words, 4,096 trials at a time.  Every returned sink is
-    checked against the known one.  The runs read the table up to n =
-    MAX_DIMENSION, and step along the flip rows above it, where no table
-    can be built.
+    from trial_seed_words, 4,096 trials at a time.  A block of at least
+    _LOCKSTEP_MIN = 1,000 trials runs in lockstep (random_facet_lanes), a
+    smaller one trial by trial (random_facet); both step along the flip
+    rows and build no 2^n table, and both give every trial the same picks.
+    Every returned sink is checked against the known one.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _int_words(seed)  # a negative seed fails here, before any trial
-    seed_row = _seed_row_type()
     out = []
     for n in n_list:
         o = build_matousek(family_graph(family, n))
-        if n <= MAX_DIMENSION:
-            o.outmaps  # build the table: the runs read it instead of XORing rows
         sink = global_sink(o)
         start = sink ^ ((1 << n) - 1)
         # exact running sums: memory stays constant in the trial count
@@ -311,16 +472,20 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
         low = 1 << n  # a run evaluates at most every vertex once
         for first in range(0, trials, _SEED_BLOCK):
             words = trial_seed_words(seed, first, min(_SEED_BLOCK, trials - first))
-            for t, row in enumerate(words, first):
-                res = random_facet(o, start, seed_row(row))
-                if res.sink != sink:
-                    raise RuntimeError(f"run {t} on n={n} returned {res.sink}, sink is {sink}")
-                x = res.evaluations
-                total += x
-                squares += x * x
-                low = min(low, x)
-                high = max(high, x)
-            del words, row  # free this block before the next is built: peak RSS holds one
+            if len(words) >= _LOCKSTEP_MIN:
+                sinks, counts = (a.tolist() for a in random_facet_lanes(o, start, words))
+            else:
+                seed_row = _seed_row_type()  # imports numpy.random
+                runs = [random_facet(o, start, seed_row(row)) for row in words]
+                sinks, counts = [r.sink for r in runs], [r.evaluations for r in runs]
+            for t, found in enumerate(sinks, first):
+                if found != sink:
+                    raise RuntimeError(f"run {t} on n={n} returned {found}, sink is {sink}")
+            total += sum(counts)
+            squares += sum(x * x for x in counts)
+            low = min(low, *counts)
+            high = max(high, *counts)
+            del words  # free this block before the next is built: peak RSS holds one
         out.append(
             TrialStats(
                 family=family,

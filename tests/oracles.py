@@ -249,7 +249,8 @@ def run_trials_by_seedsequence(
     """``usomat.run_trials`` with a fresh ``SeedSequence((seed, t))`` per trial.
 
     The library computes the same seeding words for a block of trials in
-    one numpy pass; this is the per-trial loop it replaced.
+    one numpy pass and runs large blocks in lockstep, on rows; this is the
+    per-trial loop it replaced, reading the table up to n = MAX_DIMENSION.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -202,8 +202,9 @@ def test_08_root_path_flips_preserve_realizability():
 
 
 def test_09_random_facet_always_finds_the_sink():
-    # run_trials re-checks every returned sink against the table scan and
-    # raises on the first mismatch, so completing cleanly means 100% correct
+    # run_trials re-checks every returned sink against global_sink's GF(2)
+    # solve and raises on the first mismatch, so completing cleanly means
+    # 100% correct
     total = 0
     stats_a = []
     for family in ("loops", "path", "star", "merged"):

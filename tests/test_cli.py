@@ -469,13 +469,14 @@ def test_console_script_installed():
     assert "usomat 0.1.0" in proc.stderr
 
 
-def test_commands_without_draws_leave_numpy_random_unloaded():
-    """Only the Random Facet functions import numpy.random, when they run."""
+def _numpy_random_loaded_after(argv: list[str]) -> bool:
+    """Whether ``usomat.cli.main(argv)`` in a fresh interpreter imports numpy.random."""
     script = (
-        "import sys, numpy\n"
+        "import io, sys, contextlib, numpy\n"
         "eager = 'numpy.random' in sys.modules\n"
         "import usomat, usomat.cli\n"
-        "code = usomat.cli.main(['enumerate', '--n', '3'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = usomat.cli.main({argv!r})\n"
         "print(code, eager, 'numpy.random' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(usomat.__file__))
@@ -486,4 +487,16 @@ def test_commands_without_draws_leave_numpy_random_unloaded():
     code, eager, loaded = proc.stdout.splitlines()[-1].split()
     if eager == "True":
         pytest.skip("this numpy imports numpy.random with numpy itself")
-    assert (code, loaded) == ("0", "False")
+    assert code == "0"
+    return loaded == "True"
+
+
+def test_commands_without_draws_leave_numpy_random_unloaded():
+    """Only the Random Facet functions import numpy.random, when they run."""
+    assert not _numpy_random_loaded_after(["enumerate", "--n", "3"])
+
+
+def test_lockstep_bench_leaves_numpy_random_unloaded():
+    """bench's default 1,000 trials step their PCG64 streams in numpy; 999 use numpy.random."""
+    assert not _numpy_random_loaded_after(["bench", "--family", "path", "--n", "4"])
+    assert _numpy_random_loaded_after(["bench", "--family", "path", "--n", "4", "--trials", "999"])

@@ -1,4 +1,5 @@
 import importlib
+import re
 from itertools import product
 
 import numpy as np
@@ -14,7 +15,19 @@ from usomat import (
     run_trials,
     stats_to_csv,
 )
-from usomat.random_facet import TrialStats, merged_family, path_family, trial_seed_words
+from usomat.cube import rows_acyclic
+from usomat.random_facet import (
+    _LOCKSTEP_MIN,
+    TrialStats,
+    _pcg_seed,
+    _pcg_step,
+    _pcg_uniform,
+    _select_tables,
+    merged_family,
+    path_family,
+    random_facet_lanes,
+    trial_seed_words,
+)
 from usomat.enumeration import all_dags
 from oracles import brute_force_sink, random_facet_by_memo, run_trials_by_seedsequence
 
@@ -204,10 +217,75 @@ def test_run_trials_matches_per_trial_seedsequence(family, seed):
     for trials in (1, 7):
         want = run_trials_by_seedsequence(family, sizes, trials, seed)
         assert run_trials(family, sizes, trials, seed) == want
-    n = 1 + sorted(FAMILIES).index(family)  # the counts around one seeding block at n <= 4
-    for trials in (4095, 4096, 4097):
+    # at n <= 4: either side of the lockstep threshold, and one lockstep
+    # block followed by a per-trial one
+    n = 1 + sorted(FAMILIES).index(family)
+    for trials in (_LOCKSTEP_MIN - 1, _LOCKSTEP_MIN, _LOCKSTEP_MIN + 1, 4097):
         want = run_trials_by_seedsequence(family, [n], trials, seed)
         assert run_trials(family, [n], trials, seed) == want
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_lanes_match_random_facet_trial_by_trial(family):
+    """n = 13 selects a pick in two 12-bit rounds, n = 21 is past the table cap, n = 64 uses bit 63."""
+    for n in (1, 2, 3, 4, 5, 6, 12, 13, 21, 64):
+        o = build_matousek(family_graph(family, n))
+        start = global_sink(o) ^ ((1 << n) - 1)
+        sinks, counts = random_facet_lanes(o, start, trial_seed_words(5, 0, 300))
+        runs = [random_facet(o, start, np.random.SeedSequence((5, t))) for t in range(300)]
+        assert (sinks.dtype, counts.dtype) == (np.uint64, np.int64)
+        assert sinks.tolist() == [r.sink for r in runs], (family, n)
+        assert counts.tolist() == [r.evaluations for r in runs], (family, n)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 + 1])
+def test_numpy_pcg64_matches_generator_random(seed):
+    trials = [*range(2048), *range(2**32 + 5, 2**32 + 2053)]
+    words = np.concatenate([trial_seed_words(seed, 0, 2048), trial_seed_words(seed, 2**32 + 5, 2048)])
+    hi, lo, inc_hi, inc_lo = _pcg_seed(words)
+    got = np.empty((len(words), 200))
+    for j in range(200):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        got[:, j] = _pcg_uniform(hi, lo)
+    want = np.array([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t)))).random(200)
+        for t in trials
+    ])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_select_tables_list_each_chunks_set_bits():
+    popcount, select = _select_tables()
+    for c in range(1 << 12):
+        bits = [d for d in range(12) if c >> d & 1]
+        assert popcount[c] == len(bits)
+        assert select[12 * c : 12 * c + len(bits)].tolist() == bits
+
+
+def test_lanes_on_cyclic_rows_match_random_facet():
+    """Each lane ends where random_facet does, or the first lane to fail raises its ValueError."""
+    rng = np.random.default_rng(11)
+    outcomes = {"returned": 0, "raised": 0}
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            rows = [1 << d | int(rng.integers(0, 1 << n)) for d in range(n)]
+            rows[0], rows[1] = rows[0] | 0b10, rows[1] | 0b01  # dimensions 1 and 2 influence each other
+            assert not rows_acyclic(rows)
+            o = Orientation.from_rows(n, int(rng.integers(0, 1 << n)), rows)
+            for start in range(1 << n):
+                runs = [_outcome(_kernel, o, start, np.random.SeedSequence((0, t))) for t in range(300)]
+                errors = [x for x in runs if isinstance(x, str)]
+                if errors:
+                    outcomes["raised"] += 1
+                    with pytest.raises(ValueError, match=re.escape(errors[0])):
+                        random_facet_lanes(o, start, trial_seed_words(0, 0, 300))
+                else:
+                    outcomes["returned"] += 1
+                    sinks, counts = random_facet_lanes(o, start, trial_seed_words(0, 0, 300))
+                    assert list(zip(sinks.tolist(), counts.tolist())) == runs
+    assert min(outcomes.values()) > 0, outcomes
+    with pytest.raises(ValueError, match="step along the rows"):
+        random_facet_lanes(Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5)), 0, trial_seed_words(0, 0, 2))
 
 
 def test_run_trials_seed_range(monkeypatch):

@@ -171,16 +171,22 @@ def test_non_matousek_tables_compare_by_table():
     assert flip_facet(twisted, 2).rows is None  # the dense route
 
 
-def test_run_trials_reads_a_table_wherever_one_can_exist(monkeypatch):
+def test_run_trials_reads_rows_only(monkeypatch):
     seen = []
 
-    def recording(o, start, seed):
-        seen.append((o.n, o.has_table))
-        return random_facet(o, start, seed)
+    def recording(search):
+        def run(o, start, seed):
+            seen.append((search.__name__, o.n, o.has_table))
+            return search(o, start, seed)
 
-    monkeypatch.setattr(rf, "random_facet", recording)
+        return run
+
+    monkeypatch.setattr(rf, "random_facet", recording(random_facet))
+    monkeypatch.setattr(rf, "random_facet_lanes", recording(rf.random_facet_lanes))
     rf.run_trials("path", [3, MAX_DIMENSION + 1], 2, 0)
-    assert seen == [(3, True), (3, True), (MAX_DIMENSION + 1, False), (MAX_DIMENSION + 1, False)]
+    rf.run_trials("path", [3], rf._LOCKSTEP_MIN, 0)
+    per_trial = [("random_facet", 3, False)] * 2 + [("random_facet", MAX_DIMENSION + 1, False)] * 2
+    assert seen == per_trial + [("random_facet_lanes", 3, False)]
 
 
 def test_tables_are_capped():
