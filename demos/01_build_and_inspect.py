@@ -22,7 +22,7 @@ from usomat import (
 empty = InfluenceGraph(3, [])
 uniform = build_matousek(empty)
 print("empty graph  ->", uniform.outmaps)
-print("same as uniform:", uniform == Orientation.uniform(3))
+print("same as uniform:", uniform == Orientation(3, range(8)))
 
 # A chain 1 -> 2 -> 3 (with 1 -> 3 so the graph is transitively closed).
 chain = InfluenceGraph(3, [(1, 2), (1, 3), (2, 3)])

@@ -15,7 +15,7 @@ from usomat import (
     holt_klee_3face,
     is_branching_closure,
 )
-from usomat.enumeration import all_dags
+from usomat.enumeration import dag_blocks
 
 # Pattern one: a path 1 -> 2 -> 3 whose shortcut edge 1 -> 3 is missing,
 # i.e. a transitivity violation.
@@ -41,9 +41,12 @@ print("\nHolt-Klee on witness USOs:",
       holt_klee_3face(build_matousek(g1), cube),
       holt_klee_3face(build_matousek(g2), cube))
 
+# dag_blocks writes every labeled DAG once, one line of out-neighbour
+# masks per graph, in numpy blocks.
+dags3 = [InfluenceGraph.from_rows(3, line) for block in dag_blocks(3) for line in block.tolist()]
 passing = sum(
     holt_klee_3face(build_matousek(g), cube)
-    for g in all_dags(3)
+    for g in dags3
     if find_forbidden(g) is None
 )
 print("witness-free n=3 graphs passing Holt-Klee:", passing, "of 16")
@@ -52,7 +55,8 @@ print("witness-free n=3 graphs passing Holt-Klee:", passing, "of 16")
 # the rooted-forest numbers 1, 3, 16, 125.
 for n in range(1, 5):
     total = realizable = 0
-    for g in all_dags(n):
-        total += 1
-        realizable += find_forbidden(g) is None
+    for block in dag_blocks(n):
+        for line in block.tolist():
+            total += 1
+            realizable += find_forbidden(InfluenceGraph.from_rows(n, line)) is None
     print(f"n={n}: {realizable} of {total} influence DAGs realizable")

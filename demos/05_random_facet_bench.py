@@ -15,7 +15,7 @@ from usomat import FAMILIES, build_matousek, global_sink, random_facet, run_tria
 o = build_matousek(FAMILIES["path"](8))
 res = random_facet(o, seed=7)
 print(f"path closure, n=8, seed 7: sink {res.sink} after "
-      f"{res.evaluations} evaluations (depth {res.recursion_depth})")
+      f"{res.evaluations} evaluations")
 print("true sink:", global_sink(o))
 
 # Means over many trials.  The loops family (no influences at all) is

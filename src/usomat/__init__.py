@@ -23,7 +23,6 @@ from .matousek import (
     InfluenceGraph,
     NotMatousekType,
     build_matousek,
-    canonicalize,
     extract_influence_graph,
     flip_facet,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "InfluenceGraph",
     "NotMatousekType",
     "build_matousek",
-    "canonicalize",
     "extract_influence_graph",
     "flip_facet",
     "Branching",

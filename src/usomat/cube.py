@@ -11,9 +11,8 @@ from a table is recognised by its constructor.  Every check below decides
 a Matousek-type orientation from its n+1 flip integers (see
 :class:`Orientation`) and reads the dense table only for orientations
 that are not of that type.  A table is built from rows only when
-``outmaps`` is read: for output, by code that reads a table vertex by
-vertex, and by ``run_trials``, whose search kernel reads a table up to
-``MAX_DIMENSION``.
+``outmaps`` is read: for output, and by code that reads a table vertex
+by vertex.
 """
 
 from __future__ import annotations
@@ -117,11 +116,6 @@ class Orientation:
         o = cls.__new__(cls)
         o.n, o.base, o.rows, o.mismatch, o._table = n, base, rows, None, None
         return o
-
-    @classmethod
-    def uniform(cls, n: int) -> "Orientation":
-        """The orientation o(v) = v: all edges point towards larger vertices."""
-        return cls(n, tuple(range(1 << n)))
 
     @property
     def outmaps(self) -> tuple[int, ...]:

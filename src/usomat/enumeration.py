@@ -29,8 +29,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .matousek import InfluenceGraph
-
 ENUMERATE_CAP = 6  # 3781503 labeled DAGs: dag_blocks alone 0.6 to 0.7 s, the census 1.4 to 1.7 s
 # (Python 3.11, numpy 2.4, 2 shared CPUs); n = 7 has 1138779265, about 300 times as many
 
@@ -45,13 +43,6 @@ def dag_blocks(n: int) -> Iterator[np.ndarray]:
     """
     for cols, _ in _dag_columns(n):
         yield cols.T
-
-
-def all_dags(n: int) -> Iterator[InfluenceGraph]:
-    """Every acyclic digraph on vertices 1..n, each exactly once: the lines of :func:`dag_blocks`."""
-    for rows in dag_blocks(n):
-        for line in rows.tolist():
-            yield InfluenceGraph.from_rows(n, line)
 
 
 def _dag_columns(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

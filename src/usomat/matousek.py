@@ -134,16 +134,6 @@ class InfluenceGraph:
         return "\n".join(lines) + "\n"
 
 
-def orientation_from_rows(n: int, rows: Iterable[int]) -> Orientation:
-    """Raw edge-flip orientation: outmap(v) = XOR of the rows of the dimensions in v.
-
-    Loop bits are added, so it is always edge-consistent.  For acyclic rows
-    this is the Matousek USO; for cyclic rows the result is a valid
-    orientation that fails the USO check.  Row form: no table is built.
-    """
-    return Orientation.from_rows(n, 0, InfluenceGraph.from_rows(n, rows).rows)
-
-
 def build_matousek(g: InfluenceGraph) -> Orientation:
     """The unique orientation with sink at the empty vertex generated by g, in row form.
 
@@ -177,16 +167,6 @@ def extract_influence_graph(o: Orientation) -> InfluenceGraph:
     if not g.is_acyclic():
         raise CyclicInfluence(f"constant flip pattern but cyclic: {list(g.edges)}")
     return g
-
-
-def canonicalize(o: Orientation) -> Orientation:
-    """Mirror a Matousek-type USO along its sink, moving the sink to the empty vertex.
-
-    With sink s, o(v xor s) = o(s) xor X(v) = X(v), where X(v) is the XOR
-    of the flip rows of the dimensions in v; so the result is
-    build_matousek(extract_influence_graph(o)): the same rows, base 0.
-    """
-    return orientation_from_rows(o.n, extract_influence_graph(o).rows)
 
 
 def flip_facet(o: Orientation, d: int, upper: bool = False) -> Orientation:

@@ -88,10 +88,6 @@ class RationalMatrix:
         """Rows of whitespace-separated fractions, one line per row."""
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
-    def solve(self, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        """Exact solution of A x = rhs for square invertible A."""
-        return tuple(row[0] for row in self.solve_matrix([[b] for b in rhs]).rows)
-
     def solve_matrix(self, rhs: "RationalMatrix | Sequence[Sequence[Fraction | int]]") -> "RationalMatrix":
         """Exact X with A X = B, by fraction-free Gauss-Jordan on the integer [A | B].
 
@@ -291,7 +287,7 @@ def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
         raise ValueError(f"vertex {vertex} out of range for n={n}")
     m = instance.M.rows
     basis = RationalMatrix([-m[r][i] if vertex >> i & 1 else int(r == i) for i in range(n)] for r in range(n))
-    x = basis.solve(instance.q)
+    x = [row[0] for row in basis.solve_matrix([[b] for b in instance.q]).rows]
     if any(val == 0 for val in x):
         raise DegenerateQ(f"zero component in the basic solution at vertex {vertex}")
     w = tuple(Fraction(0) if vertex >> i & 1 else x[i] for i in range(n))

@@ -33,7 +33,10 @@ if TYPE_CHECKING:  # numpy.random is imported only by the functions that draw
     from numpy.random.bit_generator import ISeedSequence
 
 # Each float64 uniform takes one 64-bit PCG64 output, so the picks are the
-# same for any block size; small blocks waste less on short runs.
+# same for any block size; small blocks waste less on short runs.  A pick
+# int(u * k) needs no clamp to k - 1: u = j * 2^-53 with j < 2^53, so u * k
+# lies at least k * 2^-53 below k, more than half an ulp of the floats just
+# below k, and rounds to one of them.
 _UNIFORM_BLOCK = 32
 _BITS = tuple(1 << d for d in range(MAX_ROW_DIMENSION))  # a search starts on span _BITS[:n]
 
@@ -78,7 +81,6 @@ class RfResult:
 
     sink: int
     evaluations: int
-    recursion_depth: int  # always n: the first descent runs down to a 0-face
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,6 @@ def random_facet(
         while k:
             idx = int(uniforms[used] * k)
             used += 1
-            if idx == k:
-                idx -= 1
             rest = span[:idx] + span[idx + 1 :]
             pending.append((span[idx], rest))
             span = rest
@@ -182,7 +182,7 @@ def random_facet(
 
     if out:
         raise ValueError(f"search ended on vertex {w} with a nonempty outmap: not a USO")
-    return RfResult(w, leaves, n)
+    return RfResult(w, leaves)
 
 
 def _pcg_seed(words: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -270,10 +270,7 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
         if len(p):
             hi[p], lo[p] = h, l = _pcg_step(hi[p], lo[p], inc_hi[p], inc_lo[p])
             kp = k[p]
-            # no clamp to k - 1, unlike random_facet: u = j * 2^-53 with j <
-            # 2^53, so u * k lies at least k * 2^-53 below k, more than half
-            # an ulp of the floats just below k, and rounds to one of them
-            idx = (_pcg_uniform(h, l) * kp).astype(np.int8)
+            idx = (_pcg_uniform(h, l) * kp).astype(np.int8)  # below k: see the note at _UNIFORM_BLOCK
             # the idx-th lowest set bit of the span: step past each chunk
             # holding at most idx set bits, then one gather in the chunk reached
             sp = span[p]

@@ -114,9 +114,6 @@ class Branching:
     def roots(self) -> list[int]:
         return [v for v in range(1, self.n + 1) if v not in self.parent]
 
-    def children(self, v: int) -> list[int]:
-        return sorted(c for c, p in self.parent.items() if p == v)
-
     def ancestors(self, v: int) -> list[int]:
         """Path from v up to its root, excluding v itself."""
         out = []

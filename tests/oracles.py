@@ -38,6 +38,7 @@ from usomat import (
     random_facet,
     solve_candidate,
 )
+from usomat.enumeration import dag_blocks
 
 P_MATROID_BRUTE_FORCE_CAP = 8  # n 2^(n-1) almost-complementary supports
 CIRCUIT_AXIOM_CAP = 3  # full circuit list has 2 C(2n+1, n+1) members
@@ -107,6 +108,11 @@ def transitive_closure(g: InfluenceGraph) -> InfluenceGraph:
 
 def identity_matrix(k: int) -> RationalMatrix:
     return RationalMatrix([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+
+
+def orientation_from_rows(n: int, rows: Iterable[int]) -> Orientation:
+    """The edge-flip orientation of any rows, loop bits added; a USO exactly when they are acyclic."""
+    return Orientation.from_rows(n, 0, InfluenceGraph.from_rows(n, rows).rows)
 
 
 def edge_consistent_scan(o: Orientation) -> bool:
@@ -645,6 +651,13 @@ def verify_circuit_axioms(ext: CyclicExtension) -> bool:
 
 
 # -- exhaustive generators, by filtering ------------------------------------
+
+
+def all_dags(n: int) -> Iterator[InfluenceGraph]:
+    """Every acyclic digraph on vertices 1..n, each exactly once: the lines of ``dag_blocks``."""
+    for rows in dag_blocks(n):
+        for line in rows.tolist():
+            yield InfluenceGraph.from_rows(n, line)
 
 
 def all_dags_by_orders(n: int) -> Iterator[InfluenceGraph]:

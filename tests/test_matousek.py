@@ -6,15 +6,12 @@ from usomat import (
     NotMatousekType,
     Orientation,
     build_matousek,
-    canonicalize,
     extract_influence_graph,
     flip_facet,
     global_sink,
     is_uso,
 )
-from usomat.enumeration import all_dags
-from usomat.matousek import orientation_from_rows
-from oracles import Isomorphism, apply_isomorphism, transitive_closure
+from oracles import Isomorphism, all_dags, apply_isomorphism, orientation_from_rows, transitive_closure
 
 TWISTED = Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5))  # USO but not Matousek-type
 
@@ -72,7 +69,7 @@ def test_dot_marks_transitive_edges():
 
 
 def test_build_loops_only_gives_uniform():
-    assert build_matousek(InfluenceGraph(2)) == Orientation.uniform(2)
+    assert build_matousek(InfluenceGraph(2)) == Orientation(2, range(4))
 
 
 def test_build_single_edge_table():
@@ -101,7 +98,7 @@ def test_cyclic_rows_give_non_uso():
 
 
 def test_extract_uniform():
-    g = extract_influence_graph(Orientation.uniform(3))
+    g = extract_influence_graph(Orientation(3, range(8)))
     assert g.edges == ()
 
 
@@ -132,50 +129,58 @@ def test_extract_rejects_inconsistent_table():
         extract_influence_graph(Orientation(1, (0, 0)))
 
 
+# The canonical form of a Matousek-type USO, its mirror along the sink, is
+# build_matousek(extract_influence_graph(o)): two orientations have the same
+# canonical form exactly when the same graph is read off both.
+
+
 def test_canonicalize_fixed_point():
     o = build_matousek(chain_closure(3))
-    assert canonicalize(o) == o
+    assert build_matousek(extract_influence_graph(o)) == o
 
 
 def test_canonicalize_undoes_mirror():
     o = build_matousek(InfluenceGraph(3, [(1, 2), (1, 3)]))
     for mirror in range(8):
         mirrored = apply_isomorphism(o, Isomorphism.mirror_only(mirror, 3))
-        assert canonicalize(mirrored) == o
+        assert extract_influence_graph(mirrored) == extract_influence_graph(o)
 
 
 def test_canonicalize_moves_sink():
     mirrored = Orientation(2, (3, 2, 1, 0))
     assert global_sink(mirrored) != 0
-    assert canonicalize(mirrored) == Orientation.uniform(2)
+    assert build_matousek(extract_influence_graph(mirrored)) == Orientation(2, range(4))
 
 
 def test_canonicalize_matches_the_mirror_route_n4():
-    """Rebuilding from the rows equals mirroring along the sink, for every sink."""
+    """The graph read off is the one of the mirror along the sink, for every sink."""
     checked = 0
     for g in all_dags(4):
         o = build_matousek(g)
         for mirror in range(16):
             mirrored = apply_isomorphism(o, Isomorphism.mirror_only(mirror, 4))
             by_mirror = apply_isomorphism(mirrored, Isomorphism.mirror_only(global_sink(mirrored), 4))
-            assert canonicalize(mirrored) == by_mirror == o
+            assert by_mirror == o
+            assert extract_influence_graph(mirrored) == extract_influence_graph(by_mirror) == g
             checked += 1
     assert checked == 543 * 16
 
 
 def test_canonicalize_rejects_non_matousek():
-    with pytest.raises(NotMatousekType):
-        canonicalize(TWISTED)
+    for mirror in range(8):
+        mirrored = apply_isomorphism(TWISTED, Isomorphism.mirror_only(mirror, 3))
+        with pytest.raises(NotMatousekType):
+            build_matousek(extract_influence_graph(mirrored))
 
 
 def test_flip_facet_n1_is_identity():
-    o = Orientation.uniform(1)
+    o = Orientation(1, range(2))
     assert flip_facet(o, 1, upper=False) == o
     assert flip_facet(o, 1, upper=True) == o
 
 
 def test_flip_facet_adds_influence_edge():
-    o = flip_facet(Orientation.uniform(2), 1, upper=False)
+    o = flip_facet(Orientation(2, range(4)), 1, upper=False)
     assert extract_influence_graph(o) == InfluenceGraph(2, [(1, 2)])
 
 
@@ -195,7 +200,7 @@ def test_flip_facet_opposite_facets_commute():
 
 def test_flip_facet_range():
     with pytest.raises(ValueError):
-        flip_facet(Orientation.uniform(2), 3)
+        flip_facet(Orientation(2, range(4)), 3)
 
 
 def test_flip_facet_can_break_uso():

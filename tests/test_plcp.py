@@ -20,9 +20,9 @@ from usomat import (
     Q,
     RationalMatrix,
     build_matousek,
-    canonicalize,
     containment_graph,
     extension_to_uso,
+    extract_influence_graph,
     global_sink,
     is_branching_closure,
     is_p_matrix,
@@ -66,10 +66,10 @@ def test_matrix_shape_validation():
 
 def test_matrix_solve():
     a = RationalMatrix([[2, 1], [1, 3]])
-    x = a.solve([5, 10])
-    assert x == (Fraction(1), Fraction(3))
-    with pytest.raises(ValueError):
-        RationalMatrix([[1, 2], [2, 4]]).solve([1, 1])
+    x = a.solve_matrix([[5], [10]])
+    assert x == RationalMatrix([[1], [3]])
+    with pytest.raises(ValueError, match="singular"):
+        RationalMatrix([[1, 2], [2, 4]]).solve_matrix([[1], [1]])
 
 
 def test_matrix_solve_matrix_inverse():
@@ -327,7 +327,7 @@ def test_solve_candidate_range():
 
 def test_plcp_to_uso_identity():
     inst = PLCPInstance(3, identity_matrix(3), (Fraction(1),) * 3)
-    assert plcp_to_uso(inst) == Orientation.uniform(3)
+    assert plcp_to_uso(inst) == Orientation(3, range(8))
 
 
 def test_plcp_to_uso_trivial():
@@ -362,13 +362,13 @@ def test_pipeline_agrees_with_extension_uso():
 
 
 def test_three_routes_agree_on_every_branching_n5():
-    """Graph, extension and LCP give one canonical USO for each of the 6^4 branchings at n = 5."""
+    """Graph, extension and LCP read off one influence graph for each of the 6^4 branchings at n = 5."""
     count = 0
     for b in all_branchings(5):
         ext = synthesize_extension(b)
-        via_graph = canonicalize(build_matousek(b.transitive_closure()))
-        via_matroid = canonicalize(extension_to_uso(ext))
-        via_lcp = canonicalize(plcp_to_uso(translate_to_plcp(ext)))
+        via_graph = extract_influence_graph(build_matousek(b.transitive_closure()))
+        via_matroid = extract_influence_graph(extension_to_uso(ext))
+        via_lcp = extract_influence_graph(plcp_to_uso(translate_to_plcp(ext)))
         assert via_graph == via_matroid == via_lcp, b
         count += 1
     assert count == 1296
@@ -392,7 +392,7 @@ def test_random_increasing_abscissae_same_uso():
 
 def test_chain_pipeline_canonicalizes_to_matousek():
     inst = translate_to_plcp(CHAIN2)
-    assert canonicalize(plcp_to_uso(inst)) == build_matousek(InfluenceGraph(2, [(1, 2)]))
+    assert extract_influence_graph(plcp_to_uso(inst)) == InfluenceGraph(2, [(1, 2)])
 
 
 def test_cube_walk_matches_oracles_on_every_branching():

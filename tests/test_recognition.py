@@ -26,12 +26,12 @@ from usomat import (
     is_uso,
 )
 from usomat.cube import matousek_rows, xor_table
-from usomat.matousek import orientation_from_rows
 from usomat.random_facet import path_family
 from oracles import (
     edge_consistent_scan,
     extract_influence_graph_by_scan,
     matousek_rows_by_rebuild,
+    orientation_from_rows,
     sink_by_scan,
     szabo_welzl_pairs,
 )
