@@ -41,9 +41,11 @@ _UNIFORM_BLOCK = 32
 _BITS = tuple(1 << d for d in range(MAX_ROW_DIMENSION))  # a search starts on span _BITS[:n]
 
 # run_trials seeds trials [k * _SEED_BLOCK, (k + 1) * _SEED_BLOCK) in one
-# pass: memory stays constant in the trial count, and since 2^32 is a
-# multiple of the block, no block holds trial numbers of two word counts.
-_SEED_BLOCK = 4096
+# pass and runs them as one lockstep block: memory stays constant in the
+# trial count, and since 2^32 is a multiple of the block, no block holds
+# trial numbers of two word counts.  A block pays once for the steps of its
+# longest trial, so bench's 10,000 trials per n run as one block, not three.
+_SEED_BLOCK = 16384
 # numpy's SeedSequence constants: a 4-word pool of uint32, hashed on the way
 # in (A) and on the way out (B), the pool words mixed pairwise.
 _MASK32 = 0xFFFFFFFF
@@ -57,10 +59,10 @@ _XSHIFT = np.uint32(16)
 # (random_facet_lanes) and smaller ones trial by trial.  numpy's call
 # overhead is paid once per step for all lanes, and a block takes as many
 # steps as its longest trial, so lockstep wins only with enough lanes.  The
-# break-even moves with n and the family, from under 512 lanes (loops,
-# star, path at n <= 8) to about 1,000 (path at n = 48 and 64); at 1,000
-# lockstep lost beyond noise for no family from n = 4 to 64 (README), and
-# bench's default of 1,000 trials runs in lockstep.
+# break-even lies near 256 lanes (path at n >= 16, merged) or below it;
+# from 512 lanes on lockstep won for every family from n = 4 to 64
+# (README).  The threshold stays at 1,000 until a benchmark workload runs
+# blocks below it, and bench's default of 1,000 trials runs in lockstep.
 _LOCKSTEP_MIN = 1000
 # numpy's PCG64: a 128-bit LCG, state * _PCG_MULT + inc, with XSL-RR output.
 # Every uint64 operand is a numpy uint64, so numpy 1.x's value-based
@@ -238,12 +240,14 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
 
     Returns the sinks (uint64) and the evaluation counts (int64), one per
     row, equal to the per-row runs'.  Each row is one lane of numpy
-    arrays, and one loop step makes one pick and then one pop, where due,
-    for every live lane.  A lane steps its own PCG64 stream in numpy, so
-    the picks are the ones ``Generator(PCG64(row))`` draws.  The leaves'
-    outmaps step along the rows, so o must be Matousek-type; no table is
-    built.  The first lane that ends on a vertex with a nonempty outmap
-    raises random_facet's ValueError.
+    arrays, and one loop step makes exactly one pick for every live lane;
+    a lane whose pick empties its span then pops, in the same step, every
+    pending facet that its vertex does not leave.  A lane steps its own
+    PCG64 stream in numpy, so the picks are the ones
+    ``Generator(PCG64(row))`` draws.  The leaves' outmaps step along the
+    rows, so o must be Matousek-type; no table is built.  The first lane
+    that ends on a vertex with a nonempty outmap raises random_facet's
+    ValueError.
     """
     if o.rows is None:
         raise ValueError("lockstep runs step along the rows; this orientation has none")
@@ -254,68 +258,86 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
     w = np.full(m, start, np.uint64)
     out = np.full(m, o.outmap(start), np.uint64)
     span = np.full(m, (1 << n) - 1, np.uint64)
-    k = np.full(m, n, np.int8)  # popcount of span
-    top = np.zeros(m, np.int8)
+    held = np.zeros(m, np.uint64)  # the picks on the stack: out & held ignores crossed dimensions
+    k = np.full(m, n, np.int8)  # popcount of span; 0 on a live lane only while it pops
+    top = np.zeros(m, np.int8)  # the free stack slot
     leaves = np.zeros(m, np.int64)
-    # stack entry (lane, j) at lane * n + j: a pick's dimension, the rest of
-    # its span and the rest's size, which is not n - j once a flip reused j
-    pick_dim = np.empty(m * n, np.int8)
-    pick_rest = np.empty(m * n, np.min_scalar_type((1 << n) - 1))
-    rest_size = np.empty(m * n, np.int8)
+    # Stack slot (lane, j): the face a pick was made in, the pick's dimension
+    # and the rest's size, which is not n - j - 1 once a flip reused j.  The
+    # faces nest up the stack and a pick lies in no face above its own, so
+    # the slots whose face meets x = out & held are a prefix that ends at
+    # the topmost pick in x: the facet the lane crosses into.  n + 1 slots
+    # keep slot top free, and zeroed it ends that prefix.
+    face_type = np.min_scalar_type((1 << n) - 1)
+    faces = np.empty(m * (n + 1), face_type)
+    dims = np.empty(m * (n + 1), np.int8)
+    sizes = np.empty(m * (n + 1), np.int8)
     lane = np.arange(m)  # the row each position holds
+    row_at = lane * (n + 1)  # where each position's slots start in the flat stack
     sinks, outs, counts = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m, np.int64)
+    finished = 0  # lanes done since the last compaction; a done lane keeps k = 0
     while len(lane):
-        # picks: lanes with a nonempty span draw idx and push its dimension
-        p = np.flatnonzero(k)
-        if len(p):
-            hi[p], lo[p] = h, l = _pcg_step(hi[p], lo[p], inc_hi[p], inc_lo[p])
-            kp = k[p]
-            idx = (_pcg_uniform(h, l) * kp).astype(np.int8)  # below k: see the note at _UNIFORM_BLOCK
-            # the idx-th lowest set bit of the span: step past each chunk
-            # holding at most idx set bits, then one gather in the chunk reached
-            sp = span[p]
-            s, base = sp, np.zeros(len(p), np.intp)
-            for _ in range(_CHUNK, n, _CHUNK):
-                c = popcount[(s & _CHUNK_MASK).astype(np.intp)]
-                past = idx >= c
-                idx = idx - c * past
-                s = np.where(past, s >> _U64(_CHUNK), s)
-                base += _CHUNK * past
-            d = select[(s & _CHUNK_MASK).astype(np.intp) * _CHUNK + idx] + base
-            span[p] = rest = sp & ~_BIT64[d]
-            k[p] = kp = kp - 1
-            tp = top[p]
-            at = p * n + tp
-            pick_dim[at], pick_rest[at], rest_size[at] = d, rest, kp
-            top[p] = tp + 1
-            leaves[p[kp == 0]] += 1
-        # pops: lanes at a leaf take their last pending facet, and cross into
-        # it when the facet sink leaves along its face's pick
-        q = np.flatnonzero((k == 0) & (top > 0))
-        if len(q):
-            top[q] = tq = top[q] - 1
-            at = q * n + tq
-            d = pick_dim[at]
+        # picks: every lane draws idx below its span size and pushes that
+        # dimension; a done lane picks from its empty span into its free
+        # slot, which nothing reads, and neither its k nor its top moves
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        idx = (_pcg_uniform(hi, lo) * k).astype(np.int8)  # below k: see the note at _UNIFORM_BLOCK
+        # the idx-th lowest set bit of the span: step past each chunk
+        # holding at most idx set bits, then one gather in the chunk reached
+        s, base = span, 0
+        for _ in range(_CHUNK, n, _CHUNK):
+            c = popcount[(s & _CHUNK_MASK).astype(np.intp)]
+            past = idx >= c
+            idx = idx - c * past
+            s = np.where(past, s >> _U64(_CHUNK), s)
+            base = base + _CHUNK * past
+        d = select[(s & _CHUNK_MASK).astype(np.intp) * _CHUNK + idx] + base
+        at = row_at + top
+        faces[at] = span.astype(face_type, copy=False)
+        dims[at] = d
+        bit = _BIT64[d]
+        span &= ~bit
+        held |= bit
+        leaf = np.flatnonzero(k == 1)  # these picks empty the span
+        live = k != 0
+        k -= live
+        sizes[at] = k
+        top += live
+        # pops: a lane at a leaf crosses into the facet of its topmost pending
+        # pick that out leaves along, and a crossing into an empty rest is a
+        # leaf again; a lane with no such pick is done
+        while len(leaf):
+            leaves[leaf] += 1
+            base_q = row_at[leaf]
+            faces[base_q + top[leaf]] = 0
+            x = (out[leaf] & held[leaf]).astype(face_type, copy=False)
+            meets = (np.take(faces.reshape(-1, n + 1), leaf, axis=0) & x[:, None]) != 0
+            miss = meets.argmin(axis=1)  # the first slot whose face misses x, one above the crossing
+            cross = miss != 0
+            finished += len(leaf) - np.count_nonzero(cross)
+            f, j = leaf[cross], miss[cross] - 1
+            at = base_q[cross] + j
+            face = faces[at].astype(np.uint64, copy=False)
+            d = dims[at]
             bit = _BIT64[d]
-            oq = out[q]
-            cross = (oq & bit) != 0
-            f, d, at = q[cross], d[cross], at[cross]
-            w[f] ^= bit[cross]
-            out[f] = oq[cross] ^ rows[d]
-            span[f] = pick_rest[at]
-            k[f] = size = rest_size[at]
-            leaves[f[size == 0]] += 1  # a flip into an empty rest is a leaf too
-        done = (k == 0) & (top == 0)
-        if 2 * np.count_nonzero(done) >= len(lane):  # compact once half the lanes are done
+            w[f] ^= bit
+            out[f] ^= rows[d]
+            span[f] = face ^ bit
+            held[f] &= ~face
+            k[f] = size = sizes[at]
+            top[f] = j
+            leaf = f[size == 0]
+        if 2 * finished >= len(lane):  # compact once half the lanes are done
+            done = k == 0
             ids = lane[done]
             sinks[ids], outs[ids], counts[ids] = w[done], out[done], leaves[done]
             live = ~done
-            lane, hi, lo, inc_hi, inc_lo, w, out, span, k, top, leaves = (
-                a[live] for a in (lane, hi, lo, inc_hi, inc_lo, w, out, span, k, top, leaves)
+            lane, hi, lo, inc_hi, inc_lo, w, out, span, held, k, top, leaves = (
+                a[live] for a in (lane, hi, lo, inc_hi, inc_lo, w, out, span, held, k, top, leaves)
             )
-            pick_dim, pick_rest, rest_size = (
-                a.reshape(-1, n)[live].ravel() for a in (pick_dim, pick_rest, rest_size)
-            )
+            faces, dims, sizes = (a.reshape(-1, n + 1)[live].ravel() for a in (faces, dims, sizes))
+            row_at = np.arange(len(lane)) * (n + 1)
+            finished = 0
     bad = np.flatnonzero(outs)
     if len(bad):
         raise ValueError(f"search ended on vertex {sinks[bad[0]]} with a nonempty outmap: not a USO")
@@ -450,7 +472,7 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
     Trial t uses the generator stream seeded by SeedSequence((seed, t)),
     so any prefix of the trial sequence is stable under a larger trial
     count and the whole run reproduces exactly.  The seeding words come
-    from trial_seed_words, 4,096 trials at a time.  A block of at least
+    from trial_seed_words, 16,384 trials at a time.  A block of at least
     _LOCKSTEP_MIN = 1,000 trials runs in lockstep (random_facet_lanes), a
     smaller one trial by trial (random_facet); both step along the flip
     rows and build no 2^n table, and both give every trial the same picks.
@@ -470,14 +492,17 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
         for first in range(0, trials, _SEED_BLOCK):
             words = trial_seed_words(seed, first, min(_SEED_BLOCK, trials - first))
             if len(words) >= _LOCKSTEP_MIN:
-                sinks, counts = (a.tolist() for a in random_facet_lanes(o, start, words))
+                sinks, counts = random_facet_lanes(o, start, words)
+                counts = counts.tolist()
             else:
                 seed_row = _seed_row_type()  # imports numpy.random
                 runs = [random_facet(o, start, seed_row(row)) for row in words]
-                sinks, counts = [r.sink for r in runs], [r.evaluations for r in runs]
-            for t, found in enumerate(sinks, first):
-                if found != sink:
-                    raise RuntimeError(f"run {t} on n={n} returned {found}, sink is {sink}")
+                sinks = np.array([r.sink for r in runs], np.uint64)
+                counts = [r.evaluations for r in runs]
+            wrong = np.flatnonzero(sinks != np.uint64(sink))
+            if len(wrong):
+                t = wrong[0]
+                raise RuntimeError(f"run {first + t} on n={n} returned {sinks[t]}, sink is {sink}")
             total += sum(counts)
             squares += sum(x * x for x in counts)
             low = min(low, *counts)

@@ -18,6 +18,7 @@ from usomat import (
 from usomat.cube import rows_acyclic
 from usomat.random_facet import (
     _LOCKSTEP_MIN,
+    _SEED_BLOCK,
     TrialStats,
     _pcg_seed,
     _pcg_step,
@@ -188,8 +189,8 @@ def test_run_trials_validation():
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 1, 10**30])
 def test_trial_seed_words_match_seedsequence(seed):
-    # [0, 5000) spans two seeding blocks; the others meet at 2^32, where
-    # the trial number gains a second word
+    # [0, 5000) starts at trial 0; the others meet at 2^32, where the
+    # trial number gains a second word
     for first, count in [(0, 5000), (2**32 - 4096, 4096), (2**32, 4096)]:
         words = trial_seed_words(seed, first, count)
         want = [
@@ -214,12 +215,41 @@ def test_run_trials_matches_per_trial_seedsequence(family, seed):
     for trials in (1, 7):
         want = run_trials_by_seedsequence(family, sizes, trials, seed)
         assert run_trials(family, sizes, trials, seed) == want
-    # at n <= 4: either side of the lockstep threshold, and one lockstep
-    # block followed by a per-trial one
+    # at n <= 4: either side of the lockstep threshold
     n = 1 + sorted(FAMILIES).index(family)
-    for trials in (_LOCKSTEP_MIN - 1, _LOCKSTEP_MIN, _LOCKSTEP_MIN + 1, 4097):
+    for trials in (_LOCKSTEP_MIN - 1, _LOCKSTEP_MIN, _LOCKSTEP_MIN + 1):
         want = run_trials_by_seedsequence(family, [n], trials, seed)
         assert run_trials(family, [n], trials, seed) == want
+
+
+def test_run_trials_across_a_seeding_block_boundary():
+    """One full lockstep block, then trial _SEED_BLOCK alone in a per-trial block."""
+    trials = _SEED_BLOCK + 1
+    assert run_trials("merged", [4], trials, 3) == run_trials_by_seedsequence("merged", [4], trials, 3)
+
+
+def test_run_trials_names_the_first_wrong_sink(monkeypatch):
+    module = importlib.import_module("usomat.random_facet")
+    lanes, per_trial = module.random_facet_lanes, module.random_facet
+    sink = global_sink(build_matousek(family_graph("path", 4)))
+
+    def two_wrong(o, start, words):
+        sinks, counts = lanes(o, start, words)
+        sinks[[7, 9]] ^= np.uint64(1)
+        return sinks, counts
+
+    monkeypatch.setattr(module, "random_facet_lanes", two_wrong)
+    with pytest.raises(RuntimeError, match=f"^run 7 on n=4 returned {sink ^ 1}, sink is {sink}$"):
+        run_trials("path", [4], _LOCKSTEP_MIN, 0)
+
+    def wrong(o, start, seed):
+        res = per_trial(o, start, seed)
+        return type(res)(res.sink ^ 2, res.evaluations)
+
+    monkeypatch.setattr(module, "random_facet_lanes", lanes)
+    monkeypatch.setattr(module, "random_facet", wrong)
+    with pytest.raises(RuntimeError, match=f"^run {_SEED_BLOCK} on n=4 returned {sink ^ 2}, sink is {sink}$"):
+        run_trials("path", [4], _SEED_BLOCK + 1, 0)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -233,6 +263,17 @@ def test_lanes_match_random_facet_trial_by_trial(family):
         assert (sinks.dtype, counts.dtype) == (np.uint64, np.int64)
         assert sinks.tolist() == [r.sink for r in runs], (family, n)
         assert counts.tolist() == [r.evaluations for r in runs], (family, n)
+
+
+def test_lanes_match_random_facet_through_chains_of_empty_rests():
+    """2,000 lanes of merged: many leaves cross into an empty rest and pop again in the same step."""
+    for n in (8, 13):
+        o = build_matousek(merged_family(n))
+        start = global_sink(o) ^ ((1 << n) - 1)
+        sinks, counts = random_facet_lanes(o, start, trial_seed_words(2, 0, 2000))
+        runs = [random_facet(o, start, np.random.SeedSequence((2, t))) for t in range(2000)]
+        assert sinks.tolist() == [r.sink for r in runs], n
+        assert counts.tolist() == [r.evaluations for r in runs], n
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**64 + 1])
