@@ -33,8 +33,8 @@ def dims_to_mask(dims: Iterable[int], n: int) -> int:
     """Encode a collection of dimensions from {1..n} as a bitmask."""
     mask = 0
     for d in dims:
-        if not 1 <= d <= n:
-            raise ValueError(f"dimension {d} out of range 1..{n}")
+        if type(d) is not int or not 1 <= d <= n:
+            raise ValueError(f"dimension {d!r} is not an integer in 1..{n}")
         mask |= 1 << (d - 1)
     return mask
 
@@ -52,8 +52,16 @@ def mask_to_dims(mask: int) -> list[int]:
 
 
 def _check_n(n: int, cap: int = MAX_DIMENSION) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"cube dimension must be in 1..{cap}, got {n}")
+    if type(n) is not int or not 1 <= n <= cap:
+        raise ValueError(f"cube dimension must be in 1..{cap}, got {n!r}")
+
+
+def _json_fields(obj: object, kind: str, *keys: str) -> list:
+    """The values of ``keys`` in a JSON document, or a ValueError naming the document's kind."""
+    try:
+        return [obj[key] for key in keys]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{kind} JSON needs {', '.join(map(repr, keys))}: {exc}") from exc
 
 
 class Orientation:
@@ -165,22 +173,10 @@ class Orientation:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Orientation":
-        try:
-            n = obj["n"]
-            rows = obj["outmaps"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"orientation JSON needs 'n' and 'outmaps': {exc}") from exc
-        if type(n) is not int:
-            raise ValueError(f"orientation JSON: 'n' must be an integer, got {n!r}")
-        _check_n(n)
-        if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(type(d) is int for d in row) for row in rows
-        ):
+        n, rows = _json_fields(obj, "orientation", "n", "outmaps")
+        _check_n(n)  # before 2^n dimension lists are read
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("orientation JSON: 'outmaps' must be a list of lists of integer dimensions")
-        if len(rows) != 1 << n:
-            raise ValueError(
-                f"orientation JSON: expected {1 << n} outmaps for n={n}, got {len(rows)}"
-            )
         return cls(n, tuple(dims_to_mask(row, n) for row in rows))
 
 

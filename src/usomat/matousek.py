@@ -15,6 +15,7 @@ from .cube import (
     MAX_ROW_DIMENSION,
     Orientation,
     _check_n,
+    _json_fields,
     check_orientation,
     mask_to_dims,
     rows_acyclic,
@@ -45,8 +46,8 @@ class InfluenceGraph:
         _check_n(n, MAX_ROW_DIMENSION)
         rows = [1 << (d - 1) for d in range(1, n + 1)]
         for d, d2 in edges:
-            if not (1 <= d <= n and 1 <= d2 <= n):
-                raise ValueError(f"edge ({d},{d2}) outside dimensions 1..{n}")
+            if not (type(d) is int and type(d2) is int and 1 <= d <= n and 1 <= d2 <= n):
+                raise ValueError(f"edge ({d!r},{d2!r}) is not a pair of integer dimensions in 1..{n}")
             if d == d2:
                 raise ValueError("loops are implicit; do not list them as edges")
             rows[d - 1] |= 1 << (d2 - 1)
@@ -104,16 +105,8 @@ class InfluenceGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InfluenceGraph":
-        try:
-            n, edges = obj["n"], obj["edges"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"influence graph JSON needs 'n' and 'edges': {exc}") from exc
-        if type(n) is not int:
-            raise ValueError(f"influence graph JSON: 'n' must be an integer, got {n!r}")
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(type(d) is int for d in e)
-            for e in edges
-        ):
+        n, edges = _json_fields(obj, "influence graph", "n", "edges")
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
             raise ValueError("influence graph JSON: 'edges' must be a list of [integer, integer] pairs")
         return cls(n, [tuple(e) for e in edges])
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
-from .cube import Orientation
+from .cube import Orientation, _json_fields
 from .matousek import InfluenceGraph
 
 Q = "q"
@@ -43,24 +43,22 @@ class CyclicExtension:
     def __init__(self, n: int, order: Sequence[Element], flipped: Iterable[int]) -> None:
         if type(n) is not int or n < 1:
             raise ValueError(f"extension size must be an integer of at least 1, got {n!r}")
-        tokens = tuple(order)
-        expected = set(range(1, 2 * n + 1)) | {Q}
-        # set equality alone would accept 1.0 or True for the integer 1
+        tokens, flip = tuple(order), tuple(flipped)
+        # types first: a list cannot go in a set, and set equality would take 1.0 or True for 1
         if (
             len(tokens) != 2 * n + 1
-            or set(tokens) != expected
-            or not set(map(type, tokens)) <= {int, str}
+            or not all(type(t) is int or t == Q for t in tokens)
+            or set(tokens) != set(range(1, 2 * n + 1)) | {Q}
         ):
             raise ValueError(
                 f"order must list 1..{2*n} and '{Q}' exactly once, got {tokens!r}"
             )
-        flip = frozenset(flipped)
         bad = [e for e in flip if not (type(e) is int and 1 <= e <= 2 * n)]
         if bad:
             raise ValueError(f"flip set may only contain elements 1..{2*n}, got {bad}")
         self.n = n
         self.order = tokens
-        self.flipped = flip
+        self.flipped = frozenset(flip)
 
     def _reordered(self, order: Sequence[Element]) -> "CyclicExtension":
         """The same pairs and flip set under a permutation of this order's tokens.
@@ -96,16 +94,9 @@ class CyclicExtension:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CyclicExtension":
-        try:
-            n, order, flipped = obj["n"], obj["order"], obj["F"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"extension JSON needs 'n', 'order', 'F': {exc}") from exc
-        if type(n) is not int:
-            raise ValueError(f"extension JSON: 'n' must be an integer, got {n!r}")
-        if not isinstance(order, list) or not all(type(t) is int or t == Q for t in order):
-            raise ValueError(f"extension JSON: 'order' must be a list of integers and '{Q}'")
-        if not isinstance(flipped, list) or not all(type(e) is int for e in flipped):
-            raise ValueError("extension JSON: 'F' must be a list of integers")
+        n, order, flipped = _json_fields(obj, "extension", "n", "order", "F")
+        if not isinstance(order, list) or not isinstance(flipped, list):
+            raise ValueError("extension JSON: 'order' and 'F' must be lists")
         return cls(n, order, flipped)
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cube import MAX_DIMENSION, Orientation, mask_to_dims
+from .cube import MAX_DIMENSION, Orientation, _json_fields, mask_to_dims
 from .matroid import Q, CyclicExtension
 
 
@@ -140,12 +140,7 @@ class PLCPInstance:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PLCPInstance":
-        try:
-            n, rows, q = obj["n"], obj["M"], obj["q"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"instance JSON needs 'n', 'M', 'q': {exc}") from exc
-        if type(n) is not int:
-            raise ValueError(f"instance JSON: 'n' must be an integer, got {n!r}")
+        n, rows, q = _json_fields(obj, "instance", "n", "M", "q")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("instance JSON: 'M' must be a list of rows")
         if not isinstance(q, list):

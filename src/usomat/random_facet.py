@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cube import MAX_ROW_DIMENSION, Orientation, global_sink
+from .cube import MAX_ROW_DIMENSION, Orientation, _check_n, global_sink
 from .matousek import InfluenceGraph, build_matousek
 
 if TYPE_CHECKING:  # numpy.random is imported only by the functions that draw
@@ -382,6 +382,7 @@ def family_graph(name: str, n: int) -> InfluenceGraph:
     """The influence graph of the built-in family ``name`` on n dimensions."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; known families: {', '.join(sorted(FAMILIES))}")
+    _check_n(n, MAX_ROW_DIMENSION)
     return FAMILIES[name](n)
 
 

@@ -93,11 +93,11 @@ class Branching:
     __slots__ = ("n", "parent")
 
     def __init__(self, n: int, parent: dict[int, int]) -> None:
-        if n < 0:
-            raise ValueError("branching size must be nonnegative")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"branching size must be a nonnegative integer, got {n!r}")
         for child, par in parent.items():
-            if not (1 <= child <= n and 1 <= par <= n):
-                raise ValueError(f"parent link {child}->{par} outside 1..{n}")
+            if not (type(child) is int and type(par) is int and 1 <= child <= n and 1 <= par <= n):
+                raise ValueError(f"parent link {child!r}->{par!r} is not a pair of integers in 1..{n}")
             if child == par:
                 raise ValueError(f"dimension {child} cannot be its own parent")
         self.n = n

@@ -222,10 +222,17 @@ def test_run_trials_matches_per_trial_seedsequence(family, seed):
         assert run_trials(family, [n], trials, seed) == want
 
 
+@pytest.mark.parametrize("family", ["path", "merged"])
+def test_lockstep_matches_per_trial_loop_past_n_12(family):
+    """1,000 trials run as one lockstep block, at n = 13 and past the table cap at n = 24."""
+    assert run_trials(family, [13, 24], 1000, 0) == run_trials_by_seedsequence(family, [13, 24], 1000, 0)
+
+
 def test_run_trials_across_a_seeding_block_boundary():
     """One full lockstep block, then trial _SEED_BLOCK alone in a per-trial block."""
     trials = _SEED_BLOCK + 1
-    assert run_trials("merged", [4], trials, 3) == run_trials_by_seedsequence("merged", [4], trials, 3)
+    for family, n in [("merged", 4), ("path", 8)]:
+        assert run_trials(family, [n], trials, 3) == run_trials_by_seedsequence(family, [n], trials, 3)
 
 
 def test_run_trials_names_the_first_wrong_sink(monkeypatch):
