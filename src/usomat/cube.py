@@ -107,7 +107,10 @@ class Orientation:
         if len(table) != size:
             raise ValueError(f"outmap table needs {size} entries for n={self.n}, got {len(table)}")
         full = size - 1
-        # one C-level pass; a negative entry has high bits set as well
+        # one C-level pass each; a negative entry has high bits set as well
+        if set(map(type, table)) != {int}:
+            v = next(v for v, out in enumerate(table) if type(out) is not int)
+            raise ValueError(f"outmap of vertex {v} is {table[v]!r}, not an integer")
         if reduce(or_, table) & ~full:
             v = next(v for v, out in enumerate(table) if out & ~full)
             raise ValueError(f"outmap of vertex {v} uses bits outside 1..{self.n}")
@@ -119,7 +122,13 @@ class Orientation:
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"need {n} rows, got {len(rows)}")
-        if reduce(or_, rows, base) & ~((1 << n) - 1):
+        if type(base) is not int:
+            raise ValueError(f"base must be an integer, got {base!r}")
+        try:
+            high = reduce(or_, rows, base) >> n  # nonzero for a bit outside 1..n or a negative value
+        except TypeError:  # bool rows still pass: a type pass over the rows made the qwalk benchmark 13% slower
+            raise ValueError(f"rows must be integers, got {rows!r}") from None
+        if high:
             raise ValueError(f"base or rows use bits outside 1..{n}")
         o = cls.__new__(cls)
         o.n, o.base, o.rows, o.mismatch, o._table = n, base, rows, None, None

@@ -61,8 +61,8 @@ class InfluenceGraph:
         full = (1 << n) - 1
         fixed = []
         for d, row in enumerate(rows, start=1):
-            if row & ~full:
-                raise ValueError(f"row of dimension {d} uses bits outside 1..{n}")
+            if type(row) is not int or row & ~full:
+                raise ValueError(f"row of dimension {d} is {row!r}, not an integer that uses bits 1..{n} only")
             fixed.append(row | 1 << (d - 1))
         if len(fixed) != n:
             raise ValueError(f"need {n} rows, got {len(fixed)}")
@@ -171,10 +171,10 @@ def flip_facet(o: Orientation, d: int, upper: bool = False) -> Orientation:
     lower facet changes o(0) as well.  That is O(n) on the rows.  Any other
     table is flipped vertex by vertex.
     """
-    if not 1 <= d <= o.n:
-        raise ValueError(f"dimension {d} out of range 1..{o.n}")
+    if type(d) is not int or not 1 <= d <= o.n:
+        raise ValueError(f"dimension {d!r} is not an integer in 1..{o.n}")
     bit = 1 << (d - 1)
-    others = ((1 << o.n) - 1) & ~bit
+    others = ((1 << o.n) - 1) ^ bit
     rows = o.rows
     if rows is not None:
         base = o.base if upper else o.base ^ others

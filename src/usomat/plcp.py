@@ -278,8 +278,8 @@ def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
     instance cannot discriminate an orientation and DegenerateQ is raised.
     """
     n = instance.n
-    if not 0 <= vertex < 1 << n:
-        raise ValueError(f"vertex {vertex} out of range for n={n}")
+    if type(vertex) is not int or not 0 <= vertex < 1 << n:
+        raise ValueError(f"vertex {vertex!r} is not an integer in 0..{(1 << n) - 1}")
     m = instance.M.rows
     basis = RationalMatrix([-m[r][i] if vertex >> i & 1 else int(r == i) for i in range(n)] for r in range(n))
     x = [row[0] for row in basis.solve_matrix([[b] for b in instance.q]).rows]

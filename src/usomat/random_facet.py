@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cube import MAX_ROW_DIMENSION, Orientation, _check_n, global_sink
+from .cube import MAX_ROW_DIMENSION, Orientation, _check_n, global_sink, is_uso
 from .matousek import InfluenceGraph, build_matousek
 
 if TYPE_CHECKING:  # numpy.random is imported only by the functions that draw
@@ -136,8 +136,8 @@ def random_facet(
     full = (1 << n) - 1
     if start is None:
         start = global_sink(o) ^ full
-    if not 0 <= start <= full:
-        raise ValueError(f"start vertex {start} out of range for n={n}")
+    if type(start) is not int or not 0 <= start <= full:
+        raise ValueError(f"start vertex {start!r} is not an integer in 0..{full}")
     rng = np.random.Generator(np.random.PCG64(seed))
     uniforms: list[float] = []
     used = 0
@@ -245,29 +245,30 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
     pending facet that its vertex does not leave.  A lane steps its own
     PCG64 stream in numpy, so the picks are the ones
     ``Generator(PCG64(row))`` draws.  The leaves' outmaps step along the
-    rows, so o must be Matousek-type; no table is built.  The first lane
-    that ends on a vertex with a nonempty outmap raises random_facet's
-    ValueError.
+    rows; no table is built.  o must be a Matousek USO in row form and start
+    an int vertex, else ValueError before the first step; a lane that still
+    ends on a vertex with a nonempty outmap raises random_facet's ValueError.
     """
-    if o.rows is None:
-        raise ValueError("lockstep runs step along the rows; this orientation has none")
     n, m = o.n, len(words)
+    if o.rows is None or not is_uso(o):  # O(n^2) on rows; raises on a row without its loop bit
+        raise ValueError("lockstep runs need a Matousek USO in row form: acyclic rows with loop bits")
+    if type(start) is not int or not 0 <= start < 1 << n:
+        raise ValueError(f"start vertex {start!r} is not an integer in 0..{(1 << n) - 1}")
     popcount, select = _select_tables()
     rows = np.array(o.rows, np.uint64)
     hi, lo, inc_hi, inc_lo = _pcg_seed(words)
     w = np.full(m, start, np.uint64)
     out = np.full(m, o.outmap(start), np.uint64)
     span = np.full(m, (1 << n) - 1, np.uint64)
-    held = np.zeros(m, np.uint64)  # the picks on the stack: out & held ignores crossed dimensions
     k = np.full(m, n, np.int8)  # popcount of span; 0 on a live lane only while it pops
     top = np.zeros(m, np.int8)  # the free stack slot
     leaves = np.zeros(m, np.int64)
     # Stack slot (lane, j): the face a pick was made in, the pick's dimension
     # and the rest's size, which is not n - j - 1 once a flip reused j.  The
-    # faces nest up the stack and a pick lies in no face above its own, so
-    # the slots whose face meets x = out & held are a prefix that ends at
-    # the topmost pick in x: the facet the lane crosses into.  n + 1 slots
-    # keep slot top free, and zeroed it ends that prefix.
+    # faces nest up the stack, and on a USO a leaf is the sink of every face
+    # above the topmost pick in its outmap x, so the slots whose face meets x
+    # are a prefix that ends at that pick: the facet the lane crosses into.
+    # n + 1 slots keep slot top free, and zeroed it ends that prefix.
     face_type = np.min_scalar_type((1 << n) - 1)
     faces = np.empty(m * (n + 1), face_type)
     dims = np.empty(m * (n + 1), np.int8)
@@ -297,7 +298,6 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
         dims[at] = d
         bit = _BIT64[d]
         span &= ~bit
-        held |= bit
         leaf = np.flatnonzero(k == 1)  # these picks empty the span
         live = k != 0
         k -= live
@@ -310,7 +310,7 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
             leaves[leaf] += 1
             base_q = row_at[leaf]
             faces[base_q + top[leaf]] = 0
-            x = (out[leaf] & held[leaf]).astype(face_type, copy=False)
+            x = out[leaf].astype(face_type, copy=False)
             meets = (np.take(faces.reshape(-1, n + 1), leaf, axis=0) & x[:, None]) != 0
             miss = meets.argmin(axis=1)  # the first slot whose face misses x, one above the crossing
             cross = miss != 0
@@ -323,7 +323,6 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
             w[f] ^= bit
             out[f] ^= rows[d]
             span[f] = face ^ bit
-            held[f] &= ~face
             k[f] = size = sizes[at]
             top[f] = j
             leaf = f[size == 0]
@@ -332,8 +331,8 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
             ids = lane[done]
             sinks[ids], outs[ids], counts[ids] = w[done], out[done], leaves[done]
             live = ~done
-            lane, hi, lo, inc_hi, inc_lo, w, out, span, held, k, top, leaves = (
-                a[live] for a in (lane, hi, lo, inc_hi, inc_lo, w, out, span, held, k, top, leaves)
+            lane, hi, lo, inc_hi, inc_lo, w, out, span, k, top, leaves = (
+                a[live] for a in (lane, hi, lo, inc_hi, inc_lo, w, out, span, k, top, leaves)
             )
             faces, dims, sizes = (a.reshape(-1, n + 1)[live].ravel() for a in (faces, dims, sizes))
             row_at = np.arange(len(lane)) * (n + 1)

@@ -56,7 +56,7 @@ def test_orientation_names_the_first_bad_vertex(table):
 
 
 def test_orientation_rejects_fractional_outmaps():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="outmap of vertex 2 is 2.5, not an integer"):
         Orientation(2, (0, 1, 2.5, 3))
 
 

@@ -2,9 +2,9 @@
 
 Every reader takes its named keys through one helper, so a non-object or
 a missing key is a ``ValueError`` that names the document; the integer
-``n``, dimensions, edges, parent links, tokens and flip elements are
-checked by the code that uses them, so a direct library call fails the
-same way a document does.
+``n``, table and row entries, dimensions, vertices, edges, parent links,
+tokens and flip elements are checked by the code that uses them, so a
+direct library call fails the same way a document does.
 """
 
 import json
@@ -17,8 +17,12 @@ from usomat import (
     InfluenceGraph,
     Orientation,
     PLCPInstance,
+    build_matousek,
     dims_to_mask,
     family_graph,
+    flip_facet,
+    random_facet,
+    solve_candidate,
 )
 from usomat.cli import main
 
@@ -58,6 +62,9 @@ def test_malformed_documents_are_value_errors(kind, tmp_path, capsys):
             assert len(rest) == 1 and rest[0].startswith("error: "), (command, bad, rest)
 
 
+USO = build_matousek(family_graph("path", 3))
+INSTANCE = PLCPInstance.from_json_obj(DOCUMENTS[PLCPInstance][0])
+
 # each call puts a non-integer, or a bool, where an integer belongs
 NON_INTEGER_CALLS = [
     (InfluenceGraph, ("3",)),
@@ -66,6 +73,18 @@ NON_INTEGER_CALLS = [
     (InfluenceGraph.from_rows, ("2", [1, 2])),
     (Orientation, (2.0, range(4))),
     (Orientation.from_rows, (2.0, 0, [1, 2])),
+    (Orientation, (1, [0.0, 1])),
+    (Orientation, (1, [True, 0])),
+    (Orientation.from_rows, (2, 0, [1.0, 3])),
+    (Orientation.from_rows, (2, True, [1, 2])),
+    (InfluenceGraph.from_rows, (2, [1.0, 2])),
+    (InfluenceGraph.from_rows, (2, [True, 2])),
+    (flip_facet, (USO, 1.0)),
+    (flip_facet, (USO, True)),
+    (random_facet, (USO, 7.0, 0)),
+    (random_facet, (USO, True, 0)),
+    (solve_candidate, (INSTANCE, 1.0)),
+    (solve_candidate, (INSTANCE, True)),
     (dims_to_mask, ([True], 2)),
     (Branching, ("3", {})),
     (Branching, (3, {2.0: 1})),

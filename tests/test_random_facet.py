@@ -1,5 +1,4 @@
 import importlib
-import re
 from itertools import product
 
 import numpy as np
@@ -15,7 +14,6 @@ from usomat import (
     run_trials,
     stats_to_csv,
 )
-from usomat.cube import rows_acyclic
 from usomat.random_facet import (
     _LOCKSTEP_MIN,
     _SEED_BLOCK,
@@ -23,6 +21,7 @@ from usomat.random_facet import (
     _pcg_seed,
     _pcg_step,
     _pcg_uniform,
+    _seed_row_type,
     _select_tables,
     merged_family,
     path_family,
@@ -307,30 +306,45 @@ def test_select_tables_list_each_chunks_set_bits():
         assert select[12 * c : 12 * c + len(bits)].tolist() == bits
 
 
-def test_lanes_on_cyclic_rows_match_random_facet():
-    """Each lane ends where random_facet does, or the first lane to fail raises its ValueError."""
-    rng = np.random.default_rng(11)
-    outcomes = {"returned": 0, "raised": 0}
-    for n in (2, 3, 4, 5):
-        for _ in range(3):
-            rows = [1 << d | int(rng.integers(0, 1 << n)) for d in range(n)]
-            rows[0], rows[1] = rows[0] | 0b10, rows[1] | 0b01  # dimensions 1 and 2 influence each other
-            assert not rows_acyclic(rows)
-            o = Orientation.from_rows(n, int(rng.integers(0, 1 << n)), rows)
-            for start in range(1 << n):
-                runs = [_outcome(_kernel, o, start, np.random.SeedSequence((0, t))) for t in range(300)]
-                errors = [x for x in runs if isinstance(x, str)]
-                if errors:
-                    outcomes["raised"] += 1
-                    with pytest.raises(ValueError, match=re.escape(errors[0])):
-                        random_facet_lanes(o, start, trial_seed_words(0, 0, 300))
-                else:
-                    outcomes["returned"] += 1
-                    sinks, counts = random_facet_lanes(o, start, trial_seed_words(0, 0, 300))
-                    assert list(zip(sinks.tolist(), counts.tolist())) == runs
-    assert min(outcomes.values()) > 0, outcomes
-    with pytest.raises(ValueError, match="step along the rows"):
-        random_facet_lanes(Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5)), 0, trial_seed_words(0, 0, 2))
+def test_lanes_match_random_facet_on_every_small_uso():
+    """Every DAG's rows at n <= 3 from every base o(0) and start, and every n = 4 DAG from the antipode of 0."""
+    seed_row = _seed_row_type()
+    cases = [
+        (Orientation.from_rows(n, base, g.rows), start)
+        for n in (1, 2, 3)
+        for g in all_dags(n)
+        for base in range(1 << n)
+        for start in range(1 << n)
+    ]
+    cases += [(Orientation.from_rows(4, 0, g.rows), 0b1111) for g in all_dags(4)]
+    assert len(cases) == 1652 + 543
+    for i, (o, start) in enumerate(cases):
+        words = trial_seed_words(i, 0, 64)
+        sinks, counts = random_facet_lanes(o, start, words)
+        runs = [random_facet(o, start, seed_row(row)) for row in words]
+        assert list(zip(sinks.tolist(), counts.tolist())) == [(r.sink, r.evaluations) for r in runs], (o, start)
+
+
+def test_lanes_refuse_every_input_but_a_uso_in_row_form(monkeypatch):
+    """No rows, a row without its loop bit, cyclic rows or a start that is no vertex: ValueError before any step."""
+    module = importlib.import_module("usomat.random_facet")
+
+    def no_step(*args):
+        raise AssertionError("a PCG64 stream was stepped")
+
+    monkeypatch.setattr(module, "_pcg_seed", no_step)
+    monkeypatch.setattr(module, "_pcg_step", no_step)
+    words = trial_seed_words(0, 0, 2)
+    uso = build_matousek(path_family(3))
+    refusals = [
+        (Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5)), 0, "need a Matousek USO in row form"),
+        (Orientation.from_rows(2, 0, [0b10, 0b10]), 0, "not an orientation"),
+        (Orientation.from_rows(2, 0, [0b11, 0b11]), 0, "need a Matousek USO in row form"),
+    ]
+    refusals += [(uso, start, "is not an integer in 0..7") for start in (99, 8, -1, 7.0, True, None)]
+    for o, start, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            random_facet_lanes(o, start, words)
 
 
 def test_run_trials_seed_range(monkeypatch):
