@@ -12,7 +12,9 @@ a Matousek-type orientation from its n+1 flip integers (see
 :class:`Orientation`) and reads the dense table only for orientations
 that are not of that type.  A table is built from rows only when
 ``outmaps`` is read: for output, and by code that reads a table vertex
-by vertex.
+by vertex.  Outmaps, o(0) and flip rows follow one rule, :func:`_check_masks`,
+checked where they enter (the table constructor and both ``from_rows``);
+rows that the library computes from checked ones skip it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +56,14 @@ def mask_to_dims(mask: int) -> list[int]:
 def _check_n(n: int, cap: int = MAX_DIMENSION) -> None:
     if type(n) is not int or not 1 <= n <= cap:
         raise ValueError(f"cube dimension must be in 1..{cap}, got {n!r}")
+
+
+def _check_masks(n: int, masks: Sequence[int], name: Callable[[int], str]) -> None:
+    """Refuse a mask that is not an int (a bool is not one) or has bits outside 1..n; ``name(i)`` names mask i."""
+    # one C-level pass each, the OR only over ints; a negative mask has high bits set as well
+    if set(map(type, masks)) != {int} or reduce(or_, masks) >> n:
+        i = next(i for i, mask in enumerate(masks) if type(mask) is not int or mask >> n)
+        raise ValueError(f"{name(i)} is {masks[i]!r}, not an integer with bits in 1..{n} only")
 
 
 def _json_fields(obj: object, kind: str, *keys: str) -> list:
@@ -106,30 +116,21 @@ class Orientation:
         table = self._table
         if len(table) != size:
             raise ValueError(f"outmap table needs {size} entries for n={self.n}, got {len(table)}")
-        full = size - 1
-        # one C-level pass each; a negative entry has high bits set as well
-        if set(map(type, table)) != {int}:
-            v = next(v for v, out in enumerate(table) if type(out) is not int)
-            raise ValueError(f"outmap of vertex {v} is {table[v]!r}, not an integer")
-        if reduce(or_, table) & ~full:
-            v = next(v for v, out in enumerate(table) if out & ~full)
-            raise ValueError(f"outmap of vertex {v} uses bits outside 1..{self.n}")
+        _check_masks(self.n, table, lambda v: f"outmap of vertex {v}")
 
     @classmethod
     def from_rows(cls, n: int, base: int, rows: Iterable[int]) -> "Orientation":
-        """The orientation o(v) = base XOR the rows of the dimensions in v, up to n = MAX_ROW_DIMENSION."""
+        """o(v) = base XOR the rows of the dimensions in v, up to n = MAX_ROW_DIMENSION; masks checked as in tables."""
         _check_n(n, MAX_ROW_DIMENSION)
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"need {n} rows, got {len(rows)}")
-        if type(base) is not int:
-            raise ValueError(f"base must be an integer, got {base!r}")
-        try:
-            high = reduce(or_, rows, base) >> n  # nonzero for a bit outside 1..n or a negative value
-        except TypeError:  # bool rows still pass: a type pass over the rows made the qwalk benchmark 13% slower
-            raise ValueError(f"rows must be integers, got {rows!r}") from None
-        if high:
-            raise ValueError(f"base or rows use bits outside 1..{n}")
+        _check_masks(n, (base, *rows), lambda d: f"row of dimension {d}" if d else "base")
+        return cls._from_checked_rows(n, base, rows)
+
+    @classmethod
+    def _from_checked_rows(cls, n: int, base: int, rows: tuple[int, ...]) -> "Orientation":
+        """The row form of values that :meth:`from_rows` would accept, rows a tuple; nothing is checked."""
         o = cls.__new__(cls)
         o.n, o.base, o.rows, o.mismatch, o._table = n, base, rows, None, None
         return o

@@ -14,6 +14,7 @@ from typing import Iterable
 from .cube import (
     MAX_ROW_DIMENSION,
     Orientation,
+    _check_masks,
     _check_n,
     _json_fields,
     check_orientation,
@@ -56,18 +57,14 @@ class InfluenceGraph:
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "InfluenceGraph":
-        """Build from out-neighbour masks; the loop bit may be present or not."""
+        """Build from out-neighbour masks, checked as table entries are; the loop bit may be present or not."""
         _check_n(n, MAX_ROW_DIMENSION)
-        full = (1 << n) - 1
-        fixed = []
-        for d, row in enumerate(rows, start=1):
-            if type(row) is not int or row & ~full:
-                raise ValueError(f"row of dimension {d} is {row!r}, not an integer that uses bits 1..{n} only")
-            fixed.append(row | 1 << (d - 1))
-        if len(fixed) != n:
-            raise ValueError(f"need {n} rows, got {len(fixed)}")
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"need {n} rows, got {len(rows)}")
+        _check_masks(n, rows, lambda i: f"row of dimension {i + 1}")
         g = cls.__new__(cls)
-        g.n, g.rows = n, tuple(fixed)
+        g.n, g.rows = n, tuple(row | 1 << d for d, row in enumerate(rows))
         return g
 
     @property
@@ -135,7 +132,7 @@ def build_matousek(g: InfluenceGraph) -> Orientation:
     """
     if not g.is_acyclic():
         raise CyclicInfluence(f"influence graph has a non-loop cycle: {list(g.edges)}")
-    return Orientation.from_rows(g.n, 0, g.rows)
+    return Orientation._from_checked_rows(g.n, 0, g.rows)
 
 
 def extract_influence_graph(o: Orientation) -> InfluenceGraph:
@@ -178,7 +175,7 @@ def flip_facet(o: Orientation, d: int, upper: bool = False) -> Orientation:
     rows = o.rows
     if rows is not None:
         base = o.base if upper else o.base ^ others
-        return Orientation.from_rows(o.n, base, rows[: d - 1] + (rows[d - 1] ^ others,) + rows[d:])
+        return Orientation._from_checked_rows(o.n, base, rows[: d - 1] + (rows[d - 1] ^ others,) + rows[d:])
     side = bit if upper else 0
     table = [
         out ^ others if v & bit == side else out for v, out in enumerate(o.outmaps)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
-from .cube import Orientation, _json_fields
+from .cube import MAX_ROW_DIMENSION, Orientation, _check_n, _json_fields
 from .matousek import InfluenceGraph
 
 Q = "q"
@@ -192,10 +192,11 @@ def extension_to_uso(ext: CyclicExtension) -> Orientation:
     interval; bit j of r_j is the parity condition, always 1.
     """
     parity, inside, q_inside, below_q = _checked_scan(ext)
+    _check_n(ext.n, MAX_ROW_DIMENSION)  # extensions have no cap; the row form does
     full = (1 << ext.n) - 1
     base = parity if below_q % 2 else parity ^ full
-    rows = [row ^ (full if q_inside >> j & 1 else 1 << j) for j, row in enumerate(inside)]
-    return Orientation.from_rows(ext.n, base, rows)
+    rows = tuple(row ^ (full if q_inside >> j & 1 else 1 << j) for j, row in enumerate(inside))
+    return Orientation._from_checked_rows(ext.n, base, rows)
 
 
 def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:

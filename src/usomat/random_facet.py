@@ -122,16 +122,16 @@ def random_facet(
     PCG64 stream so runs reproduce across platforms.  seed is an int, a
     numpy SeedSequence or any other ISeedSequence; PCG64 reads its state
     from seed.generate_state(4, np.uint64), and an int s seeds exactly as
-    SeedSequence(s) does.  seed=None raises ValueError, since PCG64(None)
-    would draw fresh entropy from the operating system.
+    SeedSequence(s) does.  Any other seed, a bool or None, raises ValueError;
+    PCG64(None) would draw fresh entropy from the operating system.
 
     An orientation that holds its table reads each leaf's outmap there.
     One in row form computes only the start's outmap, in O(n): every
     later leaf is the previous one with one bit d flipped, so its outmap
     is the previous one XOR r_d, and no table is built.
     """
-    if seed is None:
-        raise ValueError("random_facet needs a seed; None would draw fresh OS entropy")
+    if type(seed) is not int and not isinstance(seed, np.random.bit_generator.ISeedSequence):
+        raise ValueError(f"random_facet needs a seed, an integer or an ISeedSequence, got {seed!r}")
     n = o.n
     full = (1 << n) - 1
     if start is None:
@@ -387,8 +387,8 @@ def family_graph(name: str, n: int) -> InfluenceGraph:
 
 def _int_words(x: int) -> list[int]:
     """x as SeedSequence reads an int: little-endian uint32 words, [0] for 0."""
-    if x < 0:
-        raise ValueError("expected non-negative integer")  # SeedSequence's message
+    if type(x) is not int or x < 0:
+        raise ValueError(f"expected non-negative integer, got {x!r}")  # SeedSequence's wording
     words = [x & _MASK32]
     while x := x >> 32:
         words.append(x & _MASK32)
@@ -478,9 +478,9 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
     rows and build no 2^n table, and both give every trial the same picks.
     Every returned sink is checked against the known one.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    _int_words(seed)  # a negative seed fails here, before any trial
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be at least 1 and an integer, got {trials!r}")
+    _int_words(seed)  # a negative or non-integer seed fails here, before any trial
     out = []
     for n in n_list:
         o = build_matousek(family_graph(family, n))

@@ -3,12 +3,16 @@
 Every reader takes its named keys through one helper, so a non-object or
 a missing key is a ``ValueError`` that names the document; the integer
 ``n``, table and row entries, dimensions, vertices, edges, parent links,
-tokens and flip elements are checked by the code that uses them, so a
-direct library call fails the same way a document does.
+tokens, flip elements, trial counts and seeds are checked by the code that
+uses them, so a direct library call fails the same way a document does.
+Table entries, row-form base and rows, and graph rows share one mask rule.
 """
 
+import importlib
 import json
+import re
 
+import numpy as np
 import pytest
 
 from usomat import (
@@ -22,6 +26,7 @@ from usomat import (
     family_graph,
     flip_facet,
     random_facet,
+    run_trials,
     solve_candidate,
 )
 from usomat.cli import main
@@ -83,6 +88,8 @@ NON_INTEGER_CALLS = [
     (flip_facet, (USO, True)),
     (random_facet, (USO, 7.0, 0)),
     (random_facet, (USO, True, 0)),
+    (random_facet, (USO, 7, True)),
+    (random_facet, (USO, 7, 1.5)),
     (solve_candidate, (INSTANCE, 1.0)),
     (solve_candidate, (INSTANCE, True)),
     (dims_to_mask, ([True], 2)),
@@ -102,3 +109,49 @@ NON_INTEGER_CALLS = [
 def test_library_calls_with_non_integers_are_value_errors(func, args):
     with pytest.raises(ValueError):
         func(*args)
+
+
+@pytest.mark.parametrize(
+    "trials, seed, message",
+    [
+        (True, 0, "trials must be at least 1 and an integer, got True"),
+        (10.0, 0, "trials must be at least 1 and an integer, got 10.0"),
+        (10, True, "expected non-negative integer, got True"),
+        (10, 1.5, "expected non-negative integer, got 1.5"),
+    ],
+)
+def test_run_trials_refuses_non_integer_trials_and_seeds_before_any_trial(trials, seed, message, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    module = importlib.import_module("usomat.random_facet")  # the package attribute is the function
+    for name in ("random_facet", "random_facet_lanes"):
+        monkeypatch.setattr(module, name, no_trial)
+    with pytest.raises(ValueError, match=message):
+        run_trials("path", [4], trials, seed)
+
+
+# at n = 2: a bool, a numpy integer, a float, a negative value and bit n + 1
+BAD_MASKS = [True, np.int64(1), 1.0, -1, 1 << 2]
+
+
+def mask_calls(bad):
+    """Each constructor that takes masks, with ``bad`` in one place, and the name its error gives that place."""
+    yield Orientation, (2, (0, 1, bad, 3)), "outmap of vertex 2"
+    yield Orientation.from_rows, (2, bad, [1, 2]), "base"
+    yield Orientation.from_rows, (2, 0, [1, bad]), "row of dimension 2"
+    yield InfluenceGraph.from_rows, (2, [1, bad]), "row of dimension 2"
+
+
+@pytest.mark.parametrize("bad", BAD_MASKS, ids=repr)
+def test_one_mask_rule_for_tables_orientation_rows_and_graph_rows(bad):
+    for func, args, name in mask_calls(bad):
+        with pytest.raises(ValueError, match=re.escape(f"{name} is {bad!r}, not an integer with bits in 1..2 only")):
+            func(*args)
+
+
+@pytest.mark.parametrize("rows", [[1], [1, 2, 4]], ids=["too few", "too many"])
+def test_row_counts_are_checked_before_the_rows(rows):
+    for func, args in [(Orientation.from_rows, (2, 0, rows)), (InfluenceGraph.from_rows, (2, rows))]:
+        with pytest.raises(ValueError, match=f"need 2 rows, got {len(rows)}"):
+            func(*args)

@@ -149,6 +149,43 @@ def test_every_valid_extension_n3_at_every_q_position():
         agree_everywhere(o)
 
 
+def test_unchecked_row_forms_hold_exact_ints_and_match_from_rows(monkeypatch):
+    """What the library's producers pass to the unchecked row-form builder would pass from_rows.
+
+    build_matousek on every DAG with n <= 4, flip_facet on each for every d
+    and side, and extension_to_uso on every valid n <= 3 extension at every
+    q position: each value is an exact int, the rows a tuple, and the
+    orientation equals the checked build on the same values.
+    """
+    calls = []
+    unchecked = Orientation._from_checked_rows
+
+    def record(n, base, rows):
+        calls.append((n, base, rows))
+        return unchecked(n, base, rows)
+
+    monkeypatch.setattr(Orientation, "_from_checked_rows", record)
+    built = []
+    for n in (1, 2, 3, 4):
+        for g in all_dags(n):
+            o = build_matousek(g)
+            built.append(o)
+            built += [flip_facet(o, d, upper) for d in range(1, n + 1) for upper in (False, True)]
+    for n in (1, 2, 3):
+        for ext in valid_extensions(n):
+            while True:
+                built.append(extension_to_uso(ext))
+                if ext.order[0] == Q:
+                    break
+                ext = push_q_left(ext)[0]
+    monkeypatch.undo()
+    assert len(calls) == len(built) == 572 + (2 * 1 + 4 * 3 + 6 * 25 + 8 * 543) + (4 * 3 + 64 * 5 + 1920 * 7)
+    for (n, base, rows), o in zip(calls, built):
+        assert type(n) is int and type(base) is int and type(rows) is tuple
+        assert all(type(row) is int for row in rows)
+        assert o == Orientation.from_rows(n, base, rows)
+
+
 def test_equality_and_hash_across_constructions():
     cases = [build_matousek(g) for n in (1, 2, 3) for g in all_dags(n)]
     cases += [flip_facet(o, d, upper) for o in cases for d in (1, o.n) for upper in (False, True)]
@@ -197,7 +234,11 @@ def test_tables_are_capped():
         Orientation.from_rows(MAX_ROW_DIMENSION + 1, 0, [1 << d for d in range(MAX_ROW_DIMENSION + 1)])
     with pytest.raises(ValueError):
         InfluenceGraph(MAX_ROW_DIMENSION + 1)
-    with pytest.raises(ValueError, match="bits outside"):
+    wide = MAX_ROW_DIMENSION + 1  # extensions have no cap; their row form has
+    pairs = [e for i in range(1, wide + 1) for e in (i, i + wide)]
+    with pytest.raises(ValueError, match=f"cube dimension must be in 1..{MAX_ROW_DIMENSION}, got {wide}"):
+        extension_to_uso(CyclicExtension(wide, pairs + [Q], range(1, wide + 1)))
+    with pytest.raises(ValueError, match=r"base is 4, not an integer with bits in 1\.\.2 only"):
         Orientation.from_rows(2, 4, [1, 2])
     with pytest.raises(ValueError, match="need 2 rows"):
         Orientation.from_rows(2, 0, [1])
