@@ -146,11 +146,6 @@ class Orientation:
             self._table = xor_table(self.base, self.rows)
         return self._table
 
-    @property
-    def has_table(self) -> bool:
-        """Whether the dense table is built: from birth, or since ``outmaps`` was read."""
-        return self._table is not None
-
     def outmap(self, v: int) -> int:
         if self._table is not None:
             return self._table[v]

@@ -9,6 +9,7 @@ are the Matousek-type orientations; every one of them is a USO.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from .cube import (
@@ -31,6 +32,7 @@ class CyclicInfluence(ValueError):
     """The influence pattern contains a directed cycle besides the loops."""
 
 
+@dataclass(frozen=True, slots=True)
 class InfluenceGraph:
     """Loop-augmented digraph on dimensions, stored as out-neighbour bitmasks.
 
@@ -38,10 +40,12 @@ class InfluenceGraph:
     implicit loop bit, so applying one cube step in dimension d is a single
     XOR with the row.  The graph itself may contain cycles (several
     operations need to represent and then reject them); use
-    :meth:`is_acyclic` or the consuming operation's validation.
+    :meth:`is_acyclic` or the consuming operation's validation.  The
+    fields are fixed once the constructor has checked them.
     """
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         _check_n(n, MAX_ROW_DIMENSION)
@@ -52,8 +56,8 @@ class InfluenceGraph:
             if d == d2:
                 raise ValueError("loops are implicit; do not list them as edges")
             rows[d - 1] |= 1 << (d2 - 1)
-        self.n = n
-        self.rows = tuple(rows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "InfluenceGraph":
@@ -64,7 +68,8 @@ class InfluenceGraph:
             raise ValueError(f"need {n} rows, got {len(rows)}")
         _check_masks(n, rows, lambda i: f"row of dimension {i + 1}")
         g = cls.__new__(cls)
-        g.n, g.rows = n, tuple(row | 1 << d for d, row in enumerate(rows))
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", tuple(row | 1 << d for d, row in enumerate(rows)))
         return g
 
     @property
@@ -83,16 +88,6 @@ class InfluenceGraph:
     def is_acyclic(self) -> bool:
         """True when the non-loop edges form a DAG (repeatedly strip sinks)."""
         return rows_acyclic(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, InfluenceGraph)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"InfluenceGraph(n={self.n}, edges={list(self.edges)})"

@@ -58,27 +58,26 @@ def _json_fraction(x: object) -> Fraction:
     raise ValueError(f"entries must be fraction strings or integers, got {x!r}")
 
 
+@dataclass(frozen=True, slots=True)
 class RationalMatrix:
-    """A dense matrix of Fractions with exact elimination-based solvers."""
+    """A read-only dense matrix of Fractions with exact elimination-based solvers."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    rows: tuple[tuple[Fraction, ...], ...]
+    nrows: int
+    ncols: int
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(row) != self.ncols for row in self.rows):
+        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
             raise ValueError("rows have unequal lengths")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nrows", len(rows))
+        object.__setattr__(self, "ncols", ncols)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -117,7 +116,11 @@ class RationalMatrix:
 
 @dataclass(frozen=True)
 class PLCPInstance:
-    """Data (M, q) of the problem: find w, z >= 0, w - M z = q, w^T z = 0."""
+    """Data (M, q) of the problem: find w, z >= 0, w - M z = q, w^T z = 0.
+
+    Read-only all the way down: M is a :class:`RationalMatrix` and q is
+    kept as a tuple.
+    """
 
     n: int
     M: RationalMatrix
@@ -130,6 +133,7 @@ class PLCPInstance:
             raise ValueError(f"M must be {self.n}x{self.n}")
         if len(self.q) != self.n:
             raise ValueError(f"q must have {self.n} entries")
+        object.__setattr__(self, "q", tuple(self.q))
 
     def to_json_obj(self) -> dict:
         return {

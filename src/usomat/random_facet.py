@@ -125,10 +125,11 @@ def random_facet(
     SeedSequence(s) does.  Any other seed, a bool or None, raises ValueError;
     PCG64(None) would draw fresh entropy from the operating system.
 
-    An orientation that holds its table reads each leaf's outmap there.
-    One in row form computes only the start's outmap, in O(n): every
+    A Matousek-type orientation, built from a table or from rows, is
+    searched along its rows: only the start's outmap is read, and every
     later leaf is the previous one with one bit d flipped, so its outmap
-    is the previous one XOR r_d, and no table is built.
+    is the previous one XOR r_d; no table is built.  Any other orientation
+    reads each leaf's outmap in its table.
     """
     if type(seed) is not int and not isinstance(seed, np.random.bit_generator.ISeedSequence):
         raise ValueError(f"random_facet needs a seed, an integer or an ISeedSequence, got {seed!r}")
@@ -141,12 +142,9 @@ def random_facet(
     rng = np.random.Generator(np.random.PCG64(seed))
     uniforms: list[float] = []
     used = 0
-    if o.has_table:
-        outmaps, rows = o.outmaps, None
-        out = outmaps[start]
-    else:
-        outmaps, rows = None, o.rows
-        out = o.outmap(start)
+    rows = o.rows
+    outmaps = o.outmaps if rows is None else None
+    out = o.outmap(start)
 
     # One stack holds the pending second facets of every open face: solving
     # a face picks d, solves the facet holding w, and only if the facet sink

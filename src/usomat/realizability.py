@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .cube import Face, Orientation
 from .matousek import InfluenceGraph
@@ -87,10 +88,15 @@ def find_forbidden(g: InfluenceGraph) -> Optional[ForbiddenWitness]:
     return None
 
 
+@dataclass(frozen=True, slots=True)
 class Branching:
-    """A forest of arborescences on dimensions 1..n, given by parent links."""
+    """A forest of arborescences on dimensions 1..n, given by parent links.
 
-    __slots__ = ("n", "parent")
+    ``parent`` is a read-only copy of the links the constructor checked.
+    """
+
+    n: int
+    parent: Mapping[int, int]
 
     def __init__(self, n: int, parent: dict[int, int]) -> None:
         if type(n) is not int or n < 0:
@@ -100,16 +106,16 @@ class Branching:
                 raise ValueError(f"parent link {child!r}->{par!r} is not a pair of integers in 1..{n}")
             if child == par:
                 raise ValueError(f"dimension {child} cannot be its own parent")
-        self.n = n
-        self.parent = dict(parent)
         for start in range(1, n + 1):
             seen = {start}
             v = start
-            while v in self.parent:
-                v = self.parent[v]
+            while v in parent:
+                v = parent[v]
                 if v in seen:
                     raise ValueError(f"parent links form a cycle through {v}")
                 seen.add(v)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "parent", MappingProxyType(dict(parent)))
 
     def roots(self) -> list[int]:
         return [v for v in range(1, self.n + 1) if v not in self.parent]
@@ -125,13 +131,6 @@ class Branching:
     def transitive_closure(self) -> InfluenceGraph:
         edges = [(a, v) for v in range(1, self.n + 1) for a in self.ancestors(v)]
         return InfluenceGraph(self.n, edges)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Branching)
-            and self.n == other.n
-            and self.parent == other.parent
-        )
 
     def __repr__(self) -> str:
         links = ", ".join(f"{c}->{p}" for c, p in sorted(self.parent.items()))

@@ -329,6 +329,28 @@ def test_realize_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_realize_names_an_lcp_route_without_a_matousek_uso(tmp_path, capsys, monkeypatch):
+    import usomat.cli
+
+    monkeypatch.setattr(usomat.cli, "plcp_to_uso", lambda inst: Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5)))
+    assert main(["realize", "--family", "path", "--n", "3", "--out", str(tmp_path / "path3")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[1:] == [
+        "verification failed: LCP route gives no Matousek USO (flip pattern of dimension 3 varies "
+        "across vertices (first at vertex [1, 3])); nothing written"
+    ]
+    assert not list(tmp_path.iterdir())
+
+
+def test_realize_reports_a_non_closure_without_a_witness(capsys, monkeypatch):
+    """The two realizability tests disagreeing is an error, not a verdict."""
+    import usomat.cli
+
+    monkeypatch.setattr(usomat.cli, "find_forbidden", lambda g: None)
+    assert main(["realize", "--family", "merged", "--n", "3"]) == 1
+    assert_one_error_line(capsys.readouterr(), "graph is not a branching closure, yet no forbidden pattern was found")
+
+
 @pytest.mark.parametrize("m", [[[1, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 2, 0], [2, 1, 0], [0, 0, 1]]])
 def test_realize_names_the_lcp_route_when_it_refuses_m(tmp_path, capsys, monkeypatch, m):
     """A singular or an indefinite M is refused as not a P-matrix, even where q is degenerate for it."""

@@ -72,6 +72,13 @@ def test_matrix_solve():
         RationalMatrix([[1, 2], [2, 4]]).solve_matrix([[1], [1]])
 
 
+def test_matrix_solve_refuses_mismatched_shapes():
+    with pytest.raises(ValueError, match="solve needs a square matrix"):
+        RationalMatrix([[1, 2]]).solve_matrix([[1]])
+    with pytest.raises(ValueError, match="right-hand side has mismatched row count"):
+        RationalMatrix([[2, 1], [1, 3]]).solve_matrix([[1], [2], [3]])
+
+
 def test_matrix_solve_matrix_inverse():
     a = RationalMatrix([[2, 1], [1, 3]])
     inv = a.solve_matrix(identity_matrix(2))
@@ -295,6 +302,12 @@ def test_plcp_instance_rejects_sizes_below_one(n):
         PLCPInstance.from_json_obj({"n": n, "M": [], "q": []})
     with pytest.raises(ValueError, match="instance size must be an integer of at least 1"):
         PLCPInstance(n, RationalMatrix([]), ())
+
+
+def test_plcp_instance_rejects_a_q_of_the_wrong_length():
+    for q in ((), (Fraction(1),) * 3):
+        with pytest.raises(ValueError, match="q must have 2 entries"):
+            PLCPInstance(2, RationalMatrix([[1, 0], [0, 1]]), q)
 
 
 def test_solve_candidate_identity():

@@ -306,6 +306,16 @@ def test_select_tables_list_each_chunks_set_bits():
         assert select[12 * c : 12 * c + len(bits)].tolist() == bits
 
 
+def test_seed_row_gives_only_its_four_uint64_words():
+    row = trial_seed_words(0, 0, 1)[0]
+    seed_row = _seed_row_type()(row)
+    assert seed_row.generate_state(4, np.uint64) is row
+    assert seed_row.generate_state(4, np.dtype("uint64")) is row
+    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (3, np.uint64), (5, np.uint64)):
+        with pytest.raises(ValueError, match="holds exactly 4 uint64 words"):
+            seed_row.generate_state(n_words, dtype)
+
+
 def test_lanes_match_random_facet_on_every_small_uso():
     """Every DAG's rows at n <= 3 from every base o(0) and start, and every n = 4 DAG from the antipode of 0."""
     seed_row = _seed_row_type()

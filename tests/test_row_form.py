@@ -94,27 +94,19 @@ def agree_on_checks(o):
 
 
 def agree_everywhere(o):
-    """The checks on o and on all its facet flips, and Random Facet from every start.
-
-    Each search gets a fresh row-form copy, so it steps along the rows
-    instead of reading a table.
-    """
+    """The checks on o and on all its facet flips, and Random Facet from every start."""
     table = o.outmaps
-
-    def rows():
-        return Orientation.from_rows(o.n, o.base, o.rows)
-
-    assert [rows().outmap(v) for v in range(1 << o.n)] == list(table)
-    agree_on_checks(rows())
+    assert [Orientation.from_rows(o.n, o.base, o.rows).outmap(v) for v in range(1 << o.n)] == list(table)
+    agree_on_checks(o)
     for d in range(1, o.n + 1):
         for upper in (False, True):
-            flipped = flip_facet(rows(), d, upper)
+            flipped = flip_facet(o, d, upper)
             assert flipped.rows is not None  # stays in row form
             assert flipped.outmaps == flip_by_vertex(table, o.n, d, upper)
             agree_on_checks(flipped)
     for start in range(1 << o.n):
         for seed in range(3):
-            res = random_facet(rows(), start, seed)
+            res = random_facet(o, start, seed)
             assert (res.sink, res.evaluations) == random_facet_by_memo(o, start, seed)
 
 
@@ -208,21 +200,44 @@ def test_non_matousek_tables_compare_by_table():
 
 
 def test_run_trials_reads_rows_only(monkeypatch):
+    """Blocks under _LOCKSTEP_MIN run trial by trial, larger ones in lockstep; neither builds a table, at any n."""
+    import usomat.cube
+
     seen = []
 
     def recording(search):
         def run(o, start, seed):
-            seen.append((search.__name__, o.n, o.has_table))
+            seen.append((search.__name__, o.n))
             return search(o, start, seed)
 
         return run
 
+    def no_table(base, rows):
+        raise AssertionError("a table was built from rows")
+
+    monkeypatch.setattr(usomat.cube, "xor_table", no_table)
     monkeypatch.setattr(rf, "random_facet", recording(random_facet))
     monkeypatch.setattr(rf, "random_facet_lanes", recording(rf.random_facet_lanes))
     rf.run_trials("path", [3, MAX_DIMENSION + 1], 2, 0)
     rf.run_trials("path", [3], rf._LOCKSTEP_MIN, 0)
-    per_trial = [("random_facet", 3, False)] * 2 + [("random_facet", MAX_DIMENSION + 1, False)] * 2
-    assert seen == per_trial + [("random_facet_lanes", 3, False)]
+    per_trial = [("random_facet", 3)] * 2 + [("random_facet", MAX_DIMENSION + 1)] * 2
+    assert seen == per_trial + [("random_facet_lanes", 3)]
+
+
+def test_random_facet_is_the_same_search_on_either_form(monkeypatch):
+    """A table-born copy of a Matousek USO is searched along its rows too: no table read, the same result everywhere."""
+    cases = []
+    for n in (1, 2, 3, 4):
+        for g in all_dags(n):
+            o = build_matousek(g)
+            dense = Orientation(n, o.outmaps)
+            assert dense.rows == o.rows
+            cases.append((o, dense))
+    monkeypatch.setattr(Orientation, "outmaps", property(lambda o: pytest.fail("random_facet read a table")))
+    for o, dense in cases:
+        for start in range(1 << o.n):
+            for seed in range(3):
+                assert random_facet(dense, start, seed) == random_facet(o, start, seed)
 
 
 def test_tables_are_capped():
