@@ -47,6 +47,7 @@ from .plcp import (
     DegenerateQ,
     PLCPInstance,
     RationalMatrix,
+    cauchy_to_uso,
     is_p_matrix,
     plcp_to_uso,
     solve_candidate,
@@ -98,6 +99,7 @@ __all__ = [
     "DegenerateQ",
     "PLCPInstance",
     "RationalMatrix",
+    "cauchy_to_uso",
     "is_p_matrix",
     "plcp_to_uso",
     "solve_candidate",

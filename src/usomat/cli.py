@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cube import (
+    MAX_DIMENSION,
     MAX_ROW_DIMENSION,
     Orientation,
     _check_n,
@@ -32,7 +33,7 @@ from .matousek import (
     extract_influence_graph,
 )
 from .matroid import extension_to_uso
-from .plcp import plcp_to_uso, translate_to_plcp
+from .plcp import cauchy_to_uso, translate_to_plcp
 from .random_facet import FAMILIES, family_graph, run_trials, stats_to_csv
 from .realizability import find_forbidden, is_branching_closure, synthesize_extension
 from .enumeration import ENUMERATE_CAP, classify_block, dag_blocks
@@ -58,8 +59,8 @@ def _write_text(text: str, out: Optional[str]) -> None:
         fh.write(text)
 
 
-def _load_graph(args: argparse.Namespace) -> InfluenceGraph:
-    """The graph of a file or a family, for the commands that write or read 2^n tables."""
+def _load_graph(args: argparse.Namespace, cap: int) -> InfluenceGraph:
+    """The graph of a file or a family, with n at most ``cap``."""
     if args.graph is not None:
         if args.family is not None:
             raise ValueError("give either a graph file or --family, not both")
@@ -70,7 +71,7 @@ def _load_graph(args: argparse.Namespace) -> InfluenceGraph:
         raise ValueError("--family needs --n")
     else:
         g = family_graph(args.family, args.n)
-    _check_n(g.n)
+    _check_n(g.n, cap)
     return g
 
 
@@ -103,7 +104,7 @@ def _orientation_json(o: Orientation) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, MAX_DIMENSION)  # the output is a 2^n table
     o = build_matousek(g)
     witness = find_forbidden(g)
     if witness is not None:
@@ -166,7 +167,7 @@ def _route_problem(route: str, got: Orientation, g: InfluenceGraph) -> Optional[
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, MAX_ROW_DIMENSION)  # every route stays in row form
     build_matousek(g)  # a cyclic graph stops here with CyclicInfluence
     branching = is_branching_closure(g)
     if branching is None:
@@ -181,8 +182,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
     inst = translate_to_plcp(ext)
     problem = _route_problem("extension", extension_to_uso(ext), g)
     if problem is None:
-        try:  # a P-matrix M is certified here: plcp_to_uso refuses any other
-            problem = _route_problem("LCP", plcp_to_uso(inst), g)
+        try:  # a P-matrix M is certified here: cauchy_to_uso refuses any other
+            problem = _route_problem("LCP", cauchy_to_uso(ext, inst), g)
         except ValueError as exc:
             problem = f"LCP route: {exc}"
     if problem is not None:

@@ -12,29 +12,40 @@ Fractions at the boundary, Python ints in every elimination.  One
 fraction-free step, :func:`_pivot_step`, serves both the linear solves and
 the pivot tree.
 
-The pivot tree behind :func:`plcp_to_uso` and :func:`is_p_matrix` reaches
-all 2^n complementary bases with one fraction-free principal pivot each,
-depth first through the binomial tree of index subsets, and updates only
-the free rows and the columns that later pivots read: O(n 2^n) operations
-on Python ints.  Each node holds one principal minor det(M[S, S]) and the
-basic values of the w variables outside S (Stickney & Watson 1978; the
-P-matrix test is the Schur-complement recursion of Tsatsomeros & Li, BIT
-2000, in fraction-free form).  :func:`plcp_to_uso` accepts P-matrices
-only, so every d it meets is positive and z_s(S) < 0 exactly when
-w_s(S - {s}) > 0: the z signs are the edge-consistent complements of the
-w signs.
+That M is a diagonally scaled Cauchy matrix, so by Cauchy's determinant
+the sign of each of its principal minors and of each basic value is a
+product of one factor per index and one per pair of indices.
+:func:`cauchy_to_uso` certifies the instances of ``usomat realize`` that
+way: an exact check of every entry against the closed form, n(n+1)/2 sign
+tests for the P-matrix property, the orientation read off the same signs
+in row form, and one exact solve at its sink.  It needs no table, so it
+runs up to n = 64.
+
+The pivot tree serves a general M.  It sits behind :func:`plcp_to_uso`
+and :func:`is_p_matrix`, the independent witnesses of the tests, and
+reaches all 2^n complementary bases with one fraction-free principal
+pivot each, depth first through the binomial tree of index subsets, and
+updates only the free rows and the columns that later pivots read:
+O(n 2^n) operations on Python ints.  Each node holds one principal minor
+det(M[S, S]) and the basic values of the w variables outside S (Stickney
+& Watson 1978; the P-matrix test is the Schur-complement recursion of
+Tsatsomeros & Li, BIT 2000, in fraction-free form).  :func:`plcp_to_uso`
+accepts P-matrices only, so every d it meets is positive and z_s(S) < 0
+exactly when w_s(S - {s}) > 0: the z signs are the edge-consistent
+complements of the w signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cube import MAX_DIMENSION, Orientation, _json_fields, mask_to_dims
+from .cube import MAX_DIMENSION, Orientation, _json_fields, global_sink, mask_to_dims
 from .matroid import Q, CyclicExtension
 
 
@@ -58,6 +69,13 @@ def _json_fraction(x: object) -> Fraction:
     raise ValueError(f"entries must be fraction strings or integers, got {x!r}")
 
 
+def _exact(x: Fraction | int) -> Fraction:
+    """A matrix entry as a Fraction; a float or a bool is refused, not read as its binary value."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"matrix entries must be exact rationals, got {x!r}")
+    return Fraction(x)
+
+
 @dataclass(frozen=True, slots=True)
 class RationalMatrix:
     """A read-only dense matrix of Fractions with exact elimination-based solvers."""
@@ -67,7 +85,7 @@ class RationalMatrix:
     ncols: int
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(_exact, row)) for row in rows)
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError("rows have unequal lengths")
@@ -335,3 +353,70 @@ def plcp_to_uso(instance: PLCPInstance) -> Orientation:
     if sum(1 << i for i, x in enumerate(basic) if x < 0) != table[sink]:
         raise ArithmeticError(f"pivot tree and direct solve disagree at vertex {sink}")
     return Orientation(n, tuple(table.tolist()))
+
+
+def _first_difference(inst: PLCPInstance, ref: PLCPInstance) -> Optional[str]:
+    """The first entry of M, then of q, where ``inst`` differs from ``ref``, or None."""
+    n = inst.n
+    if n != ref.n:
+        return f"the instance has n = {n}, the extension n = {ref.n}"
+    cells = zip(chain(*inst.M.rows, inst.q), chain(*ref.M.rows, ref.q))
+    for k, (x, y) in enumerate(cells):
+        if x != y:
+            name = f"M[{k // n + 1}, {k % n + 1}]" if k < n * n else f"q[{k - n * n + 1}]"
+            return f"{name} is {x}, the closed form gives {y}"
+    return None
+
+
+def cauchy_to_uso(ext: CyclicExtension, inst: PLCPInstance) -> Orientation:
+    """The orientation of ``inst``, the LCP of ``ext``, in row form from O(n^2) exact signs.
+
+    :func:`translate_to_plcp` writes [M | q] as D C D', C[j][t] = 1/(u_t - v_j)
+    a Cauchy matrix on distinct positions (q is one more column).  By
+    Cauchy's determinant, a square submatrix N of it whose i-th row and
+    column are paired has
+
+        det N = prod_i N_ii * prod_{i<j} det N[{i, j}] / (N_ii N_jj),
+
+    a product of nonzero factors, one per index and one per pair.  So M is
+    a P-matrix exactly when every M_ii and every det M[{i, j}] is positive.
+    Bordering M[S, S] with row r outside S and column q gives, by Schur's
+    complement, w_r(S) = q_r prod_{t in S} e(r, t), e(r, t) = w_r({t}) / q_r,
+    with w_r({t}) = (q_r M_tt - M_rt q_t) / M_tt.  So for r outside S, bit
+    r of o(S) is [q_r < 0] XOR the [e(r, t) < 0] over t in S.  For r in S,
+    z_r(S) < 0 exactly when w_r(S - {r}) > 0, so bit r is the same XOR
+    over S - {r}, XOR 1.  That is the row form: o(0) = [q < 0], and row t
+    has bit r != t set when e(r, t) < 0, and its loop bit t.
+
+    Certified in full: every entry of ``inst`` equals the closed form for
+    ``ext`` exactly, the n(n+1)/2 minors are positive (a failure raises
+    ``ValueError`` naming S, as :func:`plcp_to_uso` does), and an exact
+    solve at the rows' sink has no negative basic value.  An ``inst`` that
+    is not the closed form goes to :func:`plcp_to_uso` up to
+    ``MAX_DIMENSION``, and past it raises ``ValueError`` naming the first
+    entry that differs.
+    """
+    difference = _first_difference(inst, translate_to_plcp(ext))
+    if difference is not None:
+        if inst.n <= MAX_DIMENSION:
+            return plcp_to_uso(inst)
+        raise ValueError(f"M is not the extension's Cauchy matrix: {difference}")
+    n, m, q = inst.n, inst.M.rows, inst.q
+    diag = [m[i][i] for i in range(n)]
+    minors = [([i], diag[i]) for i in range(n)]
+    minors += [([i, j], diag[i] * diag[j] - m[i][j] * m[j][i]) for i in range(n) for j in range(i + 1, n)]
+    for s, d in minors:
+        if d <= 0:
+            sign = "zero" if d == 0 else "negative"
+            raise ValueError(f"M is not a P-matrix: det(M[S, S]) is {sign} for S = {[i + 1 for i in s]}")
+    base = sum(1 << r for r in range(n) if q[r] < 0)
+    # M_tt > 0, so w_r({t}) has the sign of q_r M_tt - M_rt q_t
+    rows = tuple(
+        sum(1 << r for r in range(n) if r == t or (q[r] * diag[t] - m[r][t] * q[t] < 0) != (q[r] < 0))
+        for t in range(n)
+    )
+    o = Orientation._from_checked_rows(n, base, rows)
+    sink = global_sink(o)
+    if not solve_candidate(inst, sink).feasible:
+        raise ArithmeticError(f"Cauchy signs and direct solve disagree at vertex {sink}")
+    return o

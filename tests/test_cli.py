@@ -109,7 +109,7 @@ def test_syntax_errors_stay_with_argparse(argv, capsys):
         (["enumerate", "--n", "0"], "--n must be between 1 and 6"),
         (["bench", "--family", "path", "--n", "65"], "sizes are 1..64"),
         (["build", "--family", "path", "--n", "21"], "cube dimension must be in 1..20"),
-        (["realize", "--family", "path", "--n", "21"], "cube dimension must be in 1..20"),
+        (["realize", "--family", "path", "--n", "65"], "cube dimension must be in 1..64"),
         (
             ["bench", "--family", "path", "--n", "3", "--seed", "-1"],
             "expected non-negative integer",
@@ -307,14 +307,14 @@ def test_realize_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
     """An LCP route that comes back with one facet flipped is caught and located."""
     import usomat.cli
 
-    real = usomat.cli.plcp_to_uso
+    real = usomat.cli.cauchy_to_uso
     seen = []
 
-    def flipped(inst):
-        seen.append(flip_facet(real(inst), 1))
+    def flipped(ext, inst):
+        seen.append(flip_facet(real(ext, inst), 1))
         return seen[-1]
 
-    monkeypatch.setattr(usomat.cli, "plcp_to_uso", flipped)
+    monkeypatch.setattr(usomat.cli, "cauchy_to_uso", flipped)
     prefix = tmp_path / "path3"
     assert main(["realize", "--family", "path", "--n", "3", "--out", str(prefix)]) == 1
     got = build_matousek(extract_influence_graph(seen[0])).outmaps  # the canonical form
@@ -332,7 +332,7 @@ def test_realize_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
 def test_realize_names_an_lcp_route_without_a_matousek_uso(tmp_path, capsys, monkeypatch):
     import usomat.cli
 
-    monkeypatch.setattr(usomat.cli, "plcp_to_uso", lambda inst: Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5)))
+    monkeypatch.setattr(usomat.cli, "cauchy_to_uso", lambda ext, inst: Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5)))
     assert main(["realize", "--family", "path", "--n", "3", "--out", str(tmp_path / "path3")]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines()[1:] == [
@@ -376,6 +376,21 @@ def test_realize_builds_no_table_from_rows(capsys, monkeypatch):
     monkeypatch.setattr(usomat.cube, "xor_table", no_table)
     assert main(["realize", "--family", "path", "--n", "6"]) == 0
     assert capsys.readouterr().out.startswith("round-trip: exact match\n")
+
+
+def test_realize_runs_past_the_table_cap_without_a_table(capsys, monkeypatch):
+    """At n = 24 all three routes, the LCP certificate included, stay in row form."""
+    import usomat.cube
+
+    def no_table(base, rows):
+        raise AssertionError("a table was built from rows")
+
+    monkeypatch.setattr(usomat.cube, "xor_table", no_table)
+    assert main(["realize", "--family", "path", "--n", "24"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("round-trip: exact match\n")
+    plcp = json.loads(out[out.rindex("\n{") :])
+    assert plcp["n"] == 24 and len(plcp["M"]) == 24
 
 
 def test_realize_writes_both_documents(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -62,6 +63,16 @@ def test_fraction_round_trip():
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("entry", [0.1, 2.0, True, False, np.float64(0.5)])
+def test_matrix_refuses_inexact_entries(entry):
+    """A float or a bool is refused, not read as its binary value, as the JSON reader refuses floats."""
+    with pytest.raises(ValueError, match=re.escape(f"matrix entries must be exact rationals, got {entry!r}")):
+        RationalMatrix([[Fraction(1, 3), entry]])
+    assert RationalMatrix([[Fraction(1, 3), 1, np.int64(-2), "3/4"]]).rows == (
+        (Fraction(1, 3), Fraction(1), Fraction(-2), Fraction(3, 4)),
+    )
 
 
 def test_matrix_solve():
