@@ -13,13 +13,21 @@ fraction-free step, :func:`_pivot_step`, serves both the linear solves and
 the pivot tree.
 
 That M is a diagonally scaled Cauchy matrix, so by Cauchy's determinant
-the sign of each of its principal minors and of each basic value is a
-product of one factor per index and one per pair of indices.
+each of its principal minors and each basic value is a product of one
+factor per index and one per pair of indices.  With a_i = pos(i),
+b_i = pos(i + n) and b_q = pos(q), the pair factors are
+
+    g(s, t) = det M[{s, t}] / (M_ss M_tt) = (a_s - a_t)(b_t - b_s) / ((b_t - a_s)(b_s - a_t)),
+    e(r, t) = w_r({t}) / q_r = (a_r - a_t)(b_t - b_q) / ((b_t - a_r)(b_q - a_t)).
+
 :func:`cauchy_to_uso` certifies the instances of ``usomat realize`` that
 way: an exact check of every entry against the closed form, n(n+1)/2 sign
-tests for the P-matrix property, the orientation read off the same signs
-in row form, and one exact solve at its sink.  It needs no table, so it
-runs up to n = 64.
+tests for the P-matrix property, the orientation read off the signs of e
+in row form, and at its sink S the basic values w_r = q_r prod_{t in S}
+e(r, t) and z_s = -q_s prod e(s, t) / (M_ss prod g(s, t)), checked by one
+exact product w - M z = q.  M[S, S] is nonsingular, so that product is a
+full certificate, as a solve would be, in O(n^2) integer products.  It
+needs no table and no elimination, so it runs up to n = 64.
 
 The pivot tree serves a general M.  It sits behind :func:`plcp_to_uso`
 and :func:`is_p_matrix`, the independent witnesses of the tests, and
@@ -224,10 +232,15 @@ def _pivot_step(vec: list[int], pivot_vec: list[int], pos: int, d: int) -> list[
     remainder raises ArithmeticError.
     """
     p, b = pivot_vec[pos], vec[pos]
-    parts = [divmod(a * p - f * b, d) for a, f in zip(vec, pivot_vec)]
-    if any(rem for _, rem in parts):
-        raise ArithmeticError("inexact fraction-free pivot")
-    return [quo for quo, _ in parts]
+    if d == 1:  # the first pivot of a solve, or a child of the tree's root
+        return [a * p - f * b for a, f in zip(vec, pivot_vec)]
+    out = []
+    for a, f in zip(vec, pivot_vec):
+        quo, rem = divmod(a * p - f * b, d)
+        if rem:
+            raise ArithmeticError("inexact fraction-free pivot")
+        out.append(quo)
+    return out
 
 
 def _pivot_tree(tab: list[list[int]], n: int) -> Iterator[tuple[int, int, list[int], list[int]]]:
@@ -356,10 +369,8 @@ def plcp_to_uso(instance: PLCPInstance) -> Orientation:
 
 
 def _first_difference(inst: PLCPInstance, ref: PLCPInstance) -> Optional[str]:
-    """The first entry of M, then of q, where ``inst`` differs from ``ref``, or None."""
+    """The first entry of M, then of q, where ``inst`` differs from ``ref`` of the same n, or None."""
     n = inst.n
-    if n != ref.n:
-        return f"the instance has n = {n}, the extension n = {ref.n}"
     cells = zip(chain(*inst.M.rows, inst.q), chain(*ref.M.rows, ref.q))
     for k, (x, y) in enumerate(cells):
         if x != y:
@@ -368,55 +379,128 @@ def _first_difference(inst: PLCPInstance, ref: PLCPInstance) -> Optional[str]:
     return None
 
 
-def cauchy_to_uso(ext: CyclicExtension, inst: PLCPInstance) -> Orientation:
-    """The orientation of ``inst``, the LCP of ``ext``, in row form from O(n^2) exact signs.
+def _cauchy_nodes(ext: CyclicExtension) -> tuple[list[int], list[int], int]:
+    """The positions a_i = pos(i) and b_i = pos(i + n) for i = 1..n (0-based lists), and b_q = pos(q).
 
-    :func:`translate_to_plcp` writes [M | q] as D C D', C[j][t] = 1/(u_t - v_j)
-    a Cauchy matrix on distinct positions (q is one more column).  By
-    Cauchy's determinant, a square submatrix N of it whose i-th row and
+    In them the LCP of :func:`translate_to_plcp` is M_it = alpha_i beta_t / (b_t - a_i)
+    and q_i = alpha_i beta_q / (b_q - a_i), with alpha_i = -s_i / P'(a_i) and
+    beta_t = s_t P(b_t) nonzero.
+    """
+    n, x = ext.n, ext.position
+    return [x[i] for i in range(1, n + 1)], [x[i] for i in range(n + 1, 2 * n + 1)], x[Q]
+
+
+def _cauchy_solution(ext: CyclicExtension, inst: PLCPInstance, vertex: int) -> CandidateSolution:
+    """The basic solution of ``inst``, the LCP of ``ext``, at ``vertex`` from Cauchy products, with no solve.
+
+    With S the vertex set, w_r = q_r prod_{t in S} e(r, t) for r outside S,
+    and z_s = -(q_s / M_ss) prod_{t in S - {s}} e(s, t) / g(s, t) for s in
+    S, where e(s, t) / g(s, t) = (b_t - b_q)(b_s - a_t) / ((b_q - a_t)(b_t - b_s)):
+    the numerator and the denominator of each value are products of ints,
+    and each value is one Fraction.  Nothing here checks that ``inst`` is
+    the closed form of ``ext``, or the values against w - M z = q:
+    :func:`cauchy_to_uso` does both.  A zero value raises ``DegenerateQ``,
+    as :func:`solve_candidate` does.
+    """
+    n, m, q = inst.n, inst.M.rows, inst.q
+    a, b, bq = _cauchy_nodes(ext)
+    support = [t for t in range(n) if vertex >> t & 1]
+    x = []
+    for r in range(n):
+        if vertex >> r & 1:
+            others = [t for t in support if t != r]
+            num = -q[r].numerator * m[r][r].denominator * prod((b[t] - bq) * (b[r] - a[t]) for t in others)
+            den = q[r].denominator * m[r][r].numerator * prod((bq - a[t]) * (b[t] - b[r]) for t in others)
+        else:
+            num = q[r].numerator * prod((a[r] - a[t]) * (b[t] - bq) for t in support)
+            den = q[r].denominator * prod((b[t] - a[r]) * (bq - a[t]) for t in support)
+        x.append(Fraction(num, den))
+    if any(val == 0 for val in x):
+        raise DegenerateQ(f"zero component in the basic solution at vertex {vertex}")
+    w = tuple(Fraction(0) if vertex >> i & 1 else x[i] for i in range(n))
+    z = tuple(x[i] if vertex >> i & 1 else Fraction(0) for i in range(n))
+    return CandidateSolution(vertex, w, z)
+
+
+def cauchy_to_uso(ext: CyclicExtension, inst: PLCPInstance) -> Orientation:
+    """The orientation of ``inst``, the LCP of ``ext``, in row form from O(n^2) exact integer products.
+
+    :func:`translate_to_plcp` writes [M | q] as D C D', with
+    C[i][t] = 1/(b_t - a_i) a Cauchy matrix on the distinct positions
+    a_i = pos(i), b_t = pos(t + n) and b_q = pos(q) (q is one more column).
+    By Cauchy's determinant, a square submatrix N of it whose i-th row and
     column are paired has
 
         det N = prod_i N_ii * prod_{i<j} det N[{i, j}] / (N_ii N_jj),
 
     a product of nonzero factors, one per index and one per pair.  So M is
-    a P-matrix exactly when every M_ii and every det M[{i, j}] is positive.
+    a P-matrix exactly when every M_ii and every det M[{s, t}] is positive,
+    and det M[{s, t}] = M_ss M_tt g(s, t) with
+
+        g(s, t) = (a_s - a_t)(b_t - b_s) / ((b_t - a_s)(b_s - a_t)).
+
     Bordering M[S, S] with row r outside S and column q gives, by Schur's
-    complement, w_r(S) = q_r prod_{t in S} e(r, t), e(r, t) = w_r({t}) / q_r,
-    with w_r({t}) = (q_r M_tt - M_rt q_t) / M_tt.  So for r outside S, bit
-    r of o(S) is [q_r < 0] XOR the [e(r, t) < 0] over t in S.  For r in S,
-    z_r(S) < 0 exactly when w_r(S - {r}) > 0, so bit r is the same XOR
-    over S - {r}, XOR 1.  That is the row form: o(0) = [q < 0], and row t
-    has bit r != t set when e(r, t) < 0, and its loop bit t.
+    complement, w_r(S) = q_r prod_{t in S} e(r, t), with
+
+        e(r, t) = w_r({t}) / q_r = (a_r - a_t)(b_t - b_q) / ((b_t - a_r)(b_q - a_t)).
+
+    So for r outside S, bit r of o(S) is [q_r < 0] XOR the [e(r, t) < 0]
+    over t in S.  For r in S, z_r(S) < 0 exactly when w_r(S - {r}) > 0, so
+    bit r is the same XOR over S - {r}, XOR 1.  That is the row form:
+    o(0) = [q < 0], and row t has bit r != t set when e(r, t) < 0, and its
+    loop bit t.  At the sink S the same products give every basic value
+    (:func:`_cauchy_solution`): w_r = q_r prod_{t in S} e(r, t) for r
+    outside S, and z_s = -q_s prod_{t in S - {s}} e(s, t) / (M_ss
+    prod_{t in S - {s}} g(s, t)) for s in S.
 
     Certified in full: every entry of ``inst`` equals the closed form for
-    ``ext`` exactly, the n(n+1)/2 minors are positive (a failure raises
-    ``ValueError`` naming S, as :func:`plcp_to_uso` does), and an exact
-    solve at the rows' sink has no negative basic value.  An ``inst`` that
-    is not the closed form goes to :func:`plcp_to_uso` up to
+    ``ext`` exactly; the n(n+1)/2 minors are positive (a failure raises
+    ``ValueError`` naming S, as :func:`plcp_to_uso` does); the sink's
+    values are nonzero (else ``DegenerateQ``) and nonnegative; and they
+    satisfy w - M z = q exactly, row by row, else ``ArithmeticError``
+    naming the vertex and the row.  M[S, S] is nonsingular, its
+    determinant a product of certified positive factors, so the
+    complementary system at S has exactly one solution, and values that
+    satisfy it are that solution: the product proves what a direct solve
+    would, in O(n^2).  An ``inst`` of another n raises ``ValueError``.  One
+    that is not the closed form goes to :func:`plcp_to_uso` up to
     ``MAX_DIMENSION``, and past it raises ``ValueError`` naming the first
     entry that differs.
     """
+    if inst.n != ext.n:
+        raise ValueError(
+            f"M is not the extension's Cauchy matrix: the instance has n = {inst.n}, the extension n = {ext.n}"
+        )
     difference = _first_difference(inst, translate_to_plcp(ext))
     if difference is not None:
         if inst.n <= MAX_DIMENSION:
             return plcp_to_uso(inst)
         raise ValueError(f"M is not the extension's Cauchy matrix: {difference}")
     n, m, q = inst.n, inst.M.rows, inst.q
-    diag = [m[i][i] for i in range(n)]
-    minors = [([i], diag[i]) for i in range(n)]
-    minors += [([i, j], diag[i] * diag[j] - m[i][j] * m[j][i]) for i in range(n) for j in range(i + 1, n)]
+    a, b, bq = _cauchy_nodes(ext)
+    # once M_ss, M_tt > 0, det M[{s, t}] has the sign of g(s, t): that of the product of its four factors
+    minors = [([i], m[i][i]) for i in range(n)]
+    minors += [
+        ([s, t], (a[s] - a[t]) * (b[t] - b[s]) * (b[t] - a[s]) * (b[s] - a[t]))
+        for s in range(n)
+        for t in range(s + 1, n)
+    ]
     for s, d in minors:
         if d <= 0:
             sign = "zero" if d == 0 else "negative"
             raise ValueError(f"M is not a P-matrix: det(M[S, S]) is {sign} for S = {[i + 1 for i in s]}")
     base = sum(1 << r for r in range(n) if q[r] < 0)
-    # M_tt > 0, so w_r({t}) has the sign of q_r M_tt - M_rt q_t
     rows = tuple(
-        sum(1 << r for r in range(n) if r == t or (q[r] * diag[t] - m[r][t] * q[t] < 0) != (q[r] < 0))
+        sum(1 << r for r in range(n) if r == t or (a[r] - a[t]) * (b[t] - bq) * (b[t] - a[r]) * (bq - a[t]) < 0)
         for t in range(n)
     )
     o = Orientation._from_checked_rows(n, base, rows)
     sink = global_sink(o)
-    if not solve_candidate(inst, sink).feasible:
-        raise ArithmeticError(f"Cauchy signs and direct solve disagree at vertex {sink}")
+    sol = _cauchy_solution(ext, inst, sink)
+    if not sol.feasible:
+        raise ArithmeticError(f"Cauchy signs and the sink's basic values disagree at vertex {sink}")
+    support = [(t, sol.z[t]) for t in range(n) if sink >> t & 1]
+    for r in range(n):
+        if sol.w[r] - sum(m[r][t] * z for t, z in support) != q[r]:
+            raise ArithmeticError(f"the basic values at vertex {sink} fail row {r + 1} of w - M z = q")
     return o

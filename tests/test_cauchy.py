@@ -2,7 +2,8 @@
 
 The pivot tree (``plcp_to_uso``, ``is_p_matrix``) is the independent
 witness throughout: the route must return its orientation, and refuse
-exactly the matrices it refuses.
+exactly the matrices it refuses.  A direct solve (``solve_candidate``)
+is the witness of the closed-form basic values that certify the sink.
 """
 
 import ast
@@ -25,10 +26,11 @@ from usomat import (
     is_branching_closure,
     is_p_matrix,
     plcp_to_uso,
+    solve_candidate,
     synthesize_extension,
     translate_to_plcp,
 )
-from usomat.plcp import CandidateSolution
+from usomat.plcp import CandidateSolution, _cauchy_solution
 from usomat.random_facet import FAMILIES
 from oracles import _det, all_branchings
 
@@ -133,10 +135,21 @@ def test_own_instances_never_reach_the_pivot_tree(monkeypatch):
 
 @pytest.mark.parametrize("name", ["path", "star"])
 def test_families_past_the_table_cap_match_the_extension(name):
-    ext = _family(name, 32)
-    o = _own(ext)
-    assert o == extension_to_uso(ext)
-    assert o.rows is not None and o._table is None
+    """At n = 64 too, the LCP route's sign products and the extension's scan give the same rows."""
+    for n in (32, 64):
+        ext = _family(name, n)
+        o = _own(ext)
+        assert o == extension_to_uso(ext)
+        assert o.rows is not None and o._table is None
+
+
+def test_seeded_branchings_at_n64_match_the_extension():
+    rng = random.Random(64)
+    for _ in range(3):
+        ext = synthesize_extension(_random_branching(rng, 64))
+        o = _own(ext)
+        assert o == extension_to_uso(ext), ext
+        assert o._table is None
 
 
 def test_a_foreign_instance_goes_to_the_pivot_tree_within_the_cap(monkeypatch):
@@ -186,18 +199,86 @@ def test_a_foreign_instance_past_the_cap_names_the_first_differing_entry(monkeyp
         cauchy_to_uso(_family("path", n + 1), inst)
 
 
-def test_the_sink_is_certified_by_a_direct_solve(monkeypatch):
-    """A direct solve with a negative basic value at the rows' sink is reported, not ignored."""
+def _sink(ext: CyclicExtension) -> int:
+    return global_sink(extension_to_uso(ext))
+
+
+def test_closed_form_values_equal_a_direct_solve_on_every_branching_up_to_n5():
+    """At the sink and at one seeded vertex of every branching: each value is the same Fraction."""
+    rng = random.Random(5)
+    count = 0
+    for n in range(1, 6):
+        for b in all_branchings(n):
+            ext = synthesize_extension(b)
+            inst = translate_to_plcp(ext)
+            for v in (_sink(ext), rng.randrange(1 << n)):
+                assert _cauchy_solution(ext, inst, v) == solve_candidate(inst, v), (b, v)
+            count += 1
+    assert count == 1441
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_closed_form_values_equal_a_direct_solve_on_seeded_branchings(n):
+    rng = random.Random(n)
+    for _ in range(4):
+        ext = synthesize_extension(_random_branching(rng, n))
+        inst = translate_to_plcp(ext)
+        sink = _sink(ext)
+        assert _cauchy_solution(ext, inst, sink).feasible
+        for v in (sink, rng.randrange(1 << n)):
+            assert _cauchy_solution(ext, inst, v) == solve_candidate(inst, v), (ext, v)
+
+
+def test_the_sink_is_certified_by_w_minus_mz_equals_q(monkeypatch):
+    """A closed-form value that is off, with its sign kept, fails its row of w - M z = q, and that row is named."""
     import usomat.plcp
 
-    real = usomat.plcp.solve_candidate
+    real = usomat.plcp._cauchy_solution
+    ext = _family("star", 4)
+    sink = _sink(ext)
+    r = max(i for i in range(4) if not sink >> i & 1)  # w_r is basic, so doubling it breaks row r + 1 alone
+    assert r > 0
 
-    def negated(inst, v):
-        sol = real(inst, v)
+    def doubled(e, inst, v):
+        sol = real(e, inst, v)
+        return CandidateSolution(v, sol.w[:r] + (2 * sol.w[r],) + sol.w[r + 1 :], sol.z)
+
+    monkeypatch.setattr(usomat.plcp, "_cauchy_solution", doubled)
+    with pytest.raises(ArithmeticError, match=rf"^the basic values at vertex {sink} fail row {r + 1} of w - M z = q$"):
+        _own(ext)
+
+
+def test_a_negative_closed_form_value_is_reported(monkeypatch):
+    import usomat.plcp
+
+    real = usomat.plcp._cauchy_solution
+
+    def negated(e, inst, v):
+        sol = real(e, inst, v)
         return CandidateSolution(v, tuple(-x for x in sol.w), tuple(-x for x in sol.z))
 
-    monkeypatch.setattr(usomat.plcp, "solve_candidate", negated)
+    monkeypatch.setattr(usomat.plcp, "_cauchy_solution", negated)
     ext = _family("path", 3)
-    sink = global_sink(extension_to_uso(ext))
-    with pytest.raises(ArithmeticError, match=f"^Cauchy signs and direct solve disagree at vertex {sink}$"):
+    want = f"^Cauchy signs and the sink's basic values disagree at vertex {_sink(ext)}$"
+    with pytest.raises(ArithmeticError, match=want):
         _own(ext)
+
+
+def test_own_instances_never_reach_solve_matrix(monkeypatch):
+    def solve(*args):
+        raise AssertionError("a linear solve ran")
+
+    monkeypatch.setattr(RationalMatrix, "solve_matrix", solve)
+    for name in ("path", "star", "merged"):
+        for n in (1, 5, 10, 64):
+            if is_branching_closure(FAMILIES[name](n)) is not None:
+                ext = _family(name, n)
+                assert _own(ext) == extension_to_uso(ext)
+
+
+def test_a_size_mismatch_is_refused_within_the_cap():
+    """An instance of another n is refused by name, not sent to the pivot tree, whose cube would have its n."""
+    ext, inst = _family("path", 6), translate_to_plcp(_family("path", 4))
+    with pytest.raises(ValueError) as info:
+        cauchy_to_uso(ext, inst)
+    assert str(info.value) == "M is not the extension's Cauchy matrix: the instance has n = 4, the extension n = 6"

@@ -32,7 +32,7 @@ from usomat import (
     synthesize_extension,
     translate_to_plcp,
 )
-from usomat.plcp import CandidateSolution, _pivot_tree, _scaled_tableau, parse_fraction
+from usomat.plcp import CandidateSolution, _pivot_step, _pivot_tree, _scaled_tableau, parse_fraction
 from usomat.random_facet import FAMILIES
 from oracles import (
     _det,
@@ -533,6 +533,37 @@ def _random_matrix(rng, n: int, high: int, denominators=(1,)) -> list[list[Fract
         [Fraction(int(rng.integers(-high, high + 1)), int(rng.choice(denominators))) for _ in range(n)]
         for _ in range(n)
     ]
+
+
+def _pivot_by_divmod(vec: list[int], pivot_vec: list[int], pos: int, d: int) -> list[int]:
+    """The Bareiss step with a division of every entry, remainders collected."""
+    p, b = pivot_vec[pos], vec[pos]
+    parts = [divmod(a * p - f * b, d) for a, f in zip(vec, pivot_vec)]
+    assert not any(rem for _, rem in parts)
+    return [quo for quo, _ in parts]
+
+
+def test_pivot_step_without_a_divisor_equals_the_divmod_step():
+    """At d = 1 no division runs; the result is the divmod step's, and the step scaled by k divides back exactly."""
+    rng = random.Random(219)
+    for _ in range(300):
+        width = rng.randint(1, 8)
+        vec = [rng.randint(-10**6, 10**6) for _ in range(width)]
+        pivot_vec = [rng.randint(-10**6, 10**6) for _ in range(width)]
+        pos = rng.randrange(width)
+        want = _pivot_by_divmod(vec, pivot_vec, pos, 1)
+        assert _pivot_step(vec, pivot_vec, pos, 1) == want
+        k = rng.choice([-7, -1, 2, 3, 10**9 + 7])
+        assert _pivot_step([k * a for a in vec], pivot_vec, pos, k) == want
+
+
+def test_pivot_step_raises_at_an_inexact_division():
+    # (1*1 - 3*2, 2*1 - 1*2) = (-5, 0): -5 / 2 leaves a remainder
+    with pytest.raises(ArithmeticError, match="^inexact fraction-free pivot$"):
+        _pivot_step([1, 2], [3, 1], 1, 2)
+    with pytest.raises(ArithmeticError, match="^inexact fraction-free pivot$"):
+        _pivot_step([2, 0, 1], [4, 2, 3], 1, 4)  # (4, 0, 2): the last entry alone is inexact
+    assert _pivot_step([2, 0, 2], [4, 2, 3], 1, 4) == [1, 0, 1]
 
 
 def test_pivot_tree_visits_every_subset_once_with_its_minor():
