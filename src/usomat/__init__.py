@@ -47,7 +47,6 @@ from .plcp import (
     DegenerateQ,
     PLCPInstance,
     RationalMatrix,
-    cauchy_to_uso,
     is_p_matrix,
     plcp_to_uso,
     solve_candidate,
@@ -99,7 +98,6 @@ __all__ = [
     "DegenerateQ",
     "PLCPInstance",
     "RationalMatrix",
-    "cauchy_to_uso",
     "is_p_matrix",
     "plcp_to_uso",
     "solve_candidate",

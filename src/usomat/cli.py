@@ -33,7 +33,7 @@ from .matousek import (
     extract_influence_graph,
 )
 from .matroid import extension_to_uso
-from .plcp import cauchy_to_uso, translate_to_plcp
+from .plcp import plcp_to_uso, translate_to_plcp
 from .random_facet import FAMILIES, family_graph, run_trials, stats_to_csv
 from .realizability import find_forbidden, is_branching_closure, synthesize_extension
 from .enumeration import ENUMERATE_CAP, classify_block, dag_blocks
@@ -152,6 +152,8 @@ def _route_problem(route: str, got: Orientation, g: InfluenceGraph) -> Optional[
     graph, with o(0) = 0, so vertex {d} holds row d of the graph, and the
     first differing row names the first vertex where the canonical forms differ.
     """
+    if got.n != g.n:
+        return f"{route} route gives an orientation of n = {got.n}, the graph has n = {g.n}"
     try:
         rows = extract_influence_graph(got).rows
     except ValueError as exc:
@@ -182,8 +184,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
     inst = translate_to_plcp(ext)
     problem = _route_problem("extension", extension_to_uso(ext), g)
     if problem is None:
-        try:  # a P-matrix M is certified here: cauchy_to_uso refuses any other
-            problem = _route_problem("LCP", cauchy_to_uso(ext, inst), g)
+        try:  # a P-matrix M is certified here: plcp_to_uso refuses any other
+            problem = _route_problem("LCP", plcp_to_uso(inst), g)
         except ValueError as exc:
             problem = f"LCP route: {exc}"
     if problem is not None:

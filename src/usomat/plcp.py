@@ -12,35 +12,45 @@ Fractions at the boundary, Python ints in every elimination.  One
 fraction-free step, :func:`_pivot_step`, serves both the linear solves and
 the pivot tree.
 
-That M is a diagonally scaled Cauchy matrix, so by Cauchy's determinant
-each of its principal minors and each basic value is a product of one
-factor per index and one per pair of indices.  With a_i = pos(i),
-b_i = pos(i + n) and b_q = pos(q), the pair factors are
+That M is a diagonally scaled Cauchy matrix, and the route that reads an
+LCP back needs nothing else.  Call [M | q] Cauchy-like when it has no
+zero entry and its entrywise reciprocal K = [1 / A_it] has rank at most
+2.  Then K = P R^T with P and R of width 2, and A is a scaled Cauchy
+matrix A_it = 1 / (u_i v_t (b_t - a_i)) on nodes that may include
+infinity (a first coordinate of p_i or a second one of r_t that is 0).
+Cauchy's determinant gives, for finite nodes, two identities:
 
-    g(s, t) = det M[{s, t}] / (M_ss M_tt) = (a_s - a_t)(b_t - b_s) / ((b_t - a_s)(b_s - a_t)),
-    e(r, t) = w_r({t}) / q_r = (a_r - a_t)(b_t - b_q) / ((b_t - a_r)(b_q - a_t)).
+    det M[S, S] = prod_{i in S} M_ii * prod_{i<j in S} g(i, j),   g(i, j) = 1 - M_ij M_ji / (M_ii M_jj),
+    w_r(S) = q_r * prod_{t in S} e(r, t) for r not in S,        e(r, t) = 1 - M_rt q_t / (M_tt q_r),
 
-:func:`cauchy_to_uso` certifies the instances of ``usomat realize`` that
-way: an exact check of every entry against the closed form, n(n+1)/2 sign
-tests for the P-matrix property, the orientation read off the signs of e
-in row form, and at its sink S the basic values w_r = q_r prod_{t in S}
-e(r, t) and z_s = -q_s prod e(s, t) / (M_ss prod g(s, t)), checked by one
-exact product w - M z = q.  M[S, S] is nonsingular, so that product is a
-full certificate, as a solve would be, in O(n^2) integer products.  It
-needs no table and no elimination, so it runs up to n = 64.
+where w_r(S) is the basic value of w_r at the complementary basis with z
+supported on S.  Each side is a rational function of (P, R) whose
+denominators are products of entries of K, and the two agree on the
+dense set of finite nodes, so they agree wherever both sides are
+defined: at infinite and repeated nodes too.  So a Cauchy-like M is a
+P-matrix exactly when its n diagonal entries and n(n-1)/2 2x2 principal
+minors are positive, and each basic value has the sign of a product of
+1x1 and 2x2 signs.  :func:`is_p_matrix` and :func:`plcp_to_uso` test for
+that shape in integers (:func:`_not_cauchy_like`) and then decide in
+O(n^2) integer products, at any n: ``usomat realize`` certifies its
+instances up to n = 64 that way.  The instances of
+:func:`translate_to_plcp` are Cauchy-like, on the positions of the
+extension's elements.
 
-The pivot tree serves a general M.  It sits behind :func:`plcp_to_uso`
-and :func:`is_p_matrix`, the independent witnesses of the tests, and
-reaches all 2^n complementary bases with one fraction-free principal
-pivot each, depth first through the binomial tree of index subsets, and
+Any other M goes to the pivot tree, the independent witness of the
+tests (:func:`_tree_is_p_matrix`, :func:`_tree_to_uso`), which reaches
+all 2^n complementary bases with one fraction-free principal pivot
+each, depth first through the binomial tree of index subsets, and
 updates only the free rows and the columns that later pivots read:
-O(n 2^n) operations on Python ints.  Each node holds one principal minor
-det(M[S, S]) and the basic values of the w variables outside S (Stickney
-& Watson 1978; the P-matrix test is the Schur-complement recursion of
-Tsatsomeros & Li, BIT 2000, in fraction-free form).  :func:`plcp_to_uso`
-accepts P-matrices only, so every d it meets is positive and z_s(S) < 0
-exactly when w_s(S - {s}) > 0: the z signs are the edge-consistent
-complements of the w signs.
+O(n 2^n) operations on Python ints, capped at ``MAX_DIMENSION``.  Each
+node holds one principal minor det(M[S, S]) and the basic values of the
+w variables outside S (Stickney & Watson 1978; the P-matrix test is the
+Schur-complement recursion of Tsatsomeros & Li, BIT 2000, in
+fraction-free form).  It accepts P-matrices only, so every d it meets is
+positive and z_s(S) < 0 exactly when w_s(S - {s}) > 0: the z signs are
+the edge-consistent complements of the w signs.  Past the cap an input
+that is not Cauchy-like is refused, named by its first zero entry or its
+first row of K outside the span of the two reference rows.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -291,18 +301,117 @@ def _pivot_tree(tab: list[list[int]], n: int) -> Iterator[tuple[int, int, list[i
         stack.extend((s, k + 1, p, free, child, c) for c in range(k + 1, n))
 
 
-def is_p_matrix(m: RationalMatrix) -> bool:
-    """All principal minors positive, checked exactly with early exit.
+def _tree_is_p_matrix(m: RationalMatrix) -> bool:
+    """All principal minors of a square M positive, by the pivot tree, with early exit.
 
-    The pivot tree visits every index subset, and its d there is that
-    principal minor times a positive scale.
+    The tree visits every index subset, and its d there is that principal
+    minor times a positive scale.  Capped at ``MAX_DIMENSION``.
     """
-    if m.nrows != m.ncols:
-        raise ValueError("P-matrix test needs a square matrix")
     n = m.nrows
     if n > MAX_DIMENSION:
         raise ValueError(f"principal minor enumeration capped at n={MAX_DIMENSION}")
     return all(d > 0 for _, d, _, _ in _pivot_tree(_scaled_tableau(m), n))
+
+
+def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its own denominators, as ints.
+
+    A positive scale per row keeps the sign of every principal minor and
+    of every basic value, and leaves every factor e and g unchanged.
+    """
+    out = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
+
+
+def _not_cauchy_like(a: list[list[int]], label: str) -> Optional[str]:
+    """Why the integer rows ``a`` of ``label`` (M or [M | q]) are not Cauchy-like, or None.
+
+    Cauchy-like is no zero entry and an entrywise reciprocal of rank at
+    most 2.  Row i of the reciprocal times the lcm of a_i is the integer
+    row k_i; scaling rows keeps the rank.  With k_j the first row not
+    proportional to k_0, and a column c where the two are independent
+    (delta != 0), every later row must satisfy
+    alpha k_0 + beta k_j = delta k_i, alpha and beta read off columns 0
+    and c by Cramer's rule: O(n^2) integer products.
+    """
+    n = len(a)
+    for i, row in enumerate(a):
+        for t, x in enumerate(row):
+            if x == 0:
+                name = f"M[{i + 1}, {t + 1}]" if t < n else f"q[{i + 1}]"
+                return f"{name} is 0"
+    if n < 3:  # two rows span at most two dimensions
+        return None
+    k = []
+    for row in a:
+        scale = lcm(*row)
+        k.append([scale // x for x in row])
+    r0 = k[0]
+    j = next((i for i, row in enumerate(k) if any(x * r0[0] != y * row[0] for x, y in zip(row, r0))), None)
+    if j is None:  # rank 1
+        return None
+    r1 = k[j]
+    c = next(c for c, (x, y) in enumerate(zip(r1, r0)) if x * r0[0] != y * r1[0])
+    delta = r0[0] * r1[c] - r0[c] * r1[0]
+    for i in range(j + 1, n):  # the rows before k_j are multiples of k_0
+        row = k[i]
+        alpha = row[0] * r1[c] - row[c] * r1[0]
+        beta = r0[0] * row[c] - r0[c] * row[0]
+        if any(alpha * x + beta * y != delta * z for x, y, z in zip(r0, r1, row)):
+            return f"row {i + 1} of 1/{label} is outside the span of rows 1 and {j + 1}"
+    return None
+
+
+def _past_the_cap(n: int, label: str, reason: str) -> None:
+    """Refuse an input that is not Cauchy-like once n is past the pivot tree's cap."""
+    if n > MAX_DIMENSION:
+        raise ValueError(
+            f"{label} is not Cauchy-like ({reason}), and principal minor enumeration is capped at n={MAX_DIMENSION}"
+        )
+
+
+def _not_a_p_matrix(idx: Sequence[int], d: int) -> str:
+    """The refusal of M by a nonpositive principal minor d on the 0-based index set ``idx``."""
+    sign = "zero" if d == 0 else "negative"
+    return f"M is not a P-matrix: det(M[S, S]) is {sign} for S = {[i + 1 for i in idx]}"
+
+
+def _first_nonpositive_minor(a: list[list[int]]) -> Optional[str]:
+    """For Cauchy-like integer rows of M (q may follow), the refusal by the first nonpositive minor, or None.
+
+    The 1x1 minors come first, then the 2x2 ones in lexicographic order.
+    Once M_ss and M_tt are positive, det M[{s, t}] = M_ss M_tt g(s, t), so
+    by the product theorem (module docstring) these n(n+1)/2 signs decide
+    every principal minor.
+    """
+    n = len(a)
+    singles = (([i], a[i][i]) for i in range(n))
+    pairs = (([s, t], a[s][s] * a[t][t] - a[s][t] * a[t][s]) for s in range(n) for t in range(s + 1, n))
+    return next((_not_a_p_matrix(idx, d) for idx, d in chain(singles, pairs) if d <= 0), None)
+
+
+def is_p_matrix(m: RationalMatrix) -> bool:
+    """All principal minors positive, decided exactly.
+
+    A Cauchy-like M is a P-matrix exactly when its n diagonal entries and
+    its n(n-1)/2 2x2 principal minors are positive, by the product theorem
+    of the module docstring: O(n^2) integer products at any n.  Any other
+    M goes to the pivot tree, which enumerates all 2^n principal minors up
+    to ``MAX_DIMENSION``; past it M is refused with a ``ValueError`` that
+    names its first zero entry, or the first row of 1/M outside the span
+    of the two reference rows.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("P-matrix test needs a square matrix")
+    a = _integer_rows(m.rows)
+    reason = _not_cauchy_like(a, "M")
+    if reason is None:
+        return _first_nonpositive_minor(a) is None
+    _past_the_cap(m.nrows, "M", reason)
+    return _tree_is_p_matrix(m)
 
 
 def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
@@ -329,18 +438,14 @@ def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
     return CandidateSolution(vertex, w, z)
 
 
-def plcp_to_uso(instance: PLCPInstance) -> Orientation:
-    """Orient each cube vertex by the signs of its basic solution, for a P-matrix M.
+def _tree_to_uso(instance: PLCPInstance) -> Orientation:
+    """Orient each cube vertex by the signs of its basic solution, read off the pivot tree.
 
-    Dimension i points away from vertex v exactly when the basic pair-i
-    component is negative; since M is a P-matrix this is a unique sink
-    orientation whose sink is the feasible complementary basis.  The w
-    signs come from the pivot tree and the z signs by edge consistency; the
-    sink is then re-solved from scratch as a certificate that they were
-    read right.
-
-    A nonpositive principal minor raises ``ValueError`` naming its index
-    set, before any zero basic component raises ``DegenerateQ``.
+    The w signs come from the tree and the z signs by edge consistency;
+    the sink is then re-solved from scratch (:func:`solve_candidate`) as a
+    certificate that they were read right.  A nonpositive principal minor
+    raises ``ValueError`` naming its index set, before any zero basic
+    component raises ``DegenerateQ``.  Capped at ``MAX_DIMENSION``.
     """
     n = instance.n
     if n > MAX_DIMENSION:
@@ -349,8 +454,7 @@ def plcp_to_uso(instance: PLCPInstance) -> Orientation:
     degenerate = None
     for v, d, free, x in _pivot_tree(_scaled_tableau(instance.M, instance.q), n):
         if d <= 0:
-            sign = "zero" if d == 0 else "negative"
-            raise ValueError(f"M is not a P-matrix: det(M[S, S]) is {sign} for S = {mask_to_dims(v)}")
+            raise ValueError(_not_a_p_matrix([i - 1 for i in mask_to_dims(v)], d))
         if degenerate is None and 0 in x:
             degenerate = v
         table[v] = sum(1 << r for r, val in zip(free, x) if val < 0)
@@ -368,139 +472,102 @@ def plcp_to_uso(instance: PLCPInstance) -> Orientation:
     return Orientation(n, tuple(table.tolist()))
 
 
-def _first_difference(inst: PLCPInstance, ref: PLCPInstance) -> Optional[str]:
-    """The first entry of M, then of q, where ``inst`` differs from ``ref`` of the same n, or None."""
-    n = inst.n
-    cells = zip(chain(*inst.M.rows, inst.q), chain(*ref.M.rows, ref.q))
-    for k, (x, y) in enumerate(cells):
-        if x != y:
-            name = f"M[{k // n + 1}, {k % n + 1}]" if k < n * n else f"q[{k - n * n + 1}]"
-            return f"{name} is {x}, the closed form gives {y}"
-    return None
-
-
-def _cauchy_nodes(ext: CyclicExtension) -> tuple[list[int], list[int], int]:
-    """The positions a_i = pos(i) and b_i = pos(i + n) for i = 1..n (0-based lists), and b_q = pos(q).
-
-    In them the LCP of :func:`translate_to_plcp` is M_it = alpha_i beta_t / (b_t - a_i)
-    and q_i = alpha_i beta_q / (b_q - a_i), with alpha_i = -s_i / P'(a_i) and
-    beta_t = s_t P(b_t) nonzero.
-    """
-    n, x = ext.n, ext.position
-    return [x[i] for i in range(1, n + 1)], [x[i] for i in range(n + 1, 2 * n + 1)], x[Q]
-
-
-def _cauchy_solution(ext: CyclicExtension, inst: PLCPInstance, vertex: int) -> CandidateSolution:
-    """The basic solution of ``inst``, the LCP of ``ext``, at ``vertex`` from Cauchy products, with no solve.
+def _basic_values(a: list[list[int]], vertex: int) -> list[Fraction]:
+    """The basic value of each pair at ``vertex``, by Cauchy products, for integer rows ``a`` of [M | q].
 
     With S the vertex set, w_r = q_r prod_{t in S} e(r, t) for r outside S,
     and z_s = -(q_s / M_ss) prod_{t in S - {s}} e(s, t) / g(s, t) for s in
-    S, where e(s, t) / g(s, t) = (b_t - b_q)(b_s - a_t) / ((b_q - a_t)(b_t - b_s)):
-    the numerator and the denominator of each value are products of ints,
-    and each value is one Fraction.  Nothing here checks that ``inst`` is
-    the closed form of ``ext``, or the values against w - M z = q:
-    :func:`cauchy_to_uso` does both.  A zero value raises ``DegenerateQ``,
-    as :func:`solve_candidate` does.
+    S, where e(s, t) / g(s, t) = (M_tt q_s - M_st q_t) M_ss / (q_s det M[{s, t}]).
+    The row scales of ``a`` leave e, g and z unchanged and scale each w_r
+    by its row's scale, so these are the basic values of the scaled
+    problem.  They hold for a Cauchy-like [M | q] whose M is a P-matrix,
+    and nothing here checks that: :func:`plcp_to_uso` does.  Each product
+    cancels common factors across, factor by factor, as a Fraction product
+    would, which keeps its integers near the size of the values.
     """
-    n, m, q = inst.n, inst.M.rows, inst.q
-    a, b, bq = _cauchy_nodes(ext)
+    n = len(a)
     support = [t for t in range(n) if vertex >> t & 1]
-    x = []
-    for r in range(n):
-        if vertex >> r & 1:
-            others = [t for t in support if t != r]
-            num = -q[r].numerator * m[r][r].denominator * prod((b[t] - bq) * (b[r] - a[t]) for t in others)
-            den = q[r].denominator * m[r][r].numerator * prod((bq - a[t]) * (b[t] - b[r]) for t in others)
+    values = []
+    for s, row in enumerate(a):
+        q_s, m_ss = row[n], row[s]
+        if vertex >> s & 1:
+            num, den = -q_s, m_ss
+            factors = (
+                ((a[t][t] * q_s - row[t] * a[t][n]) * m_ss, q_s * (m_ss * a[t][t] - row[t] * a[t][s]))
+                for t in support
+                if t != s
+            )
         else:
-            num = q[r].numerator * prod((a[r] - a[t]) * (b[t] - bq) for t in support)
-            den = q[r].denominator * prod((b[t] - a[r]) * (bq - a[t]) for t in support)
-        x.append(Fraction(num, den))
-    if any(val == 0 for val in x):
-        raise DegenerateQ(f"zero component in the basic solution at vertex {vertex}")
-    w = tuple(Fraction(0) if vertex >> i & 1 else x[i] for i in range(n))
-    z = tuple(x[i] if vertex >> i & 1 else Fraction(0) for i in range(n))
-    return CandidateSolution(vertex, w, z)
+            num, den = q_s, 1
+            factors = ((a[t][t] * q_s - row[t] * a[t][n], a[t][t] * q_s) for t in support)
+        for f_num, f_den in factors:
+            g, h = gcd(f_num, den), gcd(num, f_den)
+            num, den = num // h * (f_num // g), den // g * (f_den // h)
+        values.append(Fraction(num, den))
+    return values
 
 
-def cauchy_to_uso(ext: CyclicExtension, inst: PLCPInstance) -> Orientation:
-    """The orientation of ``inst``, the LCP of ``ext``, in row form from O(n^2) exact integer products.
+def plcp_to_uso(instance: PLCPInstance) -> Orientation:
+    """Orient each cube vertex by the signs of its basic solution, for a P-matrix M.
 
-    :func:`translate_to_plcp` writes [M | q] as D C D', with
-    C[i][t] = 1/(b_t - a_i) a Cauchy matrix on the distinct positions
-    a_i = pos(i), b_t = pos(t + n) and b_q = pos(q) (q is one more column).
-    By Cauchy's determinant, a square submatrix N of it whose i-th row and
-    column are paired has
+    Dimension i points away from vertex v exactly when the basic pair-i
+    component is negative; since M is a P-matrix this is a unique sink
+    orientation whose sink is the feasible complementary basis.
 
-        det N = prod_i N_ii * prod_{i<j} det N[{i, j}] / (N_ii N_jj),
+    A Cauchy-like [M | q] (module docstring) is read in O(n^2) integer
+    products at any n.  Its n(n+1)/2 1x1 and 2x2 principal minors decide
+    the P-matrix property.  The orientation comes back in row form:
+    w_r(S) = q_r prod_{t in S} e(r, t) for r outside S, and for r in S,
+    z_r(S) < 0 exactly when w_r(S - {r}) > 0, so o(0) = [q < 0] and row t
+    has bit r != t set when e(r, t) < 0, and its loop bit t.  At its sink
+    S the basic values of :func:`_basic_values` must be positive and
+    satisfy w - M z = q exactly, row by row (each row times its positive
+    scale), else ``ArithmeticError`` names the vertex, or the vertex and
+    the row.  M[S, S] is nonsingular, its determinant a product of
+    certified positive factors, so values that satisfy the system are its
+    one solution: the product proves what a solve would.
 
-    a product of nonzero factors, one per index and one per pair.  So M is
-    a P-matrix exactly when every M_ii and every det M[{s, t}] is positive,
-    and det M[{s, t}] = M_ss M_tt g(s, t) with
+    Any other instance goes to the pivot tree (:func:`_tree_to_uso`) up to
+    ``MAX_DIMENSION``, and past it is refused with a ``ValueError`` that
+    names its first zero entry, or the first row of 1/[M | q] outside the
+    span of the two reference rows.
 
-        g(s, t) = (a_s - a_t)(b_t - b_s) / ((b_t - a_s)(b_s - a_t)).
-
-    Bordering M[S, S] with row r outside S and column q gives, by Schur's
-    complement, w_r(S) = q_r prod_{t in S} e(r, t), with
-
-        e(r, t) = w_r({t}) / q_r = (a_r - a_t)(b_t - b_q) / ((b_t - a_r)(b_q - a_t)).
-
-    So for r outside S, bit r of o(S) is [q_r < 0] XOR the [e(r, t) < 0]
-    over t in S.  For r in S, z_r(S) < 0 exactly when w_r(S - {r}) > 0, so
-    bit r is the same XOR over S - {r}, XOR 1.  That is the row form:
-    o(0) = [q < 0], and row t has bit r != t set when e(r, t) < 0, and its
-    loop bit t.  At the sink S the same products give every basic value
-    (:func:`_cauchy_solution`): w_r = q_r prod_{t in S} e(r, t) for r
-    outside S, and z_s = -q_s prod_{t in S - {s}} e(s, t) / (M_ss
-    prod_{t in S - {s}} g(s, t)) for s in S.
-
-    Certified in full: every entry of ``inst`` equals the closed form for
-    ``ext`` exactly; the n(n+1)/2 minors are positive (a failure raises
-    ``ValueError`` naming S, as :func:`plcp_to_uso` does); the sink's
-    values are nonzero (else ``DegenerateQ``) and nonnegative; and they
-    satisfy w - M z = q exactly, row by row, else ``ArithmeticError``
-    naming the vertex and the row.  M[S, S] is nonsingular, its
-    determinant a product of certified positive factors, so the
-    complementary system at S has exactly one solution, and values that
-    satisfy it are that solution: the product proves what a direct solve
-    would, in O(n^2).  An ``inst`` of another n raises ``ValueError``.  One
-    that is not the closed form goes to :func:`plcp_to_uso` up to
-    ``MAX_DIMENSION``, and past it raises ``ValueError`` naming the first
-    entry that differs.
+    Either way a nonpositive principal minor raises ``ValueError`` naming
+    its index set, before a zero basic component raises ``DegenerateQ``:
+    on the Cauchy route that is a zero e(r, t), a zero w_r at vertex {t}.
     """
-    if inst.n != ext.n:
-        raise ValueError(
-            f"M is not the extension's Cauchy matrix: the instance has n = {inst.n}, the extension n = {ext.n}"
-        )
-    difference = _first_difference(inst, translate_to_plcp(ext))
-    if difference is not None:
-        if inst.n <= MAX_DIMENSION:
-            return plcp_to_uso(inst)
-        raise ValueError(f"M is not the extension's Cauchy matrix: {difference}")
-    n, m, q = inst.n, inst.M.rows, inst.q
-    a, b, bq = _cauchy_nodes(ext)
-    # once M_ss, M_tt > 0, det M[{s, t}] has the sign of g(s, t): that of the product of its four factors
-    minors = [([i], m[i][i]) for i in range(n)]
-    minors += [
-        ([s, t], (a[s] - a[t]) * (b[t] - b[s]) * (b[t] - a[s]) * (b[s] - a[t]))
-        for s in range(n)
-        for t in range(s + 1, n)
-    ]
-    for s, d in minors:
-        if d <= 0:
-            sign = "zero" if d == 0 else "negative"
-            raise ValueError(f"M is not a P-matrix: det(M[S, S]) is {sign} for S = {[i + 1 for i in s]}")
-    base = sum(1 << r for r in range(n) if q[r] < 0)
-    rows = tuple(
-        sum(1 << r for r in range(n) if r == t or (a[r] - a[t]) * (b[t] - bq) * (b[t] - a[r]) * (bq - a[t]) < 0)
-        for t in range(n)
-    )
-    o = Orientation._from_checked_rows(n, base, rows)
+    n, q = instance.n, instance.q
+    a = _integer_rows(row + (x,) for row, x in zip(instance.M.rows, q))
+    reason = _not_cauchy_like(a, "[M | q]")
+    if reason is not None:
+        _past_the_cap(n, "[M | q]", reason)
+        return _tree_to_uso(instance)
+    refusal = _first_nonpositive_minor(a)
+    if refusal is not None:
+        raise ValueError(refusal)
+    rows = []
+    for t, pivot in enumerate(a):
+        row = 1 << t
+        for r, other in enumerate(a):
+            if r != t:
+                # e(r, t) = nu / (M_tt q_r) with M_tt > 0, so it is negative when nu and q_r differ in sign
+                nu = pivot[t] * other[n] - other[t] * pivot[n]
+                if nu == 0:
+                    raise DegenerateQ(f"zero component in the basic solution at vertex {1 << t}")
+                if (nu < 0) != (other[n] < 0):
+                    row |= 1 << r
+        rows.append(row)
+    o = Orientation._from_checked_rows(n, sum(1 << r for r in range(n) if q[r] < 0), tuple(rows))
     sink = global_sink(o)
-    sol = _cauchy_solution(ext, inst, sink)
-    if not sol.feasible:
+    values = _basic_values(a, sink)
+    if any(x <= 0 for x in values):
         raise ArithmeticError(f"Cauchy signs and the sink's basic values disagree at vertex {sink}")
-    support = [(t, sol.z[t]) for t in range(n) if sink >> t & 1]
-    for r in range(n):
-        if sol.w[r] - sum(m[r][t] * z for t, z in support) != q[r]:
+    # w - M z = q times d, the lcm of the z denominators: d w_r = d q_r + sum_t M_rt (d z_t), in integers
+    support = [t for t in range(n) if sink >> t & 1]
+    d = lcm(*(values[t].denominator for t in support))
+    dz = [(t, values[t].numerator * (d // values[t].denominator)) for t in support]
+    for r, row in enumerate(a):
+        w = Fraction(0) if sink >> r & 1 else values[r]
+        if w.numerator * d != w.denominator * (row[n] * d + sum(row[t] * x for t, x in dz)):
             raise ArithmeticError(f"the basic values at vertex {sink} fail row {r + 1} of w - M z = q")
     return o

@@ -13,7 +13,8 @@ SUBMODULES = [info.name for info in pkgutil.iter_modules(usomat.__path__)]
 # Names retired because each was a one-line composition of names that stay:
 # canonicalize(o) is build_matousek(extract_influence_graph(o)), and
 # orientation_from_rows and all_dags live on as test helpers in oracles.py.
-RETIRED_FUNCTIONS = ("canonicalize", "orientation_from_rows", "all_dags")
+# cauchy_to_uso(ext, inst) is plcp_to_uso(inst), which reads M and q alone.
+RETIRED_FUNCTIONS = ("canonicalize", "orientation_from_rows", "all_dags", "cauchy_to_uso")
 RETIRED_MEMBERS = [
     ("Orientation", "uniform"),  # Orientation(n, range(1 << n))
     ("Branching", "children"),

@@ -1,9 +1,12 @@
-"""The Cauchy route: the LCP orientation of an extension's own instance from 1x1 and 2x2 signs.
+"""The Cauchy route: the orientation and the P-matrix test of a Cauchy-like LCP from 1x1 and 2x2 signs.
 
-The pivot tree (``plcp_to_uso``, ``is_p_matrix``) is the independent
-witness throughout: the route must return its orientation, and refuse
-exactly the matrices it refuses.  A direct solve (``solve_candidate``)
-is the witness of the closed-form basic values that certify the sink.
+The pivot tree (``_tree_to_uso``, ``_tree_is_p_matrix``) is the
+independent witness throughout: ``plcp_to_uso`` and ``is_p_matrix`` must
+return its orientation and its verdict, and refuse exactly the matrices
+it refuses.  A direct solve (``solve_candidate``) is the witness of the
+closed-form basic values that certify the sink, and the brute-force
+oracles of ``tests/oracles.py`` are the witnesses on seeded Cauchy-like
+instances with repeated and infinite nodes.
 """
 
 import ast
@@ -20,7 +23,7 @@ from usomat import (
     PLCPInstance,
     Q,
     RationalMatrix,
-    cauchy_to_uso,
+    DegenerateQ,
     extension_to_uso,
     global_sink,
     is_branching_closure,
@@ -30,9 +33,9 @@ from usomat import (
     synthesize_extension,
     translate_to_plcp,
 )
-from usomat.plcp import CandidateSolution, _cauchy_solution
+from usomat.plcp import CandidateSolution, _basic_values, _integer_rows, _tree_is_p_matrix, _tree_to_uso
 from usomat.random_facet import FAMILIES
-from oracles import _det, all_branchings
+from oracles import _det, all_branchings, is_p_matrix_by_minors, plcp_to_uso_per_vertex
 
 
 def _random_branching(rng: random.Random, n: int) -> Branching:
@@ -51,7 +54,7 @@ def _random_extension(rng: random.Random, n: int) -> CyclicExtension:
 
 
 def _own(ext: CyclicExtension) -> Orientation:
-    return cauchy_to_uso(ext, translate_to_plcp(ext))
+    return plcp_to_uso(translate_to_plcp(ext))
 
 
 def _family(name: str, n: int) -> CyclicExtension:
@@ -63,7 +66,7 @@ def test_same_orientation_as_the_pivot_tree_on_every_branching_up_to_n5():
     for n in range(1, 6):
         for b in all_branchings(n):
             ext = synthesize_extension(b)
-            assert _own(ext) == plcp_to_uso(translate_to_plcp(ext)), b
+            assert _own(ext) == _tree_to_uso(translate_to_plcp(ext)), b
             count += 1
     assert count == 1441
 
@@ -72,7 +75,7 @@ def test_same_orientation_as_the_pivot_tree_on_seeded_branchings_up_to_n8():
     rng = random.Random(20261020)
     for _ in range(60):
         ext = synthesize_extension(_random_branching(rng, rng.randint(6, 8)))
-        assert _own(ext) == plcp_to_uso(translate_to_plcp(ext)), ext
+        assert _own(ext) == _tree_to_uso(translate_to_plcp(ext)), ext
 
 
 def test_pair_rule_refuses_exactly_what_the_pivot_tree_refuses():
@@ -82,12 +85,14 @@ def test_pair_rule_refuses_exactly_what_the_pivot_tree_refuses():
     for _ in range(3000):
         ext = _random_extension(rng, rng.randint(1, 6))
         inst = translate_to_plcp(ext)
-        if is_p_matrix(inst.M):
-            assert cauchy_to_uso(ext, inst) == plcp_to_uso(inst), ext
+        p_matrix = _tree_is_p_matrix(inst.M)
+        assert is_p_matrix(inst.M) == p_matrix, ext
+        if p_matrix:
+            assert plcp_to_uso(inst) == _tree_to_uso(inst), ext
             accepted += 1
             continue
         with pytest.raises(ValueError, match=r"^M is not a P-matrix: det\(M\[S, S\]\) is negative for S = ") as info:
-            cauchy_to_uso(ext, inst)
+            plcp_to_uso(inst)
         named = [d - 1 for d in ast.literal_eval(str(info.value).rpartition("S = ")[2])]
         assert len(named) in (1, 2)
         assert _det([[inst.M[i, j] for j in named] for i in named]) < 0
@@ -116,7 +121,8 @@ def test_failure_names_the_first_negative_minor(size):
     with pytest.raises(ValueError) as info:
         _own(ext)
     assert str(info.value) == f"M is not a P-matrix: det(M[S, S]) is negative for S = {named}"
-    assert not is_p_matrix(translate_to_plcp(ext).M)
+    m = translate_to_plcp(ext).M
+    assert not is_p_matrix(m) and not _tree_is_p_matrix(m)
 
 
 def test_own_instances_never_reach_the_pivot_tree(monkeypatch):
@@ -127,10 +133,11 @@ def test_own_instances_never_reach_the_pivot_tree(monkeypatch):
 
     monkeypatch.setattr(usomat.plcp, "_pivot_tree", walk)
     for name in ("path", "star", "merged"):
-        for n in (1, 5, 10):
+        for n in (1, 5, 10, 64):
             if is_branching_closure(FAMILIES[name](n)) is not None:
                 ext = _family(name, n)
                 assert _own(ext) == extension_to_uso(ext)
+                assert is_p_matrix(translate_to_plcp(ext).M)
 
 
 @pytest.mark.parametrize("name", ["path", "star"])
@@ -153,19 +160,23 @@ def test_seeded_branchings_at_n64_match_the_extension():
 
 
 def test_a_foreign_instance_goes_to_the_pivot_tree_within_the_cap(monkeypatch):
+    """M + I for a Cauchy-like P-matrix M is a P-matrix whose reciprocal has rank above 2: the tree reads it, both verdicts agree."""
     import usomat.plcp
 
-    ext, other = _family("path", 6), _family("star", 6)
-    inst = translate_to_plcp(other)
+    inst = translate_to_plcp(_family("star", 6))
+    shifted = RationalMatrix([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(inst.M.rows)])
+    foreign = PLCPInstance(6, shifted, inst.q)
     calls = []
-    real = usomat.plcp.plcp_to_uso
-    monkeypatch.setattr(usomat.plcp, "plcp_to_uso", lambda i: calls.append(i) or real(i))
-    assert cauchy_to_uso(ext, inst) == real(inst) == extension_to_uso(other)
-    assert calls == [inst]
+    real = usomat.plcp._tree_to_uso
+    monkeypatch.setattr(usomat.plcp, "_tree_to_uso", lambda i: calls.append(i) or real(i))
+    assert plcp_to_uso(foreign) == real(foreign) == plcp_to_uso_per_vertex(foreign)
+    assert calls == [foreign]
+    assert is_p_matrix(shifted) and _tree_is_p_matrix(shifted)
     # a matrix the pivot tree refuses is refused in its words
-    bad = PLCPInstance(2, RationalMatrix([[1, 2], [2, 1]]), (Fraction(-1), Fraction(-2)))
-    with pytest.raises(ValueError, match=r"is negative for S = \[1, 2\]"):
-        cauchy_to_uso(_family("path", 2), bad)
+    bad = PLCPInstance(3, RationalMatrix([[1, 2, 0], [2, 1, 0], [0, 0, 1]]), (Fraction(-1), Fraction(-2), Fraction(-3)))
+    with pytest.raises(ValueError, match=r"is negative for S = \[1, 2\]$"):
+        plcp_to_uso(bad)
+    assert calls[-1] == bad
 
 
 def _with_entry(inst: PLCPInstance, j: int, t: int, value: Fraction) -> PLCPInstance:
@@ -174,33 +185,50 @@ def _with_entry(inst: PLCPInstance, j: int, t: int, value: Fraction) -> PLCPInst
     return PLCPInstance(inst.n, RationalMatrix(rows), inst.q)
 
 
-def test_a_foreign_instance_past_the_cap_names_the_first_differing_entry(monkeypatch):
+def test_a_non_cauchy_instance_past_the_cap_is_refused_by_its_first_flaw(monkeypatch):
+    """Past the tree's cap, an altered instance is refused naming its first zero entry or its first row outside the span."""
     import usomat.plcp
 
-    def tree(inst):
-        raise AssertionError("plcp_to_uso ran past the table cap")
+    def tree(*args):
+        raise AssertionError("the pivot tree ran past the table cap")
 
-    monkeypatch.setattr(usomat.plcp, "plcp_to_uso", tree)
+    monkeypatch.setattr(usomat.plcp, "_pivot_tree", tree)
     n = MAX_DIMENSION + 4
-    ext = _family("path", n)
-    inst = translate_to_plcp(ext)
-    want = inst.M[6, 2]
-    one = _with_entry(inst, 6, 2, want + 1)
-    for changed in (one, _with_entry(one, 9, 0, Fraction(0))):
-        with pytest.raises(ValueError) as info:
-            cauchy_to_uso(ext, changed)
-        assert str(info.value) == (
-            f"M is not the extension's Cauchy matrix: M[7, 3] is {want + 1}, the closed form gives {want}"
-        )
+    inst = translate_to_plcp(_family("path", n))
+    one = _with_entry(inst, 6, 2, inst.M[6, 2] + 1)
+    zero = _with_entry(one, 9, 0, Fraction(0))
     moved_q = PLCPInstance(n, inst.M, inst.q[:-1] + (-inst.q[-1],))
-    with pytest.raises(ValueError, match=rf"^M is not the extension's Cauchy matrix: q\[{n}\] is "):
-        cauchy_to_uso(ext, moved_q)
-    with pytest.raises(ValueError, match=rf"the instance has n = {n}, the extension n = {n + 1}$"):
-        cauchy_to_uso(_family("path", n + 1), inst)
+    cap = f"), and principal minor enumeration is capped at n={MAX_DIMENSION}"
+    for changed, label, flaw in (
+        (one, "[M | q]", "row 7 of 1/[M | q] is outside the span of rows 1 and 2"),
+        (zero, "[M | q]", "M[10, 1] is 0"),
+        (moved_q, "[M | q]", f"row {n} of 1/[M | q] is outside the span of rows 1 and 2"),
+    ):
+        with pytest.raises(ValueError) as info:
+            plcp_to_uso(changed)
+        assert str(info.value) == f"{label} is not Cauchy-like ({flaw}{cap}"
+    for changed, flaw in ((one, "row 7 of 1/M is outside the span of rows 1 and 2"), (zero, "M[10, 1] is 0")):
+        with pytest.raises(ValueError) as info:
+            is_p_matrix(changed.M)
+        assert str(info.value) == f"M is not Cauchy-like ({flaw}{cap}"
+    assert is_p_matrix(moved_q.M)  # M itself is untouched, and Cauchy-like
 
 
 def _sink(ext: CyclicExtension) -> int:
     return global_sink(extension_to_uso(ext))
+
+
+def _rows(inst: PLCPInstance) -> list[list[int]]:
+    return _integer_rows(row + (x,) for row, x in zip(inst.M.rows, inst.q))
+
+
+def _products(inst: PLCPInstance, vertex: int) -> CandidateSolution:
+    """The Cauchy products at ``vertex``, each w_r divided by its row's scale a_rn / q_r."""
+    a, n = _rows(inst), inst.n
+    x = _basic_values(a, vertex)
+    w = tuple(Fraction(0) if vertex >> r & 1 else x[r] * inst.q[r] / a[r][n] for r in range(n))
+    z = tuple(x[s] if vertex >> s & 1 else Fraction(0) for s in range(n))
+    return CandidateSolution(vertex, w, z)
 
 
 def test_closed_form_values_equal_a_direct_solve_on_every_branching_up_to_n5():
@@ -212,7 +240,7 @@ def test_closed_form_values_equal_a_direct_solve_on_every_branching_up_to_n5():
             ext = synthesize_extension(b)
             inst = translate_to_plcp(ext)
             for v in (_sink(ext), rng.randrange(1 << n)):
-                assert _cauchy_solution(ext, inst, v) == solve_candidate(inst, v), (b, v)
+                assert _products(inst, v) == solve_candidate(inst, v), (b, v)
             count += 1
     assert count == 1441
 
@@ -224,26 +252,26 @@ def test_closed_form_values_equal_a_direct_solve_on_seeded_branchings(n):
         ext = synthesize_extension(_random_branching(rng, n))
         inst = translate_to_plcp(ext)
         sink = _sink(ext)
-        assert _cauchy_solution(ext, inst, sink).feasible
+        assert _products(inst, sink).feasible
         for v in (sink, rng.randrange(1 << n)):
-            assert _cauchy_solution(ext, inst, v) == solve_candidate(inst, v), (ext, v)
+            assert _products(inst, v) == solve_candidate(inst, v), (ext, v)
 
 
 def test_the_sink_is_certified_by_w_minus_mz_equals_q(monkeypatch):
     """A closed-form value that is off, with its sign kept, fails its row of w - M z = q, and that row is named."""
     import usomat.plcp
 
-    real = usomat.plcp._cauchy_solution
+    real = usomat.plcp._basic_values
     ext = _family("star", 4)
     sink = _sink(ext)
     r = max(i for i in range(4) if not sink >> i & 1)  # w_r is basic, so doubling it breaks row r + 1 alone
     assert r > 0
 
-    def doubled(e, inst, v):
-        sol = real(e, inst, v)
-        return CandidateSolution(v, sol.w[:r] + (2 * sol.w[r],) + sol.w[r + 1 :], sol.z)
+    def doubled(a, v):
+        x = real(a, v)
+        return x[:r] + [2 * x[r]] + x[r + 1 :]
 
-    monkeypatch.setattr(usomat.plcp, "_cauchy_solution", doubled)
+    monkeypatch.setattr(usomat.plcp, "_basic_values", doubled)
     with pytest.raises(ArithmeticError, match=rf"^the basic values at vertex {sink} fail row {r + 1} of w - M z = q$"):
         _own(ext)
 
@@ -251,13 +279,12 @@ def test_the_sink_is_certified_by_w_minus_mz_equals_q(monkeypatch):
 def test_a_negative_closed_form_value_is_reported(monkeypatch):
     import usomat.plcp
 
-    real = usomat.plcp._cauchy_solution
+    real = usomat.plcp._basic_values
 
-    def negated(e, inst, v):
-        sol = real(e, inst, v)
-        return CandidateSolution(v, tuple(-x for x in sol.w), tuple(-x for x in sol.z))
+    def negated(a, v):
+        return [-x for x in real(a, v)]
 
-    monkeypatch.setattr(usomat.plcp, "_cauchy_solution", negated)
+    monkeypatch.setattr(usomat.plcp, "_basic_values", negated)
     ext = _family("path", 3)
     want = f"^Cauchy signs and the sink's basic values disagree at vertex {_sink(ext)}$"
     with pytest.raises(ArithmeticError, match=want):
@@ -274,11 +301,111 @@ def test_own_instances_never_reach_solve_matrix(monkeypatch):
             if is_branching_closure(FAMILIES[name](n)) is not None:
                 ext = _family(name, n)
                 assert _own(ext) == extension_to_uso(ext)
+                assert is_p_matrix(translate_to_plcp(ext).M)
 
 
-def test_a_size_mismatch_is_refused_within_the_cap():
-    """An instance of another n is refused by name, not sent to the pivot tree, whose cube would have its n."""
-    ext, inst = _family("path", 6), translate_to_plcp(_family("path", 4))
-    with pytest.raises(ValueError) as info:
-        cauchy_to_uso(ext, inst)
-    assert str(info.value) == "M is not the extension's Cauchy matrix: the instance has n = 4, the extension n = 6"
+def test_a_size_mismatch_is_refused_within_the_cap(capsys, monkeypatch):
+    """An LCP of another n than the graph's is refused by name in ``realize``, not compared over the shorter rows."""
+    import usomat.cli
+
+    monkeypatch.setattr(usomat.cli, "translate_to_plcp", lambda ext: translate_to_plcp(_family("path", 4)))
+    assert usomat.cli.main(["realize", "--family", "path", "--n", "6"]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "verification failed: LCP route gives an orientation of n = 4, the graph has n = 6; nothing written"
+    ]
+
+
+def _rank_two_reciprocal(rng: random.Random, n: int) -> PLCPInstance:
+    """[M | q] = 1 / (D (P R^T) F) entrywise: P and R integer in -5..5, D and F positive diagonal scalings.
+
+    Half of the draws take finite nodes p_i = (1, -a_i) and r_t = (b_t, 1),
+    the a below the b and in the opposite order, so that M is often a
+    P-matrix; the other half take any factors, with their infinite nodes
+    (p_i1 = 0 or r_t2 = 0).  A fifth of the draws repeat a row node and a
+    fifth a column node, q's included: a repeated node makes some 2x2
+    minor or some e(r, t) zero.  Any K = P R^T with a zero entry is drawn
+    again, and most rows get a positive diagonal K_ii.
+    """
+    while True:
+        if rng.random() < 0.5:
+            a = sorted(rng.sample(range(-5, 0), n))
+            b = sorted(rng.sample(range(1, 6), n), reverse=True)
+            if rng.random() < 0.5:
+                i, j = rng.randrange(n), rng.randrange(n)
+                b[i], b[j] = b[j], b[i]
+            p = [[1, -x] for x in a]
+            r = [[y, 1] for y in b] + [[rng.randint(-5, 5), 1]]
+        else:
+            p = [[rng.randint(-5, 5), rng.randint(-5, 5)] for _ in range(n)]
+            r = [[rng.randint(-5, 5), rng.randint(-5, 5)] for _ in range(n + 1)]
+        if n > 1 and rng.random() < 0.2:
+            i, j = rng.sample(range(n), 2)
+            p[j] = [rng.choice([-2, -1, 1, 2]) * x for x in p[i]]
+        if rng.random() < 0.2:
+            i, j = rng.sample(range(n + 1), 2)
+            r[j] = [rng.choice([-2, -1, 1, 2]) * x for x in r[i]]
+        k = [[pi[0] * rt[0] + pi[1] * rt[1] for rt in r] for pi in p]
+        if all(x for row in k for x in row):
+            break
+    k = [[-x for x in row] if row[i] < 0 and rng.random() < 0.9 else row for i, row in enumerate(k)]
+    d = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n)]
+    f = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n + 1)]
+    rows = [[1 / (d[i] * k[i][t] * f[t]) for t in range(n + 1)] for i in range(n)]
+    return PLCPInstance(n, RationalMatrix(row[:n] for row in rows), tuple(row[n] for row in rows))
+
+
+def test_seeded_cauchy_like_instances_match_the_oracles(monkeypatch):
+    """2,000 rank-2-reciprocal [M | q], n <= 5, against cofactor minors and one solve per vertex, never the tree.
+
+    ``plcp_to_uso_per_vertex`` does not refuse a non-P M, so there the
+    witness is ``is_p_matrix_by_minors`` and the named index set's own
+    minor; on a P-matrix both give the same orientation or both raise
+    ``DegenerateQ``, and the named vertex has a zero basic value.
+    """
+    import usomat.plcp
+
+    def tree(*args):
+        raise AssertionError("the pivot tree ran on a Cauchy-like instance")
+
+    monkeypatch.setattr(usomat.plcp, "_pivot_tree", tree)
+    rng = random.Random(2029)
+    kinds = {"refused": 0, "zero minor": 0, "degenerate": 0, "orientation": 0}
+    for _ in range(2000):
+        inst = _rank_two_reciprocal(rng, rng.randint(1, 5))
+        p_matrix = is_p_matrix_by_minors(inst.M)
+        assert is_p_matrix(inst.M) == p_matrix, inst
+        if not p_matrix:
+            with pytest.raises(ValueError, match=r"^M is not a P-matrix: det\(M\[S, S\]\) is ") as info:
+                plcp_to_uso(inst)
+            assert type(info.value) is ValueError
+            message = str(info.value)
+            idx = [d - 1 for d in ast.literal_eval(message.rpartition("S = ")[2])]
+            minor = _det([[inst.M[i, j] for j in idx] for i in idx])
+            assert minor <= 0 and ("is zero" if minor == 0 else "is negative") in message, inst
+            kinds["zero minor" if minor == 0 else "refused"] += 1
+            continue
+        try:
+            want = plcp_to_uso_per_vertex(inst)
+        except DegenerateQ:
+            with pytest.raises(DegenerateQ) as info:
+                plcp_to_uso(inst)
+            vertex = int(str(info.value).rpartition(" ")[2])
+            with pytest.raises(DegenerateQ):
+                solve_candidate(inst, vertex)
+            kinds["degenerate"] += 1
+            continue
+        assert plcp_to_uso(inst) == want, inst
+        kinds["orientation"] += 1
+    assert min(kinds.values()) > 150, kinds
+
+
+def test_the_rank_test_carries_the_shortcut():
+    """No zero entry and every 2x2 principal minor 51/50, yet det M < 0: the reciprocal has rank 3, so the signs alone decide nothing."""
+    c = Fraction(1, 100)
+    m = RationalMatrix([[1, -2, c], [c, 1, -2], [-2, c, 1]])
+    for s, t in ((0, 1), (0, 2), (1, 2)):
+        assert m[s, s] * m[t, t] - m[s, t] * m[t, s] == Fraction(51, 50)
+    assert _det([list(row) for row in m.rows]) < 0
+    assert not is_p_matrix(m) and not _tree_is_p_matrix(m)
+    with pytest.raises(ValueError, match=r"is negative for S = \[1, 2, 3\]$"):
+        plcp_to_uso(PLCPInstance(3, m, (Fraction(1), Fraction(2), Fraction(3))))

@@ -307,14 +307,14 @@ def test_realize_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
     """An LCP route that comes back with one facet flipped is caught and located."""
     import usomat.cli
 
-    real = usomat.cli.cauchy_to_uso
+    real = usomat.cli.plcp_to_uso
     seen = []
 
-    def flipped(ext, inst):
-        seen.append(flip_facet(real(ext, inst), 1))
+    def flipped(inst):
+        seen.append(flip_facet(real(inst), 1))
         return seen[-1]
 
-    monkeypatch.setattr(usomat.cli, "cauchy_to_uso", flipped)
+    monkeypatch.setattr(usomat.cli, "plcp_to_uso", flipped)
     prefix = tmp_path / "path3"
     assert main(["realize", "--family", "path", "--n", "3", "--out", str(prefix)]) == 1
     got = build_matousek(extract_influence_graph(seen[0])).outmaps  # the canonical form
@@ -332,7 +332,7 @@ def test_realize_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
 def test_realize_names_an_lcp_route_without_a_matousek_uso(tmp_path, capsys, monkeypatch):
     import usomat.cli
 
-    monkeypatch.setattr(usomat.cli, "cauchy_to_uso", lambda ext, inst: Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5)))
+    monkeypatch.setattr(usomat.cli, "plcp_to_uso", lambda inst: Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5)))
     assert main(["realize", "--family", "path", "--n", "3", "--out", str(tmp_path / "path3")]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines()[1:] == [

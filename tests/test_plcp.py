@@ -32,7 +32,15 @@ from usomat import (
     synthesize_extension,
     translate_to_plcp,
 )
-from usomat.plcp import CandidateSolution, _pivot_step, _pivot_tree, _scaled_tableau, parse_fraction
+from usomat.plcp import (
+    CandidateSolution,
+    _pivot_step,
+    _pivot_tree,
+    _scaled_tableau,
+    _tree_is_p_matrix,
+    _tree_to_uso,
+    parse_fraction,
+)
 from usomat.random_facet import FAMILIES
 from oracles import (
     _det,
@@ -267,9 +275,9 @@ def test_is_p_matrix_validation():
 
 
 def test_is_p_matrix_runs_past_n_12():
-    """One cap for the pivot tree: the table cap that plcp_to_uso already runs under."""
+    """One cap for the pivot tree: the table cap that its orientation reader already runs under."""
     m = translate_to_plcp(synthesize_extension(is_branching_closure(FAMILIES["path"](13)))).M
-    assert is_p_matrix(m)
+    assert _tree_is_p_matrix(m) and is_p_matrix(m)
 
 
 def test_plcp_instance_json():
@@ -490,7 +498,7 @@ def test_plcp_to_uso_certifies_the_sink(monkeypatch):
 
     monkeypatch.setattr(usomat.plcp, "solve_candidate", negated)
     with pytest.raises(ArithmeticError, match="disagree at vertex"):
-        plcp_to_uso(translate_to_plcp(CHAIN2))
+        _tree_to_uso(translate_to_plcp(CHAIN2))
 
 
 def test_plcp_to_uso_refuses_past_the_cap_before_the_walk(monkeypatch):
