@@ -11,6 +11,7 @@ status 1; argparse keeps syntax errors, which exit with status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -240,6 +241,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0 if uso_failures == 0 and mismatches == 0 else 1
 
 
+@functools.cache  # built once per process: main may run many times in one process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="usomat",

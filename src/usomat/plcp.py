@@ -8,9 +8,11 @@ w, z >= 0 with w - M z = q and w^T z = 0.  That basis is a Vandermonde
 matrix with signed columns, so :func:`translate_to_plcp` reads M and q
 off the Lagrange basis on its nodes, in closed form.  All arithmetic is
 exact, so sign decisions are never at the mercy of floating point:
-Fractions at the boundary, Python ints in every elimination.  One
-fraction-free step, :func:`_pivot_step`, serves both the linear solves and
-the pivot tree.
+Fractions at the boundary, Python ints in every elimination.  One integer
+form, each row times the lcm of its own denominators
+(:func:`_integer_rows`), feeds the linear solves, the pivot tree and the
+Cauchy route, and one fraction-free step, :func:`_pivot_step`, serves
+both the solves and the tree.
 
 That M is a diagonally scaled Cauchy matrix, and the route that reads an
 LCP back needs nothing else.  Call [M | q] Cauchy-like when it has no
@@ -33,7 +35,8 @@ minors are positive, and each basic value has the sign of a product of
 1x1 and 2x2 signs.  :func:`is_p_matrix` and :func:`plcp_to_uso` test for
 that shape in integers (:func:`_not_cauchy_like`) and then decide in
 O(n^2) integer products, at any n: ``usomat realize`` certifies its
-instances up to n = 64 that way.  The instances of
+instances up to n = 64 that way.  The z of the sink's basic solution is
+a product of the same factors.  The instances of
 :func:`translate_to_plcp` are Cauchy-like, on the positions of the
 extension's elements.
 
@@ -48,9 +51,16 @@ w variables outside S (Stickney & Watson 1978; the P-matrix test is the
 Schur-complement recursion of Tsatsomeros & Li, BIT 2000, in
 fraction-free form).  It accepts P-matrices only, so every d it meets is
 positive and z_s(S) < 0 exactly when w_s(S - {s}) > 0: the z signs are
-the edge-consistent complements of the w signs.  Past the cap an input
-that is not Cauchy-like is refused, named by its first zero entry or its
-first row of K outside the span of the two reference rows.
+the edge-consistent complements of the w signs; the tree re-solves the
+z of its sink with :func:`solve_candidate`.  Past the cap an input that
+is not Cauchy-like is refused, named by its first zero entry or its first
+row of K outside the span of the two reference rows: :func:`_past_the_cap`
+is the one place that enforces the cap.
+
+Both readers end in one certificate, :func:`_certified`: at the sink S,
+z > 0 on S, and w = q + M z, one exact integer product, zero on S and
+positive off it.  M[S, S] is nonsingular for a P-matrix, so a point that
+passes is the feasible basic solution at S.
 """
 
 from __future__ import annotations
@@ -59,7 +69,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Optional, Sequence
+from numbers import Rational
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -78,20 +89,17 @@ def parse_fraction(s: str) -> Fraction:
         raise ValueError(f"not a rational number: {s!r}") from exc
 
 
-def _json_fraction(x: object) -> Fraction:
-    """A JSON entry that is exact: a fraction string or an integer, never a float."""
+def _exact(x: object) -> Fraction:
+    """An exact entry as a Fraction: a fraction string, an integer or a Fraction.
+
+    A float or a bool is refused, not read as its binary value, and so is
+    anything else.
+    """
     if isinstance(x, str):
         return parse_fraction(x)
-    if type(x) is int:
+    if isinstance(x, Rational) and not isinstance(x, bool):
         return Fraction(x)
-    raise ValueError(f"entries must be fraction strings or integers, got {x!r}")
-
-
-def _exact(x: Fraction | int) -> Fraction:
-    """A matrix entry as a Fraction; a float or a bool is refused, not read as its binary value."""
-    if isinstance(x, (float, bool)):
-        raise ValueError(f"matrix entries must be exact rationals, got {x!r}")
-    return Fraction(x)
+    raise ValueError(f"matrix entries must be exact rationals, got {x!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +110,7 @@ class RationalMatrix:
     nrows: int
     ncols: int
 
-    def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
+    def __init__(self, rows: Iterable[Iterable[Fraction | int | str]]) -> None:
         rows = tuple(tuple(map(_exact, row)) for row in rows)
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
@@ -124,7 +132,7 @@ class RationalMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
     def solve_matrix(self, rhs: "RationalMatrix | Sequence[Sequence[Fraction | int]]") -> "RationalMatrix":
-        """Exact X with A X = B, by fraction-free Gauss-Jordan on the integer [A | B].
+        """Exact X with A X = B, by fraction-free Gauss-Jordan on the integer rows of [A | B].
 
         Each pivot is the first nonzero entry of its column on or below the
         diagonal, and :func:`_pivot_step` updates every other row.  Then
@@ -137,7 +145,7 @@ class RationalMatrix:
         if b.nrows != self.nrows:
             raise ValueError("right-hand side has mismatched row count")
         k = self.nrows
-        tab = _scaled_tableau(RationalMatrix(a + r for a, r in zip(self.rows, b.rows)))
+        tab = _integer_rows(a + r for a, r in zip(self.rows, b.rows))
         d = 1
         for col in range(k):
             pivot = next((r for r in range(col, k) if tab[r][col]), None)
@@ -185,8 +193,7 @@ class PLCPInstance:
             raise ValueError("instance JSON: 'M' must be a list of rows")
         if not isinstance(q, list):
             raise ValueError("instance JSON: 'q' must be a list")
-        m = RationalMatrix([[_json_fraction(x) for x in row] for row in rows])
-        return cls(n, m, tuple(_json_fraction(x) for x in q))
+        return cls(n, RationalMatrix(rows), tuple(map(_exact, q)))
 
 
 @dataclass(frozen=True)
@@ -223,15 +230,19 @@ def translate_to_plcp(ext: CyclicExtension) -> PLCPInstance:
     return PLCPInstance(n, RationalMatrix(row[:n] for row in rows), tuple(row[n] for row in rows))
 
 
-def _scaled_tableau(m: RationalMatrix, q: Sequence[Fraction] = ()) -> list[list[int]]:
-    """Rows of [L*M | L*q] as ints, L the lcm of every denominator.
+def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its own denominators, as ints: the one integer form.
 
-    Scaling by L > 0 keeps the sign of every basic solution and of every
-    principal minor, and makes the pivot tree below integer-only.
+    A positive scale per row keeps every solution of a system, the sign of
+    every principal minor and of every basic value, and leaves every
+    factor e and g unchanged, so the solves, the pivot tree and the Cauchy
+    route all read these rows.
     """
-    rows = [list(row) + ([q[r]] if q else []) for r, row in enumerate(m.rows)]
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    out = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
 
 
 def _pivot_step(vec: list[int], pivot_vec: list[int], pos: int, d: int) -> list[int]:
@@ -305,25 +316,10 @@ def _tree_is_p_matrix(m: RationalMatrix) -> bool:
     """All principal minors of a square M positive, by the pivot tree, with early exit.
 
     The tree visits every index subset, and its d there is that principal
-    minor times a positive scale.  Capped at ``MAX_DIMENSION``.
+    minor times the positive row scales over the subset.  Its caller keeps
+    n within ``MAX_DIMENSION`` (:func:`_past_the_cap`).
     """
-    n = m.nrows
-    if n > MAX_DIMENSION:
-        raise ValueError(f"principal minor enumeration capped at n={MAX_DIMENSION}")
-    return all(d > 0 for _, d, _, _ in _pivot_tree(_scaled_tableau(m), n))
-
-
-def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its own denominators, as ints.
-
-    A positive scale per row keeps the sign of every principal minor and
-    of every basic value, and leaves every factor e and g unchanged.
-    """
-    out = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+    return all(d > 0 for _, d, _, _ in _pivot_tree(_integer_rows(m.rows), m.nrows))
 
 
 def _not_cauchy_like(a: list[list[int]], label: str) -> Optional[str]:
@@ -438,21 +434,45 @@ def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
     return CandidateSolution(vertex, w, z)
 
 
+def _certified(a: list[list[int]], o: Orientation, z_at: Callable[[int], Sequence[Fraction]]) -> Orientation:
+    """``o``, once the basic solution at its sink checks out, for integer rows ``a`` of [M | q].
+
+    With S the sink's set and z = ``z_at(sink)``, z must be positive on S,
+    and w = q + M z, computed in one exact integer product (each row times
+    its positive scale), zero on S and positive off it.  M[S, S] is
+    nonsingular for a P-matrix, so a point that passes is the basic
+    solution at S, and it is feasible: the sink of ``o`` is the LCP's
+    solution.  Else ``ArithmeticError`` names the vertex and the first
+    pair that fails.
+    """
+    n = o.n
+    sink = global_sink(o)
+    z = z_at(sink)
+    support = [t for t in range(n) if sink >> t & 1]
+    d = lcm(*(z[t].denominator for t in support))
+    dz = [(t, z[t].numerator * (d // z[t].denominator)) for t in support]
+    for r, row in enumerate(a):
+        w = row[n] * d + sum(row[t] * x for t, x in dz)  # d times the row's scale times w_r
+        if not (z[r] > 0 and w == 0 if sink >> r & 1 else w > 0):
+            raise ArithmeticError(f"the sink certificate fails at vertex {sink}, pair {r + 1}")
+    return o
+
+
 def _tree_to_uso(instance: PLCPInstance) -> Orientation:
     """Orient each cube vertex by the signs of its basic solution, read off the pivot tree.
 
     The w signs come from the tree and the z signs by edge consistency;
-    the sink is then re-solved from scratch (:func:`solve_candidate`) as a
-    certificate that they were read right.  A nonpositive principal minor
-    raises ``ValueError`` naming its index set, before any zero basic
-    component raises ``DegenerateQ``.  Capped at ``MAX_DIMENSION``.
+    the sink's z is then re-solved from scratch (:func:`solve_candidate`)
+    and certified (:func:`_certified`) as a check that they were read
+    right.  A nonpositive principal minor raises ``ValueError`` naming its
+    index set, before any zero basic component raises ``DegenerateQ``.
+    Its caller keeps n within ``MAX_DIMENSION`` (:func:`_past_the_cap`).
     """
     n = instance.n
-    if n > MAX_DIMENSION:
-        raise ValueError(f"principal minor enumeration capped at n={MAX_DIMENSION}")
+    a = _integer_rows(row + (x,) for row, x in zip(instance.M.rows, instance.q))
     table = np.zeros(1 << n, dtype=np.int64)  # bit r, for r outside S: w_r < 0 at vertex S
     degenerate = None
-    for v, d, free, x in _pivot_tree(_scaled_tableau(instance.M, instance.q), n):
+    for v, d, free, x in _pivot_tree(a, n):
         if d <= 0:
             raise ValueError(_not_a_p_matrix([i - 1 for i in mask_to_dims(v)], d))
         if degenerate is None and 0 in x:
@@ -464,47 +484,35 @@ def _tree_to_uso(instance: PLCPInstance) -> Orientation:
     for s in range(n):
         halves = table.reshape(-1, 2, 1 << s)
         halves[:, 1, :] |= ~halves[:, 0, :] & 1 << s
-    sink = int(table.argmin())
-    sol = solve_candidate(instance, sink)
-    basic = [sol.z[i] if sink >> i & 1 else sol.w[i] for i in range(n)]
-    if sum(1 << i for i, x in enumerate(basic) if x < 0) != table[sink]:
-        raise ArithmeticError(f"pivot tree and direct solve disagree at vertex {sink}")
-    return Orientation(n, tuple(table.tolist()))
+    return _certified(a, Orientation(n, tuple(table.tolist())), lambda sink: solve_candidate(instance, sink).z)
 
 
 def _basic_values(a: list[list[int]], vertex: int) -> list[Fraction]:
-    """The basic value of each pair at ``vertex``, by Cauchy products, for integer rows ``a`` of [M | q].
+    """The z half of the basic solution at ``vertex``, by Cauchy products, for integer rows ``a`` of [M | q].
 
-    With S the vertex set, w_r = q_r prod_{t in S} e(r, t) for r outside S,
-    and z_s = -(q_s / M_ss) prod_{t in S - {s}} e(s, t) / g(s, t) for s in
-    S, where e(s, t) / g(s, t) = (M_tt q_s - M_st q_t) M_ss / (q_s det M[{s, t}]).
-    The row scales of ``a`` leave e, g and z unchanged and scale each w_r
-    by its row's scale, so these are the basic values of the scaled
-    problem.  They hold for a Cauchy-like [M | q] whose M is a P-matrix,
-    and nothing here checks that: :func:`plcp_to_uso` does.  Each product
-    cancels common factors across, factor by factor, as a Fraction product
-    would, which keeps its integers near the size of the values.
+    With S the vertex set, z_s = -(q_s / M_ss) prod_{t in S - {s}} e(s, t) / g(s, t)
+    for s in S, where e(s, t) / g(s, t) = (M_tt q_s - M_st q_t) M_ss / (q_s det M[{s, t}]),
+    and z_s = 0 off S.  The row scales of ``a`` leave these unchanged.
+    They hold for a Cauchy-like [M | q] whose M is a P-matrix, and nothing
+    here checks that: :func:`plcp_to_uso` does.  Each product cancels
+    common factors across, factor by factor, as a Fraction product would,
+    which keeps its integers near the size of the values.
     """
     n = len(a)
     support = [t for t in range(n) if vertex >> t & 1]
-    values = []
-    for s, row in enumerate(a):
+    z = [Fraction(0)] * n
+    for s in support:
+        row = a[s]
         q_s, m_ss = row[n], row[s]
-        if vertex >> s & 1:
-            num, den = -q_s, m_ss
-            factors = (
-                ((a[t][t] * q_s - row[t] * a[t][n]) * m_ss, q_s * (m_ss * a[t][t] - row[t] * a[t][s]))
-                for t in support
-                if t != s
-            )
-        else:
-            num, den = q_s, 1
-            factors = ((a[t][t] * q_s - row[t] * a[t][n], a[t][t] * q_s) for t in support)
-        for f_num, f_den in factors:
-            g, h = gcd(f_num, den), gcd(num, f_den)
-            num, den = num // h * (f_num // g), den // g * (f_den // h)
-        values.append(Fraction(num, den))
-    return values
+        num, den = -q_s, m_ss
+        for t in support:
+            if t != s:
+                f_num = (a[t][t] * q_s - row[t] * a[t][n]) * m_ss
+                f_den = q_s * (m_ss * a[t][t] - row[t] * a[t][s])
+                g, h = gcd(f_num, den), gcd(num, f_den)
+                num, den = num // h * (f_num // g), den // g * (f_den // h)
+        z[s] = Fraction(num, den)
+    return z
 
 
 def plcp_to_uso(instance: PLCPInstance) -> Orientation:
@@ -520,12 +528,13 @@ def plcp_to_uso(instance: PLCPInstance) -> Orientation:
     w_r(S) = q_r prod_{t in S} e(r, t) for r outside S, and for r in S,
     z_r(S) < 0 exactly when w_r(S - {r}) > 0, so o(0) = [q < 0] and row t
     has bit r != t set when e(r, t) < 0, and its loop bit t.  At its sink
-    S the basic values of :func:`_basic_values` must be positive and
-    satisfy w - M z = q exactly, row by row (each row times its positive
-    scale), else ``ArithmeticError`` names the vertex, or the vertex and
-    the row.  M[S, S] is nonsingular, its determinant a product of
-    certified positive factors, so values that satisfy the system are its
-    one solution: the product proves what a solve would.
+    S the z of :func:`_basic_values`, products of the same factors, goes
+    to the certificate that the pivot tree ends in too
+    (:func:`_certified`): z > 0 on S, and w = q + M z, one exact integer
+    product, zero on S and positive off it, else ``ArithmeticError``.
+    M[S, S] is nonsingular, its determinant a product of certified
+    positive factors, so a point that passes is the basic solution at S:
+    the product proves what a solve would.
 
     Any other instance goes to the pivot tree (:func:`_tree_to_uso`) up to
     ``MAX_DIMENSION``, and past it is refused with a ``ValueError`` that
@@ -558,16 +567,4 @@ def plcp_to_uso(instance: PLCPInstance) -> Orientation:
                     row |= 1 << r
         rows.append(row)
     o = Orientation._from_checked_rows(n, sum(1 << r for r in range(n) if q[r] < 0), tuple(rows))
-    sink = global_sink(o)
-    values = _basic_values(a, sink)
-    if any(x <= 0 for x in values):
-        raise ArithmeticError(f"Cauchy signs and the sink's basic values disagree at vertex {sink}")
-    # w - M z = q times d, the lcm of the z denominators: d w_r = d q_r + sum_t M_rt (d z_t), in integers
-    support = [t for t in range(n) if sink >> t & 1]
-    d = lcm(*(values[t].denominator for t in support))
-    dz = [(t, values[t].numerator * (d // values[t].denominator)) for t in support]
-    for r, row in enumerate(a):
-        w = Fraction(0) if sink >> r & 1 else values[r]
-        if w.numerator * d != w.denominator * (row[n] * d + sum(row[t] * x for t, x in dz)):
-            raise ArithmeticError(f"the basic values at vertex {sink} fail row {r + 1} of w - M z = q")
-    return o
+    return _certified(a, o, lambda sink: _basic_values(a, sink))

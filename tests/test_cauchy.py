@@ -4,7 +4,7 @@ The pivot tree (``_tree_to_uso``, ``_tree_is_p_matrix``) is the
 independent witness throughout: ``plcp_to_uso`` and ``is_p_matrix`` must
 return its orientation and its verdict, and refuse exactly the matrices
 it refuses.  A direct solve (``solve_candidate``) is the witness of the
-closed-form basic values that certify the sink, and the brute-force
+closed-form z that certifies the sink, and the brute-force
 oracles of ``tests/oracles.py`` are the witnesses on seeded Cauchy-like
 instances with repeated and infinite nodes.
 """
@@ -218,16 +218,10 @@ def _sink(ext: CyclicExtension) -> int:
     return global_sink(extension_to_uso(ext))
 
 
-def _rows(inst: PLCPInstance) -> list[list[int]]:
-    return _integer_rows(row + (x,) for row, x in zip(inst.M.rows, inst.q))
-
-
 def _products(inst: PLCPInstance, vertex: int) -> CandidateSolution:
-    """The Cauchy products at ``vertex``, each w_r divided by its row's scale a_rn / q_r."""
-    a, n = _rows(inst), inst.n
-    x = _basic_values(a, vertex)
-    w = tuple(Fraction(0) if vertex >> r & 1 else x[r] * inst.q[r] / a[r][n] for r in range(n))
-    z = tuple(x[s] if vertex >> s & 1 else Fraction(0) for s in range(n))
+    """The z of the Cauchy products at ``vertex``, and w = q + M z from it."""
+    z = tuple(_basic_values(_integer_rows(row + (x,) for row, x in zip(inst.M.rows, inst.q)), vertex))
+    w = tuple(q_r + sum(m * x for m, x in zip(row, z)) for row, q_r in zip(inst.M.rows, inst.q))
     return CandidateSolution(vertex, w, z)
 
 
@@ -257,38 +251,57 @@ def test_closed_form_values_equal_a_direct_solve_on_seeded_branchings(n):
             assert _products(inst, v) == solve_candidate(inst, v), (ext, v)
 
 
-def test_the_sink_is_certified_by_w_minus_mz_equals_q(monkeypatch):
-    """A closed-form value that is off, with its sign kept, fails its row of w - M z = q, and that row is named."""
+def _faulty_sink_z(monkeypatch, fault) -> None:
+    """``fault`` applied to the z that each route's certificate reads: the Cauchy products and the tree's direct solve."""
     import usomat.plcp
 
-    real = usomat.plcp._basic_values
+    basic, solve = usomat.plcp._basic_values, usomat.plcp.solve_candidate
+
+    def solved(inst, v):
+        sol = solve(inst, v)
+        return CandidateSolution(v, sol.w, tuple(fault(list(sol.z))))
+
+    monkeypatch.setattr(usomat.plcp, "_basic_values", lambda a, v: fault(basic(a, v)))
+    monkeypatch.setattr(usomat.plcp, "solve_candidate", solved)
+
+
+def test_the_sink_is_certified_by_w_minus_mz_equals_q(monkeypatch):
+    """A z on the support that is off, with its sign kept, breaks w = q + M z, on both routes.
+
+    At the star n = 4 sink {2, 4}, doubling z_2 drives the off-support w_1
+    below 0, so pair 1 is named; z_2 times 1001/1000 keeps w_1 positive and
+    leaves w_2 nonzero, so pair 2 is.
+    """
     ext = _family("star", 4)
-    sink = _sink(ext)
-    r = max(i for i in range(4) if not sink >> i & 1)  # w_r is basic, so doubling it breaks row r + 1 alone
-    assert r > 0
-
-    def doubled(a, v):
-        x = real(a, v)
-        return x[:r] + [2 * x[r]] + x[r + 1 :]
-
-    monkeypatch.setattr(usomat.plcp, "_basic_values", doubled)
-    with pytest.raises(ArithmeticError, match=rf"^the basic values at vertex {sink} fail row {r + 1} of w - M z = q$"):
-        _own(ext)
+    assert _sink(ext) == 0b1010
+    for factor, pair in ((2, 1), (Fraction(1001, 1000), 2)):
+        with monkeypatch.context() as patch:
+            _faulty_sink_z(patch, lambda z: z[:1] + [factor * z[1]] + z[2:])
+            for reader in (plcp_to_uso, _tree_to_uso):
+                with pytest.raises(ArithmeticError, match=rf"^the sink certificate fails at vertex 10, pair {pair}$"):
+                    reader(translate_to_plcp(ext))
 
 
 def test_a_negative_closed_form_value_is_reported(monkeypatch):
+    """At the path n = 3 sink, the full set, a negated z fails at pair 1, on both routes."""
+    ext = _family("path", 3)
+    assert _sink(ext) == 0b111
+    _faulty_sink_z(monkeypatch, lambda z: [-x for x in z])
+    for reader in (plcp_to_uso, _tree_to_uso):
+        with pytest.raises(ArithmeticError, match="^the sink certificate fails at vertex 7, pair 1$"):
+            reader(translate_to_plcp(ext))
+
+
+def test_a_wrong_sink_is_refused_by_its_negative_z(monkeypatch):
+    """At a neighbour of the star n = 4 sink, {1, 2, 4}, the basic solution has w = 0 on its set but z_1 < 0."""
     import usomat.plcp
 
-    real = usomat.plcp._basic_values
-
-    def negated(a, v):
-        return [-x for x in real(a, v)]
-
-    monkeypatch.setattr(usomat.plcp, "_basic_values", negated)
-    ext = _family("path", 3)
-    want = f"^Cauchy signs and the sink's basic values disagree at vertex {_sink(ext)}$"
-    with pytest.raises(ArithmeticError, match=want):
-        _own(ext)
+    ext = _family("star", 4)
+    assert _sink(ext) == 0b1010
+    monkeypatch.setattr(usomat.plcp, "global_sink", lambda o: 0b1011)
+    for reader in (plcp_to_uso, _tree_to_uso):
+        with pytest.raises(ArithmeticError, match="^the sink certificate fails at vertex 11, pair 1$"):
+            reader(translate_to_plcp(ext))
 
 
 def test_own_instances_never_reach_solve_matrix(monkeypatch):

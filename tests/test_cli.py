@@ -57,6 +57,15 @@ def test_version_banner_on_stderr(tmp_path, capsys):
     assert captured.err.splitlines() == ["usomat 0.1.0"]
 
 
+def test_two_main_calls_build_one_parser(tmp_path):
+    src = write_graph(tmp_path / "g.json", InfluenceGraph(2, []))
+    _build_parser.cache_clear()
+    out = str(tmp_path / "o.json")
+    assert main(["build", src, "--out", out]) == 0
+    assert main(["check", out]) == 0
+    assert _build_parser.cache_info().misses == 1
+
+
 def test_settable_values_per_subcommand():
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

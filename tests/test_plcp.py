@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -34,9 +34,9 @@ from usomat import (
 )
 from usomat.plcp import (
     CandidateSolution,
+    _integer_rows,
     _pivot_step,
     _pivot_tree,
-    _scaled_tableau,
     _tree_is_p_matrix,
     _tree_to_uso,
     parse_fraction,
@@ -73,14 +73,20 @@ def test_matrix_shape_validation():
         RationalMatrix([[1, 2], [3]])
 
 
-@pytest.mark.parametrize("entry", [0.1, 2.0, True, False, np.float64(0.5)])
+@pytest.mark.parametrize("entry", [0.1, 2.0, True, False, np.float64(0.5), None, [1], 1j])
 def test_matrix_refuses_inexact_entries(entry):
-    """A float or a bool is refused, not read as its binary value, as the JSON reader refuses floats."""
+    """A float or a bool is refused, not read as its binary value, as the JSON reader refuses floats; so is any non-number."""
     with pytest.raises(ValueError, match=re.escape(f"matrix entries must be exact rationals, got {entry!r}")):
         RationalMatrix([[Fraction(1, 3), entry]])
     assert RationalMatrix([[Fraction(1, 3), 1, np.int64(-2), "3/4"]]).rows == (
         (Fraction(1, 3), Fraction(1), Fraction(-2), Fraction(3, 4)),
     )
+
+
+def test_matrix_refuses_strings_that_are_not_fractions():
+    for text in ("1/0", "x"):
+        with pytest.raises(ValueError, match=re.escape(f"not a rational number: {text!r}")):
+            RationalMatrix([[text]])
 
 
 def test_matrix_solve():
@@ -487,7 +493,7 @@ def test_cube_walk_matches_oracles_on_random_rationals(n, data):
 
 
 def test_plcp_to_uso_certifies_the_sink(monkeypatch):
-    """A direct solve whose signs disagree with the walk's is reported, not ignored."""
+    """A direct solve at the sink whose z is negative is reported, not ignored: the sink's set is {2}."""
     import usomat.plcp
 
     real = usomat.plcp.solve_candidate
@@ -497,7 +503,7 @@ def test_plcp_to_uso_certifies_the_sink(monkeypatch):
         return CandidateSolution(v, tuple(-x for x in sol.w), tuple(-x for x in sol.z))
 
     monkeypatch.setattr(usomat.plcp, "solve_candidate", negated)
-    with pytest.raises(ArithmeticError, match="disagree at vertex"):
+    with pytest.raises(ArithmeticError, match="^the sink certificate fails at vertex 2, pair 2$"):
         _tree_to_uso(translate_to_plcp(CHAIN2))
 
 
@@ -521,8 +527,9 @@ def test_cube_walk_reports_singular_bases():
     assert not is_p_matrix(inst.M)
 
 
-def _scale(m: RationalMatrix, q=()) -> int:
-    return lcm(*(x.denominator for row in m.rows for x in row), *(x.denominator for x in q))
+def _row_scales(m: RationalMatrix, q) -> list[int]:
+    """The lcm of each row's denominators in [M | q]: the positive scales of the integer rows."""
+    return [lcm(*(x.denominator for x in row), q_r.denominator) for row, q_r in zip(m.rows, q)]
 
 
 def _members(s: int) -> list[int]:
@@ -575,21 +582,21 @@ def test_pivot_step_raises_at_an_inexact_division():
 
 
 def test_pivot_tree_visits_every_subset_once_with_its_minor():
-    """d is each principal minor of the scaled M; x is d times the scaled basic w; a zero minor ends the tree."""
+    """d is each principal minor of the row-scaled M; x is d times the row-scaled basic w; a zero minor ends the tree."""
     rng = np.random.default_rng(2024)
     complete = ended = 0
     for n in range(1, 7):
         for trial in range(12):
             m = RationalMatrix(_random_matrix(rng, n, 3 if trial % 3 else 1, (1, 1, 2, 3)))
             q = tuple(Fraction(int(rng.integers(1, 9)) * int(rng.choice([-1, 1])), 2) for _ in range(n))
-            scale = _scale(m, q)
+            scale = _row_scales(m, q)
             want_order = list(_tree_order(n))
-            got = list(_pivot_tree(_scaled_tableau(m, q), n))
+            got = list(_pivot_tree(_integer_rows(row + (x,) for row, x in zip(m.rows, q)), n))
             assert [s for s, _, _, _ in got] == want_order[: len(got)]
             for s, d, free, x in got:
                 idx = _members(s)
                 minor = _det([[m[i, j] for j in idx] for i in idx]) if idx else Fraction(1)
-                assert d == scale ** len(idx) * minor
+                assert d == prod(scale[i] for i in idx) * minor
                 if d == 0:
                     break
                 assert free == [r for r in range(n) if r not in idx]
@@ -597,7 +604,7 @@ def test_pivot_tree_visits_every_subset_once_with_its_minor():
                     sol = solve_candidate(PLCPInstance(n, m, q), s)
                 except DegenerateQ:
                     continue
-                assert x == [d * scale * sol.w[r] for r in free]
+                assert x == [d * scale[r] * sol.w[r] for r in free]
             if got[-1][1] == 0:
                 ended += 1
                 assert all(d != 0 for _, d, _, _ in got[:-1])
@@ -611,8 +618,8 @@ def test_pivot_tree_without_q_yields_the_same_minors():
     rng = np.random.default_rng(7)
     for n in range(1, 7):
         m = RationalMatrix(_random_matrix(rng, n, 5))
-        with_q = [(s, d) for s, d, _, _ in _pivot_tree(_scaled_tableau(m, (Fraction(1),) * n), n)]
-        without = list(_pivot_tree(_scaled_tableau(m), n))
+        with_q = [(s, d) for s, d, _, _ in _pivot_tree(_integer_rows(row + (Fraction(1),) for row in m.rows), n)]
+        without = list(_pivot_tree(_integer_rows(m.rows), n))
         assert [(s, d) for s, d, _, _ in without] == with_q
         assert all(x == [] for _, _, _, x in without)
 
