@@ -10,16 +10,17 @@ all three.
 
 from usomat import (
     Branching,
+    RationalMatrix,
     build_matousek,
     extension_to_uso,
     extract_influence_graph,
+    global_sink,
     synthesize_extension,
 )
 from usomat.matroid import containment_graph
 from usomat.plcp import (
     is_p_matrix,
     plcp_to_uso,
-    solve_candidate,
     translate_to_plcp,
 )
 
@@ -52,12 +53,22 @@ print(inst.M.to_text())
 print("q =", " ".join(str(x) for x in inst.q))
 print("P-matrix (all principal minors positive):", is_p_matrix(inst.M))
 
-# Each cube vertex corresponds to a complementary candidate basis; the
+# Each cube vertex v is a complementary basis: z is supported on v and w
+# on the rest.  Solving w - M z = q for them gives the basic solution; the
 # unique fully feasible one is the global sink, and the signs of the
-# others reproduce the orientation.
-for vertex in range(8):
-    cand = solve_candidate(inst, vertex)
-    w = " ".join(str(x) for x in cand.w)
-    z = " ".join(str(x) for x in cand.z)
-    print(f"vertex {vertex:03b}: w = ({w})  z = ({z})  feasible = {cand.feasible}")
-print("\nLCP orientation matches:", extract_influence_graph(plcp_to_uso(inst)) == g)
+# others reproduce the orientation.  plcp_to_uso reads those signs from
+# 1x1 and 2x2 products of M and q, with no solve.
+n, m = inst.n, inst.M.rows
+feasible = []
+for vertex in range(1 << n):
+    basis = RationalMatrix([-m[r][i] if vertex >> i & 1 else int(r == i) for i in range(n)] for r in range(n))
+    x = [row[0] for row in basis.solve_matrix([[b] for b in inst.q]).rows]
+    w = " ".join(str(0 if vertex >> i & 1 else x[i]) for i in range(n))
+    z = " ".join(str(x[i] if vertex >> i & 1 else 0) for i in range(n))
+    if all(val > 0 for val in x):
+        feasible.append(vertex)
+    print(f"vertex {vertex:03b}: w = ({w})  z = ({z})  feasible = {vertex in feasible}")
+lcp_o = plcp_to_uso(inst)
+assert feasible == [global_sink(lcp_o)], (feasible, global_sink(lcp_o))
+print(f"\nthe one feasible vertex, {feasible[0]:03b}, is the sink of the LCP orientation")
+print("LCP orientation matches:", extract_influence_graph(lcp_o) == g)

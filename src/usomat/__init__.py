@@ -43,13 +43,11 @@ from .matroid import (
     validate_conditions,
 )
 from .plcp import (
-    CandidateSolution,
     DegenerateQ,
     PLCPInstance,
     RationalMatrix,
     is_p_matrix,
     plcp_to_uso,
-    solve_candidate,
     translate_to_plcp,
 )
 from .random_facet import (
@@ -94,13 +92,11 @@ __all__ = [
     "extension_to_uso",
     "push_q_left",
     "validate_conditions",
-    "CandidateSolution",
     "DegenerateQ",
     "PLCPInstance",
     "RationalMatrix",
     "is_p_matrix",
     "plcp_to_uso",
-    "solve_candidate",
     "translate_to_plcp",
     "FAMILIES",
     "RfResult",

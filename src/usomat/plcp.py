@@ -8,11 +8,11 @@ w, z >= 0 with w - M z = q and w^T z = 0.  That basis is a Vandermonde
 matrix with signed columns, so :func:`translate_to_plcp` reads M and q
 off the Lagrange basis on its nodes, in closed form.  All arithmetic is
 exact, so sign decisions are never at the mercy of floating point:
-Fractions at the boundary, Python ints in every elimination.  One integer
-form, each row times the lcm of its own denominators
-(:func:`_integer_rows`), feeds the linear solves, the pivot tree and the
-Cauchy route, and one fraction-free step, :func:`_pivot_step`, serves
-both the solves and the tree.
+Fractions at the boundary, Python ints in every product and elimination.
+One integer form, each row times the lcm of its own denominators
+(:func:`_integer_rows`), feeds the Cauchy route below and the exact solve
+:meth:`RationalMatrix.solve_matrix`, whose fraction-free step is
+:func:`_pivot_step`.
 
 That M is a diagonally scaled Cauchy matrix, and the route that reads an
 LCP back needs nothing else.  Call [M | q] Cauchy-like when it has no
@@ -32,35 +32,18 @@ dense set of finite nodes, so they agree wherever both sides are
 defined: at infinite and repeated nodes too.  So a Cauchy-like M is a
 P-matrix exactly when its n diagonal entries and n(n-1)/2 2x2 principal
 minors are positive, and each basic value has the sign of a product of
-1x1 and 2x2 signs.  :func:`is_p_matrix` and :func:`plcp_to_uso` test for
-that shape in integers (:func:`_not_cauchy_like`) and then decide in
-O(n^2) integer products, at any n: ``usomat realize`` certifies its
-instances up to n = 64 that way.  The z of the sink's basic solution is
-a product of the same factors.  The instances of
-:func:`translate_to_plcp` are Cauchy-like, on the positions of the
-extension's elements.
-
-Any other M goes to the pivot tree, the independent witness of the
-tests (:func:`_tree_is_p_matrix`, :func:`_tree_to_uso`), which reaches
-all 2^n complementary bases with one fraction-free principal pivot
-each, depth first through the binomial tree of index subsets, and
-updates only the free rows and the columns that later pivots read:
-O(n 2^n) operations on Python ints, capped at ``MAX_DIMENSION``.  Each
-node holds one principal minor det(M[S, S]) and the basic values of the
-w variables outside S (Stickney & Watson 1978; the P-matrix test is the
-Schur-complement recursion of Tsatsomeros & Li, BIT 2000, in
-fraction-free form).  It accepts P-matrices only, so every d it meets is
-positive and z_s(S) < 0 exactly when w_s(S - {s}) > 0: the z signs are
-the edge-consistent complements of the w signs; the tree re-solves the
-z of its sink with :func:`solve_candidate`.  Past the cap an input that
-is not Cauchy-like is refused, named by its first zero entry or its first
-row of K outside the span of the two reference rows: :func:`_past_the_cap`
-is the one place that enforces the cap.
-
-Both readers end in one certificate, :func:`_certified`: at the sink S,
-z > 0 on S, and w = q + M z, one exact integer product, zero on S and
-positive off it.  M[S, S] is nonsingular for a P-matrix, so a point that
-passes is the feasible basic solution at S.
+1x1 and 2x2 signs.  :func:`is_p_matrix` and :func:`plcp_to_uso` read
+Cauchy-like LCPs only, the instances of :func:`translate_to_plcp` among
+them (on the positions of the extension's elements).  They test for that
+shape in integers (:func:`_cauchy_like_rows`) and then decide in O(n^2)
+integer products, at any n: ``usomat realize`` certifies its instances
+up to n = 64 that way.  Any other input is refused at every n, named by
+its first zero entry or its first row of K outside the span of the two
+reference rows.  The z of the sink's basic solution is a product of the
+same factors, and :func:`_certified` checks it: at the sink S, z > 0 on
+S, and w = q + M z, one exact integer product, zero on S and positive
+off it.  M[S, S] is nonsingular for a P-matrix, so a point that passes
+is the feasible basic solution at S.
 """
 
 from __future__ import annotations
@@ -70,11 +53,9 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 from numbers import Rational
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
-from .cube import MAX_DIMENSION, Orientation, _json_fields, global_sink, mask_to_dims
+from .cube import Orientation, _json_fields, global_sink
 from .matroid import Q, CyclicExtension
 
 
@@ -104,7 +85,13 @@ def _exact(x: object) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class RationalMatrix:
-    """A read-only dense matrix of Fractions with exact elimination-based solvers."""
+    """A read-only dense matrix of Fractions.
+
+    No route of the package solves a linear system: :meth:`solve_matrix`
+    serves the test oracles (their direct solve of a complementary basis
+    and their elimination of a realization matrix), and the benchmark's
+    tracer patches it to count linear solves.
+    """
 
     rows: tuple[tuple[Fraction, ...], ...]
     nrows: int
@@ -162,8 +149,10 @@ class RationalMatrix:
 class PLCPInstance:
     """Data (M, q) of the problem: find w, z >= 0, w - M z = q, w^T z = 0.
 
-    Read-only all the way down: M is a :class:`RationalMatrix` and q is
-    kept as a tuple.
+    Read-only and exact all the way down: M must be a
+    :class:`RationalMatrix`, and q is kept as a tuple of Fractions, read
+    by the entry rule of the matrix (fraction strings, integers or
+    Fractions; a float, a bool or anything else is a ``ValueError``).
     """
 
     n: int
@@ -173,11 +162,14 @@ class PLCPInstance:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"instance size must be an integer of at least 1, got {self.n!r}")
+        if not isinstance(self.M, RationalMatrix):
+            raise ValueError(f"M must be a RationalMatrix, got {type(self.M).__name__}")
         if self.M.nrows != self.n or self.M.ncols != self.n:
             raise ValueError(f"M must be {self.n}x{self.n}")
-        if len(self.q) != self.n:
+        q = tuple(map(_exact, self.q))
+        if len(q) != self.n:
             raise ValueError(f"q must have {self.n} entries")
-        object.__setattr__(self, "q", tuple(self.q))
+        object.__setattr__(self, "q", q)
 
     def to_json_obj(self) -> dict:
         return {
@@ -193,20 +185,7 @@ class PLCPInstance:
             raise ValueError("instance JSON: 'M' must be a list of rows")
         if not isinstance(q, list):
             raise ValueError("instance JSON: 'q' must be a list")
-        return cls(n, RationalMatrix(rows), tuple(map(_exact, q)))
-
-
-@dataclass(frozen=True)
-class CandidateSolution:
-    """The complementary point with z supported on a chosen index set."""
-
-    vertex: int
-    w: tuple[Fraction, ...]
-    z: tuple[Fraction, ...]
-
-    @property
-    def feasible(self) -> bool:
-        return all(x >= 0 for x in self.w) and all(x >= 0 for x in self.z)
+        return cls(n, RationalMatrix(rows), q)
 
 
 def translate_to_plcp(ext: CyclicExtension) -> PLCPInstance:
@@ -235,8 +214,8 @@ def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> list[list[int]]:
 
     A positive scale per row keeps every solution of a system, the sign of
     every principal minor and of every basic value, and leaves every
-    factor e and g unchanged, so the solves, the pivot tree and the Cauchy
-    route all read these rows.
+    factor e and g unchanged, so the Cauchy route, the solves and the
+    tests' pivot tree all read these rows.
     """
     out = []
     for row in rows:
@@ -248,7 +227,8 @@ def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> list[list[int]]:
 def _pivot_step(vec: list[int], pivot_vec: list[int], pos: int, d: int) -> list[int]:
     """(p * vec - vec[pos] * pivot_vec) / d with p = pivot_vec[pos], exactly.
 
-    Both callers keep every entry a minor of their integer input and pass
+    Both callers, :meth:`RationalMatrix.solve_matrix` and the tests' pivot
+    tree, keep every entry a minor of their integer input and pass
     the previous pivot as d, so each division is exact (Bareiss 1968); a
     remainder raises ArithmeticError.
     """
@@ -264,66 +244,8 @@ def _pivot_step(vec: list[int], pivot_vec: list[int], pos: int, d: int) -> list[
     return out
 
 
-def _pivot_tree(tab: list[list[int]], n: int) -> Iterator[tuple[int, int, list[int], list[int]]]:
-    """Fraction-free principal pivots to every index subset, depth first.
-
-    ``tab`` holds the integer tableau of the empty subset, where the basic
-    variables are w = q + M z (rows 0..n-1; column n, if present, is q).
-    The subsets form the binomial tree: the children of S are S + {k} for
-    every k > max(S), each reached by one Bareiss pivot on (k, k).  Each
-    node comes out before its children, and they in decreasing k, so the
-    full set is the last node.  Yields (S, d, free, x): d is the principal
-    minor det(M[S, S]) of the integer M, ``free`` lists the rows r not in
-    S in increasing order, and x[i] is d times the basic value w of row
-    free[i] (the q column of S's tableau; empty when ``tab`` has none).
-
-    A node keeps, for its free rows only, d times the tableau columns past
-    max(S) and q, one list per column: its descendants pivot on nothing
-    else.  A pivot on k therefore touches (rows outside S) x (columns past
-    k), and the whole tree makes 2^n - 1 pivots in O(n 2^n) operations on
-    Python ints.  Every entry stays a minor of the integer [I | -M | q], so
-    :func:`_pivot_step` divides by the parent's d exactly.  A zero pivot
-    means S + {k} has a singular principal minor: it is yielded with d = 0
-    and the tree ends.
-    """
-    width = len(tab[0]) if tab else n
-    cols = [[row[c] for row in tab] for c in range(width)]
-    free = list(range(n))
-    yield 0, 1, free, cols[n] if width > n else []
-    # a pending child: parent S, the parent's first kept column j, its d,
-    # its free rows and kept columns, and the pivot k
-    stack = [(0, 0, 1, free, cols, k) for k in range(n)]
-    while stack:
-        s, j, d, free, cols, k = stack.pop()
-        s |= 1 << k
-        pos = k - n + len(free)  # every row from j on is free, so row k sits here
-        pivot_col = cols[k - j]
-        p = pivot_col[pos]
-        if p == 0:
-            yield s, 0, [], []
-            return
-        child = []
-        for col in cols[k - j + 1 :]:
-            new = _pivot_step(col, pivot_col, pos, d)
-            del new[pos]  # row k leaves the free rows (its entry is p*b - b*p = 0)
-            child.append(new)
-        free = free[:pos] + free[pos + 1 :]
-        yield s, p, free, child[-1] if width > n else []
-        stack.extend((s, k + 1, p, free, child, c) for c in range(k + 1, n))
-
-
-def _tree_is_p_matrix(m: RationalMatrix) -> bool:
-    """All principal minors of a square M positive, by the pivot tree, with early exit.
-
-    The tree visits every index subset, and its d there is that principal
-    minor times the positive row scales over the subset.  Its caller keeps
-    n within ``MAX_DIMENSION`` (:func:`_past_the_cap`).
-    """
-    return all(d > 0 for _, d, _, _ in _pivot_tree(_integer_rows(m.rows), m.nrows))
-
-
-def _not_cauchy_like(a: list[list[int]], label: str) -> Optional[str]:
-    """Why the integer rows ``a`` of ``label`` (M or [M | q]) are not Cauchy-like, or None.
+def _cauchy_like_rows(rows: Iterable[Iterable[Fraction]], label: str) -> list[list[int]]:
+    """The integer rows ``a`` of ``label`` (M or [M | q]), once they are Cauchy-like, else a ``ValueError``.
 
     Cauchy-like is no zero entry and an entrywise reciprocal of rank at
     most 2.  Row i of the reciprocal times the lcm of a_i is the integer
@@ -331,16 +253,18 @@ def _not_cauchy_like(a: list[list[int]], label: str) -> Optional[str]:
     proportional to k_0, and a column c where the two are independent
     (delta != 0), every later row must satisfy
     alpha k_0 + beta k_j = delta k_i, alpha and beta read off columns 0
-    and c by Cramer's rule: O(n^2) integer products.
+    and c by Cramer's rule: O(n^2) integer products.  The refusal names
+    the first zero entry, or the first row k_i outside that span.
     """
+    a = _integer_rows(rows)
     n = len(a)
     for i, row in enumerate(a):
         for t, x in enumerate(row):
             if x == 0:
                 name = f"M[{i + 1}, {t + 1}]" if t < n else f"q[{i + 1}]"
-                return f"{name} is 0"
+                raise ValueError(f"{label} is not Cauchy-like ({name} is 0)")
     if n < 3:  # two rows span at most two dimensions
-        return None
+        return a
     k = []
     for row in a:
         scale = lcm(*row)
@@ -348,7 +272,7 @@ def _not_cauchy_like(a: list[list[int]], label: str) -> Optional[str]:
     r0 = k[0]
     j = next((i for i, row in enumerate(k) if any(x * r0[0] != y * row[0] for x, y in zip(row, r0))), None)
     if j is None:  # rank 1
-        return None
+        return a
     r1 = k[j]
     c = next(c for c, (x, y) in enumerate(zip(r1, r0)) if x * r0[0] != y * r1[0])
     delta = r0[0] * r1[c] - r0[c] * r1[0]
@@ -357,16 +281,10 @@ def _not_cauchy_like(a: list[list[int]], label: str) -> Optional[str]:
         alpha = row[0] * r1[c] - row[c] * r1[0]
         beta = r0[0] * row[c] - r0[c] * row[0]
         if any(alpha * x + beta * y != delta * z for x, y, z in zip(r0, r1, row)):
-            return f"row {i + 1} of 1/{label} is outside the span of rows 1 and {j + 1}"
-    return None
-
-
-def _past_the_cap(n: int, label: str, reason: str) -> None:
-    """Refuse an input that is not Cauchy-like once n is past the pivot tree's cap."""
-    if n > MAX_DIMENSION:
-        raise ValueError(
-            f"{label} is not Cauchy-like ({reason}), and principal minor enumeration is capped at n={MAX_DIMENSION}"
-        )
+            raise ValueError(
+                f"{label} is not Cauchy-like (row {i + 1} of 1/{label} is outside the span of rows 1 and {j + 1})"
+            )
+    return a
 
 
 def _not_a_p_matrix(idx: Sequence[int], d: int) -> str:
@@ -390,48 +308,17 @@ def _first_nonpositive_minor(a: list[list[int]]) -> Optional[str]:
 
 
 def is_p_matrix(m: RationalMatrix) -> bool:
-    """All principal minors positive, decided exactly.
+    """All principal minors of a Cauchy-like M positive, decided exactly.
 
-    A Cauchy-like M is a P-matrix exactly when its n diagonal entries and
-    its n(n-1)/2 2x2 principal minors are positive, by the product theorem
-    of the module docstring: O(n^2) integer products at any n.  Any other
-    M goes to the pivot tree, which enumerates all 2^n principal minors up
-    to ``MAX_DIMENSION``; past it M is refused with a ``ValueError`` that
-    names its first zero entry, or the first row of 1/M outside the span
-    of the two reference rows.
+    Such an M is a P-matrix exactly when its n diagonal entries and its
+    n(n-1)/2 2x2 principal minors are positive, by the product theorem of
+    the module docstring: O(n^2) integer products at any n.  Any other M
+    is refused with a ``ValueError`` that names its first zero entry, or
+    the first row of 1/M outside the span of the two reference rows.
     """
     if m.nrows != m.ncols:
         raise ValueError("P-matrix test needs a square matrix")
-    a = _integer_rows(m.rows)
-    reason = _not_cauchy_like(a, "M")
-    if reason is None:
-        return _first_nonpositive_minor(a) is None
-    _past_the_cap(m.nrows, "M", reason)
-    return _tree_is_p_matrix(m)
-
-
-def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
-    """Solve w - M z = q with z supported on the vertex set, w on the rest.
-
-    vertex is a bitmask over dimensions 1..n; bit i-1 set moves pair i to
-    the z side.  The free components must come out nonzero, otherwise the
-    instance cannot discriminate an orientation and DegenerateQ is raised.
-    """
-    n = instance.n
-    if type(vertex) is not int or not 0 <= vertex < 1 << n:
-        raise ValueError(f"vertex {vertex!r} is not an integer in 0..{(1 << n) - 1}")
-    m = instance.M.rows
-    basis = RationalMatrix([-m[r][i] if vertex >> i & 1 else int(r == i) for i in range(n)] for r in range(n))
-    x = [row[0] for row in basis.solve_matrix([[b] for b in instance.q]).rows]
-    if any(val == 0 for val in x):
-        raise DegenerateQ(f"zero component in the basic solution at vertex {vertex}")
-    w = tuple(Fraction(0) if vertex >> i & 1 else x[i] for i in range(n))
-    z = tuple(x[i] if vertex >> i & 1 else Fraction(0) for i in range(n))
-    for r in range(n):
-        lhs = w[r] - sum(instance.M[r, j] * z[j] for j in range(n))
-        if lhs != instance.q[r]:
-            raise ArithmeticError(f"complementary solve at vertex {vertex} fails row {r + 1}")
-    return CandidateSolution(vertex, w, z)
+    return _first_nonpositive_minor(_cauchy_like_rows(m.rows, "M")) is None
 
 
 def _certified(a: list[list[int]], o: Orientation, z_at: Callable[[int], Sequence[Fraction]]) -> Orientation:
@@ -456,35 +343,6 @@ def _certified(a: list[list[int]], o: Orientation, z_at: Callable[[int], Sequenc
         if not (z[r] > 0 and w == 0 if sink >> r & 1 else w > 0):
             raise ArithmeticError(f"the sink certificate fails at vertex {sink}, pair {r + 1}")
     return o
-
-
-def _tree_to_uso(instance: PLCPInstance) -> Orientation:
-    """Orient each cube vertex by the signs of its basic solution, read off the pivot tree.
-
-    The w signs come from the tree and the z signs by edge consistency;
-    the sink's z is then re-solved from scratch (:func:`solve_candidate`)
-    and certified (:func:`_certified`) as a check that they were read
-    right.  A nonpositive principal minor raises ``ValueError`` naming its
-    index set, before any zero basic component raises ``DegenerateQ``.
-    Its caller keeps n within ``MAX_DIMENSION`` (:func:`_past_the_cap`).
-    """
-    n = instance.n
-    a = _integer_rows(row + (x,) for row, x in zip(instance.M.rows, instance.q))
-    table = np.zeros(1 << n, dtype=np.int64)  # bit r, for r outside S: w_r < 0 at vertex S
-    degenerate = None
-    for v, d, free, x in _pivot_tree(a, n):
-        if d <= 0:
-            raise ValueError(_not_a_p_matrix([i - 1 for i in mask_to_dims(v)], d))
-        if degenerate is None and 0 in x:
-            degenerate = v
-        table[v] = sum(1 << r for r, val in zip(free, x) if val < 0)
-    if degenerate is not None:
-        raise DegenerateQ(f"zero component in the basic solution at vertex {degenerate}")
-    # bit s of a set S holding s: z_s(S) < 0 exactly when w_s(S - {s}) > 0
-    for s in range(n):
-        halves = table.reshape(-1, 2, 1 << s)
-        halves[:, 1, :] |= ~halves[:, 0, :] & 1 << s
-    return _certified(a, Orientation(n, tuple(table.tolist())), lambda sink: solve_candidate(instance, sink).z)
 
 
 def _basic_values(a: list[list[int]], vertex: int) -> list[Fraction]:
@@ -516,41 +374,36 @@ def _basic_values(a: list[list[int]], vertex: int) -> list[Fraction]:
 
 
 def plcp_to_uso(instance: PLCPInstance) -> Orientation:
-    """Orient each cube vertex by the signs of its basic solution, for a P-matrix M.
+    """Orient each cube vertex by the signs of its basic solution, for a Cauchy-like [M | q] with M a P-matrix.
 
     Dimension i points away from vertex v exactly when the basic pair-i
     component is negative; since M is a P-matrix this is a unique sink
     orientation whose sink is the feasible complementary basis.
 
     A Cauchy-like [M | q] (module docstring) is read in O(n^2) integer
-    products at any n.  Its n(n+1)/2 1x1 and 2x2 principal minors decide
-    the P-matrix property.  The orientation comes back in row form:
+    products at any n; any other instance is refused with a
+    ``ValueError`` that names its first zero entry, or the first row of
+    1/[M | q] outside the span of the two reference rows, so a zero q
+    entry is refused that way rather than as ``DegenerateQ``.  The
+    n(n+1)/2 1x1 and 2x2 principal minors of M decide the P-matrix
+    property.  The orientation comes back in row form:
     w_r(S) = q_r prod_{t in S} e(r, t) for r outside S, and for r in S,
     z_r(S) < 0 exactly when w_r(S - {r}) > 0, so o(0) = [q < 0] and row t
     has bit r != t set when e(r, t) < 0, and its loop bit t.  At its sink
     S the z of :func:`_basic_values`, products of the same factors, goes
-    to the certificate that the pivot tree ends in too
-    (:func:`_certified`): z > 0 on S, and w = q + M z, one exact integer
-    product, zero on S and positive off it, else ``ArithmeticError``.
+    to the certificate (:func:`_certified`): z > 0 on S, and w = q + M z,
+    one exact integer product, zero on S and positive off it, else
+    ``ArithmeticError``.
     M[S, S] is nonsingular, its determinant a product of certified
     positive factors, so a point that passes is the basic solution at S:
     the product proves what a solve would.
 
-    Any other instance goes to the pivot tree (:func:`_tree_to_uso`) up to
-    ``MAX_DIMENSION``, and past it is refused with a ``ValueError`` that
-    names its first zero entry, or the first row of 1/[M | q] outside the
-    span of the two reference rows.
-
-    Either way a nonpositive principal minor raises ``ValueError`` naming
-    its index set, before a zero basic component raises ``DegenerateQ``:
-    on the Cauchy route that is a zero e(r, t), a zero w_r at vertex {t}.
+    A nonpositive principal minor raises ``ValueError`` naming its index
+    set, before a zero basic component raises ``DegenerateQ``: that is a
+    zero e(r, t), a zero w_r at vertex {t}.
     """
     n, q = instance.n, instance.q
-    a = _integer_rows(row + (x,) for row, x in zip(instance.M.rows, q))
-    reason = _not_cauchy_like(a, "[M | q]")
-    if reason is not None:
-        _past_the_cap(n, "[M | q]", reason)
-        return _tree_to_uso(instance)
+    a = _cauchy_like_rows((row + (x,) for row, x in zip(instance.M.rows, q)), "[M | q]")
     refusal = _first_nonpositive_minor(a)
     if refusal is not None:
         raise ValueError(refusal)

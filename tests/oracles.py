@@ -1,7 +1,17 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written the slow, obvious way, without
-reusing library internals beyond plain data access.
+reusing library internals beyond plain data access.  Two exceptions.
+The direct solves (:func:`solve_candidate`, :func:`translate_by_elimination`)
+run ``RationalMatrix.solve_matrix``, which no route of the library calls.
+The pivot tree (:func:`pivot_tree`, :func:`tree_is_p_matrix`,
+:func:`tree_to_uso`) shares four helpers of ``usomat.plcp``: the integer
+form ``_integer_rows``, the fraction-free step ``_pivot_step``, the
+refusal text ``_not_a_p_matrix`` and the sink certificate ``_certified``.
+It stays an independent witness of the library's readers all the same:
+it decides by 2^n principal pivots, one per index subset, not by the
+Cauchy products of the 1x1 and 2x2 signs that the library reads, so it
+also reads the LCPs that the library refuses as not Cauchy-like.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from usomat import (
     Branching,
     CyclicExtension,
     CyclicInfluence,
+    DegenerateQ,
     Face,
     ForbiddenWitness,
     InfluenceGraph,
@@ -36,9 +47,9 @@ from usomat import (
     is_uso,
     mask_to_dims,
     random_facet,
-    solve_candidate,
 )
 from usomat.enumeration import dag_blocks
+from usomat.plcp import _certified, _integer_rows, _not_a_p_matrix, _pivot_step
 
 P_MATROID_BRUTE_FORCE_CAP = 8  # n 2^(n-1) almost-complementary supports
 CIRCUIT_AXIOM_CAP = 3  # full circuit list has 2 C(2n+1, n+1) members
@@ -316,6 +327,157 @@ def is_p_matrix_by_minors(m: RationalMatrix) -> bool:
             if _det([[m[i, j] for j in idx] for i in idx]) <= 0:
                 return False
     return True
+
+
+def not_cauchy_like_by_minors(rows: Sequence[Sequence[Fraction]], label: str) -> Optional[str]:
+    """Why ``rows`` of ``label`` (M or [M | q]) are not Cauchy-like, in the library's words, or None.
+
+    The first zero entry in row order, else, with K the entrywise
+    reciprocal, j the first row independent of row 1 (a nonzero 2x2
+    minor) and i the first later row independent of both (a nonzero 3x3
+    minor): every minor by cofactors, no elimination.
+    """
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for t, x in enumerate(row):
+            if x == 0:
+                return f"{f'M[{i + 1}, {t + 1}]' if t < n else f'q[{i + 1}]'} is 0"
+    k = [[1 / x for x in row] for row in rows]
+
+    def independent(idx: list[int]) -> bool:
+        return any(_det([[k[i][c] for c in cols] for i in idx]) for cols in combinations(range(len(k[0])), len(idx)))
+
+    j = next((j for j in range(1, n) if independent([0, j])), None)
+    i = None if j is None else next((i for i in range(j + 1, n) if independent([0, j, i])), None)
+    return None if i is None else f"row {i + 1} of 1/{label} is outside the span of rows 1 and {j + 1}"
+
+
+@dataclass(frozen=True)
+class CandidateSolution:
+    """The complementary point with z supported on a chosen index set."""
+
+    vertex: int
+    w: tuple[Fraction, ...]
+    z: tuple[Fraction, ...]
+
+    @property
+    def feasible(self) -> bool:
+        return all(x >= 0 for x in self.w) and all(x >= 0 for x in self.z)
+
+
+def solve_candidate(instance: PLCPInstance, vertex: int) -> CandidateSolution:
+    """Solve w - M z = q with z supported on the vertex set, w on the rest.
+
+    vertex is a bitmask over dimensions 1..n; bit i-1 set moves pair i to
+    the z side.  The free components must come out nonzero, otherwise the
+    instance cannot discriminate an orientation and DegenerateQ is raised.
+    """
+    n = instance.n
+    if type(vertex) is not int or not 0 <= vertex < 1 << n:
+        raise ValueError(f"vertex {vertex!r} is not an integer in 0..{(1 << n) - 1}")
+    m = instance.M.rows
+    basis = RationalMatrix([-m[r][i] if vertex >> i & 1 else int(r == i) for i in range(n)] for r in range(n))
+    x = [row[0] for row in basis.solve_matrix([[b] for b in instance.q]).rows]
+    if any(val == 0 for val in x):
+        raise DegenerateQ(f"zero component in the basic solution at vertex {vertex}")
+    w = tuple(Fraction(0) if vertex >> i & 1 else x[i] for i in range(n))
+    z = tuple(x[i] if vertex >> i & 1 else Fraction(0) for i in range(n))
+    for r in range(n):
+        lhs = w[r] - sum(instance.M[r, j] * z[j] for j in range(n))
+        if lhs != instance.q[r]:
+            raise ArithmeticError(f"complementary solve at vertex {vertex} fails row {r + 1}")
+    return CandidateSolution(vertex, w, z)
+
+
+def pivot_tree(tab: list[list[int]], n: int) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """Fraction-free principal pivots to every index subset, depth first.
+
+    ``tab`` holds the integer tableau of the empty subset, where the basic
+    variables are w = q + M z (rows 0..n-1; column n, if present, is q).
+    The subsets form the binomial tree: the children of S are S + {k} for
+    every k > max(S), each reached by one Bareiss pivot on (k, k).  Each
+    node comes out before its children, and they in decreasing k, so the
+    full set is the last node.  Yields (S, d, free, x): d is the principal
+    minor det(M[S, S]) of the integer M, ``free`` lists the rows r not in
+    S in increasing order, and x[i] is d times the basic value w of row
+    free[i] (the q column of S's tableau; empty when ``tab`` has none).
+
+    A node keeps, for its free rows only, d times the tableau columns past
+    max(S) and q, one list per column: its descendants pivot on nothing
+    else.  A pivot on k therefore touches (rows outside S) x (columns past
+    k), and the whole tree makes 2^n - 1 pivots in O(n 2^n) operations on
+    Python ints.  Every entry stays a minor of the integer [I | -M | q], so
+    ``_pivot_step`` divides by the parent's d exactly.  A zero pivot means
+    S + {k} has a singular principal minor: it is yielded with d = 0 and
+    the tree ends.  Each node holds one principal minor and the basic
+    values of the w variables outside S (Stickney & Watson 1978; the
+    P-matrix test is the Schur-complement recursion of Tsatsomeros & Li,
+    BIT 2000, in fraction-free form).
+    """
+    width = len(tab[0]) if tab else n
+    cols = [[row[c] for row in tab] for c in range(width)]
+    free = list(range(n))
+    yield 0, 1, free, cols[n] if width > n else []
+    # a pending child: parent S, the parent's first kept column j, its d,
+    # its free rows and kept columns, and the pivot k
+    stack = [(0, 0, 1, free, cols, k) for k in range(n)]
+    while stack:
+        s, j, d, free, cols, k = stack.pop()
+        s |= 1 << k
+        pos = k - n + len(free)  # every row from j on is free, so row k sits here
+        pivot_col = cols[k - j]
+        p = pivot_col[pos]
+        if p == 0:
+            yield s, 0, [], []
+            return
+        child = []
+        for col in cols[k - j + 1 :]:
+            new = _pivot_step(col, pivot_col, pos, d)
+            del new[pos]  # row k leaves the free rows (its entry is p*b - b*p = 0)
+            child.append(new)
+        free = free[:pos] + free[pos + 1 :]
+        yield s, p, free, child[-1] if width > n else []
+        stack.extend((s, k + 1, p, free, child, c) for c in range(k + 1, n))
+
+
+def tree_is_p_matrix(m: RationalMatrix) -> bool:
+    """All principal minors of a square M positive, by the pivot tree, with early exit.
+
+    The tree visits every index subset, and its d there is that principal
+    minor times the positive row scales over the subset.
+    """
+    return all(d > 0 for _, d, _, _ in pivot_tree(_integer_rows(m.rows), m.nrows))
+
+
+def tree_to_uso(instance: PLCPInstance) -> Orientation:
+    """Orient each cube vertex by the signs of its basic solution, read off the pivot tree.
+
+    The tree accepts P-matrices only, so every d it meets is positive and
+    z_s(S) < 0 exactly when w_s(S - {s}) > 0: the w signs come from the
+    tree and the z signs are their edge-consistent complements.  The
+    sink's z is then re-solved from scratch (:func:`solve_candidate`) and
+    certified as the library certifies its own sink.  A nonpositive
+    principal minor raises ``ValueError`` naming its index set, before any
+    zero basic component raises ``DegenerateQ``.  The table has 2^n
+    entries, so n stays within ``MAX_DIMENSION``.
+    """
+    n = instance.n
+    a = _integer_rows(row + (x,) for row, x in zip(instance.M.rows, instance.q))
+    table = np.zeros(1 << n, dtype=np.int64)  # bit r, for r outside S: w_r < 0 at vertex S
+    degenerate = None
+    for v, d, free, x in pivot_tree(a, n):
+        if d <= 0:
+            raise ValueError(_not_a_p_matrix([i - 1 for i in mask_to_dims(v)], d))
+        if degenerate is None and 0 in x:
+            degenerate = v
+        table[v] = sum(1 << r for r, val in zip(free, x) if val < 0)
+    if degenerate is not None:
+        raise DegenerateQ(f"zero component in the basic solution at vertex {degenerate}")
+    # bit s of a set S holding s: z_s(S) < 0 exactly when w_s(S - {s}) > 0
+    for s in range(n):
+        halves = table.reshape(-1, 2, 1 << s)
+        halves[:, 1, :] |= ~halves[:, 0, :] & 1 << s
+    return _certified(a, Orientation(n, tuple(table.tolist())), lambda sink: solve_candidate(instance, sink).z)
 
 
 def plcp_to_uso_per_vertex(instance: PLCPInstance) -> Orientation:

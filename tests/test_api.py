@@ -14,7 +14,20 @@ SUBMODULES = [info.name for info in pkgutil.iter_modules(usomat.__path__)]
 # canonicalize(o) is build_matousek(extract_influence_graph(o)), and
 # orientation_from_rows and all_dags live on as test helpers in oracles.py.
 # cauchy_to_uso(ext, inst) is plcp_to_uso(inst), which reads M and q alone.
-RETIRED_FUNCTIONS = ("canonicalize", "orientation_from_rows", "all_dags", "cauchy_to_uso")
+# The pivot tree and its direct solve serve only as witnesses, so they live
+# on in oracles.py as pivot_tree, tree_is_p_matrix, tree_to_uso,
+# solve_candidate and CandidateSolution.
+RETIRED_FUNCTIONS = (
+    "canonicalize",
+    "orientation_from_rows",
+    "all_dags",
+    "cauchy_to_uso",
+    "_pivot_tree",
+    "_tree_is_p_matrix",
+    "_tree_to_uso",
+    "solve_candidate",
+    "CandidateSolution",
+)
 RETIRED_MEMBERS = [
     ("Orientation", "uniform"),  # Orientation(n, range(1 << n))
     ("Branching", "children"),

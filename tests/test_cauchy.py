@@ -1,12 +1,14 @@
 """The Cauchy route: the orientation and the P-matrix test of a Cauchy-like LCP from 1x1 and 2x2 signs.
 
-The pivot tree (``_tree_to_uso``, ``_tree_is_p_matrix``) is the
-independent witness throughout: ``plcp_to_uso`` and ``is_p_matrix`` must
-return its orientation and its verdict, and refuse exactly the matrices
-it refuses.  A direct solve (``solve_candidate``) is the witness of the
-closed-form z that certifies the sink, and the brute-force
-oracles of ``tests/oracles.py`` are the witnesses on seeded Cauchy-like
-instances with repeated and infinite nodes.
+The pivot tree of ``tests/oracles.py`` (``tree_to_uso``,
+``tree_is_p_matrix``) is the independent witness throughout:
+``plcp_to_uso`` and ``is_p_matrix`` must return its orientation and its
+verdict, and refuse exactly the matrices it refuses.  It also reads the
+LCPs that are not Cauchy-like, which the library refuses by their first
+flaw.  A direct solve (``solve_candidate``) is the witness of the
+closed-form z that certifies the sink, and the brute-force oracles are
+the witnesses on seeded Cauchy-like instances with repeated and infinite
+nodes.
 """
 
 import ast
@@ -29,13 +31,22 @@ from usomat import (
     is_branching_closure,
     is_p_matrix,
     plcp_to_uso,
-    solve_candidate,
     synthesize_extension,
     translate_to_plcp,
 )
-from usomat.plcp import CandidateSolution, _basic_values, _integer_rows, _tree_is_p_matrix, _tree_to_uso
+from usomat.plcp import _basic_values, _integer_rows
 from usomat.random_facet import FAMILIES
-from oracles import _det, all_branchings, is_p_matrix_by_minors, plcp_to_uso_per_vertex
+import oracles
+from oracles import (
+    CandidateSolution,
+    _det,
+    all_branchings,
+    is_p_matrix_by_minors,
+    plcp_to_uso_per_vertex,
+    solve_candidate,
+    tree_is_p_matrix,
+    tree_to_uso,
+)
 
 
 def _random_branching(rng: random.Random, n: int) -> Branching:
@@ -66,7 +77,7 @@ def test_same_orientation_as_the_pivot_tree_on_every_branching_up_to_n5():
     for n in range(1, 6):
         for b in all_branchings(n):
             ext = synthesize_extension(b)
-            assert _own(ext) == _tree_to_uso(translate_to_plcp(ext)), b
+            assert _own(ext) == tree_to_uso(translate_to_plcp(ext)), b
             count += 1
     assert count == 1441
 
@@ -75,7 +86,7 @@ def test_same_orientation_as_the_pivot_tree_on_seeded_branchings_up_to_n8():
     rng = random.Random(20261020)
     for _ in range(60):
         ext = synthesize_extension(_random_branching(rng, rng.randint(6, 8)))
-        assert _own(ext) == _tree_to_uso(translate_to_plcp(ext)), ext
+        assert _own(ext) == tree_to_uso(translate_to_plcp(ext)), ext
 
 
 def test_pair_rule_refuses_exactly_what_the_pivot_tree_refuses():
@@ -85,10 +96,10 @@ def test_pair_rule_refuses_exactly_what_the_pivot_tree_refuses():
     for _ in range(3000):
         ext = _random_extension(rng, rng.randint(1, 6))
         inst = translate_to_plcp(ext)
-        p_matrix = _tree_is_p_matrix(inst.M)
+        p_matrix = tree_is_p_matrix(inst.M)
         assert is_p_matrix(inst.M) == p_matrix, ext
         if p_matrix:
-            assert plcp_to_uso(inst) == _tree_to_uso(inst), ext
+            assert plcp_to_uso(inst) == tree_to_uso(inst), ext
             accepted += 1
             continue
         with pytest.raises(ValueError, match=r"^M is not a P-matrix: det\(M\[S, S\]\) is negative for S = ") as info:
@@ -122,22 +133,7 @@ def test_failure_names_the_first_negative_minor(size):
         _own(ext)
     assert str(info.value) == f"M is not a P-matrix: det(M[S, S]) is negative for S = {named}"
     m = translate_to_plcp(ext).M
-    assert not is_p_matrix(m) and not _tree_is_p_matrix(m)
-
-
-def test_own_instances_never_reach_the_pivot_tree(monkeypatch):
-    import usomat.plcp
-
-    def walk(*args):
-        raise AssertionError("the pivot tree ran")
-
-    monkeypatch.setattr(usomat.plcp, "_pivot_tree", walk)
-    for name in ("path", "star", "merged"):
-        for n in (1, 5, 10, 64):
-            if is_branching_closure(FAMILIES[name](n)) is not None:
-                ext = _family(name, n)
-                assert _own(ext) == extension_to_uso(ext)
-                assert is_p_matrix(translate_to_plcp(ext).M)
+    assert not is_p_matrix(m) and not tree_is_p_matrix(m)
 
 
 @pytest.mark.parametrize("name", ["path", "star"])
@@ -159,24 +155,29 @@ def test_seeded_branchings_at_n64_match_the_extension():
         assert o._table is None
 
 
-def test_a_foreign_instance_goes_to_the_pivot_tree_within_the_cap(monkeypatch):
-    """M + I for a Cauchy-like P-matrix M is a P-matrix whose reciprocal has rank above 2: the tree reads it, both verdicts agree."""
-    import usomat.plcp
+def _refusal(reader, arg) -> str:
+    with pytest.raises(ValueError) as info:
+        reader(arg)
+    assert type(info.value) is ValueError
+    return str(info.value)
 
+
+def test_a_foreign_instance_is_refused_and_the_oracle_tree_reads_it():
+    """M + I for a Cauchy-like P-matrix M is a P-matrix whose reciprocal has rank above 2: the library refuses it, the tree reads it."""
     inst = translate_to_plcp(_family("star", 6))
     shifted = RationalMatrix([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(inst.M.rows)])
     foreign = PLCPInstance(6, shifted, inst.q)
-    calls = []
-    real = usomat.plcp._tree_to_uso
-    monkeypatch.setattr(usomat.plcp, "_tree_to_uso", lambda i: calls.append(i) or real(i))
-    assert plcp_to_uso(foreign) == real(foreign) == plcp_to_uso_per_vertex(foreign)
-    assert calls == [foreign]
-    assert is_p_matrix(shifted) and _tree_is_p_matrix(shifted)
-    # a matrix the pivot tree refuses is refused in its words
+    assert _refusal(plcp_to_uso, foreign) == (
+        "[M | q] is not Cauchy-like (row 3 of 1/[M | q] is outside the span of rows 1 and 2)"
+    )
+    assert _refusal(is_p_matrix, shifted) == "M is not Cauchy-like (row 3 of 1/M is outside the span of rows 1 and 2)"
+    assert tree_to_uso(foreign) == plcp_to_uso_per_vertex(foreign)
+    assert tree_is_p_matrix(shifted) and is_p_matrix_by_minors(shifted)
+    # a matrix with a zero entry: the library names the entry, the tree the negative minor
     bad = PLCPInstance(3, RationalMatrix([[1, 2, 0], [2, 1, 0], [0, 0, 1]]), (Fraction(-1), Fraction(-2), Fraction(-3)))
+    assert _refusal(plcp_to_uso, bad) == "[M | q] is not Cauchy-like (M[1, 3] is 0)"
     with pytest.raises(ValueError, match=r"is negative for S = \[1, 2\]$"):
-        plcp_to_uso(bad)
-    assert calls[-1] == bad
+        tree_to_uso(bad)
 
 
 def _with_entry(inst: PLCPInstance, j: int, t: int, value: Fraction) -> PLCPInstance:
@@ -185,20 +186,13 @@ def _with_entry(inst: PLCPInstance, j: int, t: int, value: Fraction) -> PLCPInst
     return PLCPInstance(inst.n, RationalMatrix(rows), inst.q)
 
 
-def test_a_non_cauchy_instance_past_the_cap_is_refused_by_its_first_flaw(monkeypatch):
-    """Past the tree's cap, an altered instance is refused naming its first zero entry or its first row outside the span."""
-    import usomat.plcp
-
-    def tree(*args):
-        raise AssertionError("the pivot tree ran past the table cap")
-
-    monkeypatch.setattr(usomat.plcp, "_pivot_tree", tree)
+def test_a_non_cauchy_instance_past_the_cap_is_refused_by_its_first_flaw():
+    """Past the table cap, as at every n, an altered instance is refused naming its first zero entry or its first row outside the span."""
     n = MAX_DIMENSION + 4
     inst = translate_to_plcp(_family("path", n))
     one = _with_entry(inst, 6, 2, inst.M[6, 2] + 1)
     zero = _with_entry(one, 9, 0, Fraction(0))
     moved_q = PLCPInstance(n, inst.M, inst.q[:-1] + (-inst.q[-1],))
-    cap = f"), and principal minor enumeration is capped at n={MAX_DIMENSION}"
     for changed, label, flaw in (
         (one, "[M | q]", "row 7 of 1/[M | q] is outside the span of rows 1 and 2"),
         (zero, "[M | q]", "M[10, 1] is 0"),
@@ -206,11 +200,11 @@ def test_a_non_cauchy_instance_past_the_cap_is_refused_by_its_first_flaw(monkeyp
     ):
         with pytest.raises(ValueError) as info:
             plcp_to_uso(changed)
-        assert str(info.value) == f"{label} is not Cauchy-like ({flaw}{cap}"
+        assert str(info.value) == f"{label} is not Cauchy-like ({flaw})"
     for changed, flaw in ((one, "row 7 of 1/M is outside the span of rows 1 and 2"), (zero, "M[10, 1] is 0")):
         with pytest.raises(ValueError) as info:
             is_p_matrix(changed.M)
-        assert str(info.value) == f"M is not Cauchy-like ({flaw}{cap}"
+        assert str(info.value) == f"M is not Cauchy-like ({flaw})"
     assert is_p_matrix(moved_q.M)  # M itself is untouched, and Cauchy-like
 
 
@@ -255,14 +249,14 @@ def _faulty_sink_z(monkeypatch, fault) -> None:
     """``fault`` applied to the z that each route's certificate reads: the Cauchy products and the tree's direct solve."""
     import usomat.plcp
 
-    basic, solve = usomat.plcp._basic_values, usomat.plcp.solve_candidate
+    basic, solve = usomat.plcp._basic_values, oracles.solve_candidate
 
     def solved(inst, v):
         sol = solve(inst, v)
         return CandidateSolution(v, sol.w, tuple(fault(list(sol.z))))
 
     monkeypatch.setattr(usomat.plcp, "_basic_values", lambda a, v: fault(basic(a, v)))
-    monkeypatch.setattr(usomat.plcp, "solve_candidate", solved)
+    monkeypatch.setattr(oracles, "solve_candidate", solved)
 
 
 def test_the_sink_is_certified_by_w_minus_mz_equals_q(monkeypatch):
@@ -277,7 +271,7 @@ def test_the_sink_is_certified_by_w_minus_mz_equals_q(monkeypatch):
     for factor, pair in ((2, 1), (Fraction(1001, 1000), 2)):
         with monkeypatch.context() as patch:
             _faulty_sink_z(patch, lambda z: z[:1] + [factor * z[1]] + z[2:])
-            for reader in (plcp_to_uso, _tree_to_uso):
+            for reader in (plcp_to_uso, tree_to_uso):
                 with pytest.raises(ArithmeticError, match=rf"^the sink certificate fails at vertex 10, pair {pair}$"):
                     reader(translate_to_plcp(ext))
 
@@ -287,7 +281,7 @@ def test_a_negative_closed_form_value_is_reported(monkeypatch):
     ext = _family("path", 3)
     assert _sink(ext) == 0b111
     _faulty_sink_z(monkeypatch, lambda z: [-x for x in z])
-    for reader in (plcp_to_uso, _tree_to_uso):
+    for reader in (plcp_to_uso, tree_to_uso):
         with pytest.raises(ArithmeticError, match="^the sink certificate fails at vertex 7, pair 1$"):
             reader(translate_to_plcp(ext))
 
@@ -299,7 +293,7 @@ def test_a_wrong_sink_is_refused_by_its_negative_z(monkeypatch):
     ext = _family("star", 4)
     assert _sink(ext) == 0b1010
     monkeypatch.setattr(usomat.plcp, "global_sink", lambda o: 0b1011)
-    for reader in (plcp_to_uso, _tree_to_uso):
+    for reader in (plcp_to_uso, tree_to_uso):
         with pytest.raises(ArithmeticError, match="^the sink certificate fails at vertex 11, pair 1$"):
             reader(translate_to_plcp(ext))
 
@@ -367,20 +361,14 @@ def _rank_two_reciprocal(rng: random.Random, n: int) -> PLCPInstance:
     return PLCPInstance(n, RationalMatrix(row[:n] for row in rows), tuple(row[n] for row in rows))
 
 
-def test_seeded_cauchy_like_instances_match_the_oracles(monkeypatch):
-    """2,000 rank-2-reciprocal [M | q], n <= 5, against cofactor minors and one solve per vertex, never the tree.
+def test_seeded_cauchy_like_instances_match_the_oracles():
+    """2,000 rank-2-reciprocal [M | q], n <= 5, against cofactor minors and one solve per vertex.
 
     ``plcp_to_uso_per_vertex`` does not refuse a non-P M, so there the
     witness is ``is_p_matrix_by_minors`` and the named index set's own
     minor; on a P-matrix both give the same orientation or both raise
     ``DegenerateQ``, and the named vertex has a zero basic value.
     """
-    import usomat.plcp
-
-    def tree(*args):
-        raise AssertionError("the pivot tree ran on a Cauchy-like instance")
-
-    monkeypatch.setattr(usomat.plcp, "_pivot_tree", tree)
     rng = random.Random(2029)
     kinds = {"refused": 0, "zero minor": 0, "degenerate": 0, "orientation": 0}
     for _ in range(2000):
@@ -419,6 +407,11 @@ def test_the_rank_test_carries_the_shortcut():
     for s, t in ((0, 1), (0, 2), (1, 2)):
         assert m[s, s] * m[t, t] - m[s, t] * m[t, s] == Fraction(51, 50)
     assert _det([list(row) for row in m.rows]) < 0
-    assert not is_p_matrix(m) and not _tree_is_p_matrix(m)
+    inst = PLCPInstance(3, m, (Fraction(1), Fraction(2), Fraction(3)))
+    assert _refusal(is_p_matrix, m) == "M is not Cauchy-like (row 3 of 1/M is outside the span of rows 1 and 2)"
+    assert _refusal(plcp_to_uso, inst) == (
+        "[M | q] is not Cauchy-like (row 3 of 1/[M | q] is outside the span of rows 1 and 2)"
+    )
+    assert not tree_is_p_matrix(m)
     with pytest.raises(ValueError, match=r"is negative for S = \[1, 2, 3\]$"):
-        plcp_to_uso(PLCPInstance(3, m, (Fraction(1), Fraction(2), Fraction(3))))
+        tree_to_uso(inst)

@@ -23,6 +23,7 @@ from usomat import (
 from usomat.cli import _build_parser, _orientation_json, main
 from usomat.cube import mask_to_dims
 from usomat.random_facet import FAMILIES, family_graph
+from oracles import tree_to_uso
 
 
 def write_graph(path, g: InfluenceGraph) -> str:
@@ -360,19 +361,43 @@ def test_realize_reports_a_non_closure_without_a_witness(capsys, monkeypatch):
     assert_one_error_line(capsys.readouterr(), "graph is not a branching closure, yet no forbidden pattern was found")
 
 
-@pytest.mark.parametrize("m", [[[1, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 2, 0], [2, 1, 0], [0, 0, 1]]])
-def test_realize_names_the_lcp_route_when_it_refuses_m(tmp_path, capsys, monkeypatch, m):
-    """A singular or an indefinite M is refused as not a P-matrix, even where q is degenerate for it."""
+def _realize_refusal(tmp_path, capsys, monkeypatch, inst: PLCPInstance) -> str:
+    """What ``realize`` says when its LCP is ``inst``: one verification line, no error line and no file."""
     import usomat.cli
 
-    inst = PLCPInstance(3, RationalMatrix(m), (Fraction(-1), Fraction(-2), Fraction(-3)))
     monkeypatch.setattr(usomat.cli, "translate_to_plcp", lambda ext: inst)
     assert main(["realize", "--family", "path", "--n", "3", "--out", str(tmp_path / "path3")]) == 1
     captured = capsys.readouterr()
-    assert "verification failed: LCP route: M is not a P-matrix" in captured.err
-    assert captured.err.endswith("; nothing written\n")
     assert "error:" not in captured.err
     assert not list(tmp_path.iterdir())
+    return captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("m", [[[1, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 2, 0], [2, 1, 0], [0, 0, 1]]])
+def test_realize_names_the_lcp_route_when_it_refuses_m(tmp_path, capsys, monkeypatch, m):
+    """A singular or an indefinite M with a zero entry is not Cauchy-like: refused by that entry; the oracle tree finds it is no P-matrix."""
+    inst = PLCPInstance(3, RationalMatrix(m), (Fraction(-1), Fraction(-2), Fraction(-3)))
+    assert _realize_refusal(tmp_path, capsys, monkeypatch, inst) == (
+        "verification failed: LCP route: [M | q] is not Cauchy-like (M[1, 3] is 0); nothing written"
+    )
+    with pytest.raises(ValueError, match=r"^M is not a P-matrix: det\(M\[S, S\]\) is (zero|negative) for S = \[1, 2\]$"):
+        tree_to_uso(inst)
+
+
+@pytest.mark.parametrize(
+    "m, q, minor",
+    [
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], (-1, -2, -3), "zero"),
+        ([[1, 2, 1], [2, 1, 1], ["2/3", "2/3", "1/2"]], (1, "1/2", "1/3"), "negative"),
+    ],
+    ids=["singular", "indefinite"],
+)
+def test_realize_names_the_lcp_route_when_it_refuses_a_cauchy_like_m(tmp_path, capsys, monkeypatch, m, q, minor):
+    """A Cauchy-like singular or indefinite M is refused as not a P-matrix, by its first nonpositive minor."""
+    inst = PLCPInstance(3, RationalMatrix(m), q)
+    assert _realize_refusal(tmp_path, capsys, monkeypatch, inst) == (
+        f"verification failed: LCP route: M is not a P-matrix: det(M[S, S]) is {minor} for S = [1, 2]; nothing written"
+    )
 
 
 def test_realize_builds_no_table_from_rows(capsys, monkeypatch):

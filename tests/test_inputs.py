@@ -26,8 +26,8 @@ from usomat import (
     family_graph,
     flip_facet,
     random_facet,
+    RationalMatrix,
     run_trials,
-    solve_candidate,
 )
 from usomat.cli import main
 
@@ -68,9 +68,10 @@ def test_malformed_documents_are_value_errors(kind, tmp_path, capsys):
 
 
 USO = build_matousek(family_graph("path", 3))
-INSTANCE = PLCPInstance.from_json_obj(DOCUMENTS[PLCPInstance][0])
 
-# each call puts a non-integer, or a bool, where an integer belongs
+# each call puts a non-integer, or a bool, where an integer belongs; the
+# PLCPInstance calls put a float, a bool or a non-fraction string in q, or
+# a list of lists for M, where an exact entry or a RationalMatrix belongs
 NON_INTEGER_CALLS = [
     (InfluenceGraph, ("3",)),
     (InfluenceGraph, (True,)),
@@ -90,8 +91,10 @@ NON_INTEGER_CALLS = [
     (random_facet, (USO, True, 0)),
     (random_facet, (USO, 7, True)),
     (random_facet, (USO, 7, 1.5)),
-    (solve_candidate, (INSTANCE, 1.0)),
-    (solve_candidate, (INSTANCE, True)),
+    (PLCPInstance, (2, RationalMatrix([[2, 1], [1, 2]]), (1.5, 2))),
+    (PLCPInstance, (2, RationalMatrix([[2, 1], [1, 2]]), (True, 2))),
+    (PLCPInstance, (2, RationalMatrix([[2, 1], [1, 2]]), ("x", 2))),
+    (PLCPInstance, (2, [[2, 1], [1, 2]], (1, 2))),
     (dims_to_mask, ([True], 2)),
     (Branching, ("3", {})),
     (Branching, (3, {2.0: 1})),

@@ -28,30 +28,28 @@ from usomat import (
     is_branching_closure,
     is_p_matrix,
     plcp_to_uso,
-    solve_candidate,
     synthesize_extension,
     translate_to_plcp,
 )
-from usomat.plcp import (
-    CandidateSolution,
-    _integer_rows,
-    _pivot_step,
-    _pivot_tree,
-    _tree_is_p_matrix,
-    _tree_to_uso,
-    parse_fraction,
-)
+from usomat.plcp import _integer_rows, _pivot_step, parse_fraction
 from usomat.random_facet import FAMILIES
+import oracles
 from oracles import (
+    CandidateSolution,
     _det,
     all_branchings,
     fundamental_circuit,
     identity_matrix,
     is_p_matrix_by_minors,
     kernel_signs,
+    not_cauchy_like_by_minors,
+    pivot_tree,
     plcp_to_uso_per_vertex,
     realization_matrix,
+    solve_candidate,
     translate_by_elimination,
+    tree_is_p_matrix,
+    tree_to_uso,
 )
 
 TRIVIAL = CyclicExtension(1, (1, 2, Q), {2})
@@ -264,10 +262,27 @@ def test_closed_form_residual_at_n64():
             assert sum(a * b for a, b in zip(row, ints)) == -row[n + t] * scale
 
 
+def _refusal(reader, arg) -> str:
+    """The text of the plain ``ValueError`` (not ``DegenerateQ``) that ``reader(arg)`` raises."""
+    with pytest.raises(ValueError) as info:
+        reader(arg)
+    assert type(info.value) is ValueError
+    return str(info.value)
+
+
 def test_is_p_matrix_examples():
-    assert is_p_matrix(identity_matrix(4))
-    assert not is_p_matrix(RationalMatrix([[0, 1], [1, 0]]))
-    assert not is_p_matrix(RationalMatrix([[1, 0], [0, -1]]))
+    """Matrices with a zero entry are the oracle tree's; the library refuses them by that entry."""
+    for m, p_matrix, zero in (
+        (identity_matrix(4), True, "M[1, 2]"),
+        (RationalMatrix([[0, 1], [1, 0]]), False, "M[1, 1]"),
+        (RationalMatrix([[1, 0], [0, -1]]), False, "M[1, 2]"),
+    ):
+        assert tree_is_p_matrix(m) == p_matrix
+        assert _refusal(is_p_matrix, m) == f"M is not Cauchy-like ({zero} is 0)"
+    # every M of size 2 without a zero entry is Cauchy-like
+    assert is_p_matrix(RationalMatrix([[2, 1], [1, 2]]))
+    assert not is_p_matrix(RationalMatrix([[1, 2], [2, 1]]))
+    assert not is_p_matrix(RationalMatrix([[-1, 1], [1, 1]]))
     chain3 = synthesize_extension(Branching(3, {2: 1, 3: 2}))
     inst = translate_to_plcp(chain3)
     assert is_p_matrix(inst.M)
@@ -276,14 +291,13 @@ def test_is_p_matrix_examples():
 def test_is_p_matrix_validation():
     with pytest.raises(ValueError):
         is_p_matrix(RationalMatrix([[1, 2]]))
-    with pytest.raises(ValueError, match=f"capped at n={MAX_DIMENSION}"):
-        is_p_matrix(identity_matrix(MAX_DIMENSION + 1))
+    assert _refusal(is_p_matrix, identity_matrix(MAX_DIMENSION + 1)) == "M is not Cauchy-like (M[1, 2] is 0)"
 
 
 def test_is_p_matrix_runs_past_n_12():
-    """One cap for the pivot tree: the table cap that its orientation reader already runs under."""
+    """The library's verdict at n = 13 is the pivot tree's, which runs up to the table cap."""
     m = translate_to_plcp(synthesize_extension(is_branching_closure(FAMILIES["path"](13)))).M
-    assert _tree_is_p_matrix(m) and is_p_matrix(m)
+    assert tree_is_p_matrix(m) and is_p_matrix(m)
 
 
 def test_plcp_instance_json():
@@ -335,6 +349,13 @@ def test_plcp_instance_rejects_a_q_of_the_wrong_length():
             PLCPInstance(2, RationalMatrix([[1, 0], [0, 1]]), q)
 
 
+def test_plcp_instance_reads_q_by_the_entry_rule_of_the_matrix():
+    """A fraction string and an integer in q become Fractions, so the readers take the instance (``tests/test_inputs.py`` has the refusals)."""
+    inst = PLCPInstance(2, RationalMatrix([[2, 1], [1, 2]]), ["1/2", 2])
+    assert inst.q == (Fraction(1, 2), Fraction(2)) and all(type(x) is Fraction for x in inst.q)
+    assert plcp_to_uso(inst) == tree_to_uso(inst)
+
+
 def test_solve_candidate_identity():
     inst = PLCPInstance(2, identity_matrix(2), (Fraction(1), Fraction(1)))
     sol = solve_candidate(inst, 0)
@@ -358,14 +379,18 @@ def test_solve_candidate_degenerate():
 
 
 def test_solve_candidate_range():
+    """A vertex outside 0..2^n - 1, a float or a bool is refused."""
     inst = PLCPInstance(1, RationalMatrix([[1]]), (Fraction(-1),))
-    with pytest.raises(ValueError):
-        solve_candidate(inst, 2)
+    for vertex in (2, 1.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"vertex {vertex!r} is not an integer in 0..1")):
+            solve_candidate(inst, vertex)
 
 
 def test_plcp_to_uso_identity():
+    """The oracle tree orients the identity uniformly; the library refuses it by its first zero entry."""
     inst = PLCPInstance(3, identity_matrix(3), (Fraction(1),) * 3)
-    assert plcp_to_uso(inst) == Orientation(3, range(8))
+    assert tree_to_uso(inst) == Orientation(3, range(8))
+    assert _refusal(plcp_to_uso, inst) == "[M | q] is not Cauchy-like (M[1, 2] is 0)"
 
 
 def test_plcp_to_uso_trivial():
@@ -376,9 +401,21 @@ def test_plcp_to_uso_trivial():
 
 
 def test_plcp_to_uso_propagates_degenerate():
+    """A zero e(1, 2): M_12 q_2 = M_22 q_1 puts a zero w_1 at vertex {2}, as a direct solve finds."""
+    inst = PLCPInstance(2, RationalMatrix([[2, 1], [1, 2]]), (Fraction(1), Fraction(2)))
+    with pytest.raises(DegenerateQ, match="^zero component in the basic solution at vertex 2$"):
+        plcp_to_uso(inst)
+    with pytest.raises(DegenerateQ, match="^zero component in the basic solution at vertex 2$"):
+        solve_candidate(inst, 2)
+    # a zero q entry is the oracle tree's DegenerateQ, and outside the library's domain
     inst = PLCPInstance(2, identity_matrix(2), (Fraction(0), Fraction(1)))
     with pytest.raises(DegenerateQ):
-        plcp_to_uso(inst)
+        tree_to_uso(inst)
+    assert _refusal(plcp_to_uso, inst) == "[M | q] is not Cauchy-like (M[1, 2] is 0)"
+    inst = PLCPInstance(2, RationalMatrix([[2, 1], [1, 2]]), (Fraction(1), Fraction(0)))
+    with pytest.raises(DegenerateQ):
+        tree_to_uso(inst)
+    assert _refusal(plcp_to_uso, inst) == "[M | q] is not Cauchy-like (q[2] is 0)"
 
 
 def test_unique_feasible_candidate_is_sink():
@@ -449,13 +486,29 @@ def test_cube_walk_matches_oracles_on_families(family):
         assert is_p_matrix(inst.M) and is_p_matrix_by_minors(inst.M)
 
 
+def _readers(inst: PLCPInstance):
+    """(P-matrix test, orientation reader) for ``inst``: the library's where it is Cauchy-like, else the oracle tree's.
+
+    Outside its domain the library must refuse, in the words of the
+    brute-force rank oracle.
+    """
+    m_flaw = not_cauchy_like_by_minors(inst.M.rows, "M")
+    lcp_flaw = not_cauchy_like_by_minors([row + (x,) for row, x in zip(inst.M.rows, inst.q)], "[M | q]")
+    if m_flaw is not None:
+        assert _refusal(is_p_matrix, inst.M) == f"M is not Cauchy-like ({m_flaw})"
+    if lcp_flaw is not None:
+        assert _refusal(plcp_to_uso, inst) == f"[M | q] is not Cauchy-like ({lcp_flaw})"
+    return is_p_matrix if m_flaw is None else tree_is_p_matrix, plcp_to_uso if lcp_flaw is None else tree_to_uso
+
+
 def _against_oracles(inst: PLCPInstance) -> str:
-    """plcp_to_uso refuses a non-P M, naming a nonpositive minor, whatever q is; else it does what the per-vertex oracle does."""
+    """The reader refuses a non-P M, naming a nonpositive minor, whatever q is; else it does what the per-vertex oracle does."""
+    p_test, reader = _readers(inst)
     p_matrix = is_p_matrix_by_minors(inst.M)
-    assert is_p_matrix(inst.M) == p_matrix
+    assert p_test(inst.M) == p_matrix
     if not p_matrix:
         with pytest.raises(ValueError, match="not a P-matrix") as info:
-            plcp_to_uso(inst)
+            reader(inst)
         message = str(info.value)
         idx = [d - 1 for d in ast.literal_eval(message.rpartition("S = ")[2])]
         minor = _det([[inst.M[i, j] for j in idx] for i in idx])
@@ -465,9 +518,9 @@ def _against_oracles(inst: PLCPInstance) -> str:
         want = plcp_to_uso_per_vertex(inst)
     except DegenerateQ:
         with pytest.raises(DegenerateQ):
-            plcp_to_uso(inst)
+            reader(inst)
         return "degenerate"
-    assert plcp_to_uso(inst) == want
+    assert reader(inst) == want
     return "orientation"
 
 
@@ -493,31 +546,28 @@ def test_cube_walk_matches_oracles_on_random_rationals(n, data):
 
 
 def test_plcp_to_uso_certifies_the_sink(monkeypatch):
-    """A direct solve at the sink whose z is negative is reported, not ignored: the sink's set is {2}."""
+    """A z at the sink that is negative is reported, not ignored, by the one certificate: the sink's set is {2}."""
     import usomat.plcp
 
-    real = usomat.plcp.solve_candidate
+    real, basic = oracles.solve_candidate, usomat.plcp._basic_values
 
     def negated(inst, v):
         sol = real(inst, v)
         return CandidateSolution(v, tuple(-x for x in sol.w), tuple(-x for x in sol.z))
 
-    monkeypatch.setattr(usomat.plcp, "solve_candidate", negated)
-    with pytest.raises(ArithmeticError, match="^the sink certificate fails at vertex 2, pair 2$"):
-        _tree_to_uso(translate_to_plcp(CHAIN2))
+    monkeypatch.setattr(oracles, "solve_candidate", negated)
+    monkeypatch.setattr(usomat.plcp, "_basic_values", lambda a, v: [-x for x in basic(a, v)])
+    for reader in (tree_to_uso, plcp_to_uso):
+        with pytest.raises(ArithmeticError, match="^the sink certificate fails at vertex 2, pair 2$"):
+            reader(translate_to_plcp(CHAIN2))
 
 
-def test_plcp_to_uso_refuses_past_the_cap_before_the_walk(monkeypatch):
-    import usomat.plcp
-
-    def walk(*args):
-        raise AssertionError("the pivot tree ran past the cap")
-
-    monkeypatch.setattr(usomat.plcp, "_pivot_tree", walk)
-    n = MAX_DIMENSION + 1
+@pytest.mark.parametrize("n", [2, 3, MAX_DIMENSION + 1])
+def test_plcp_to_uso_refuses_a_non_cauchy_instance_at_every_n(n):
+    """There is no cap: the identity is refused by its first zero entry, within the table cap and past it."""
     inst = PLCPInstance(n, identity_matrix(n), (Fraction(1),) * n)
-    with pytest.raises(ValueError, match=f"capped at n={MAX_DIMENSION}"):
-        plcp_to_uso(inst)
+    assert _refusal(plcp_to_uso, inst) == "[M | q] is not Cauchy-like (M[1, 2] is 0)"
+    assert _refusal(is_p_matrix, inst.M) == "M is not Cauchy-like (M[1, 2] is 0)"
 
 
 def test_cube_walk_reports_singular_bases():
@@ -591,7 +641,7 @@ def test_pivot_tree_visits_every_subset_once_with_its_minor():
             q = tuple(Fraction(int(rng.integers(1, 9)) * int(rng.choice([-1, 1])), 2) for _ in range(n))
             scale = _row_scales(m, q)
             want_order = list(_tree_order(n))
-            got = list(_pivot_tree(_integer_rows(row + (x,) for row, x in zip(m.rows, q)), n))
+            got = list(pivot_tree(_integer_rows(row + (x,) for row, x in zip(m.rows, q)), n))
             assert [s for s, _, _, _ in got] == want_order[: len(got)]
             for s, d, free, x in got:
                 idx = _members(s)
@@ -618,8 +668,8 @@ def test_pivot_tree_without_q_yields_the_same_minors():
     rng = np.random.default_rng(7)
     for n in range(1, 7):
         m = RationalMatrix(_random_matrix(rng, n, 5))
-        with_q = [(s, d) for s, d, _, _ in _pivot_tree(_integer_rows(row + (Fraction(1),) for row in m.rows), n)]
-        without = list(_pivot_tree(_integer_rows(m.rows), n))
+        with_q = [(s, d) for s, d, _, _ in pivot_tree(_integer_rows(row + (Fraction(1),) for row in m.rows), n)]
+        without = list(pivot_tree(_integer_rows(m.rows), n))
         assert [(s, d) for s, d, _, _ in without] == with_q
         assert all(x == [] for _, _, _, x in without)
 
@@ -649,10 +699,12 @@ def test_is_p_matrix_reads_the_last_node(n):
             for idx in combinations(range(n), size):
                 assert _det([[m[i, j] for j in idx] for i in idx]) == 1
         assert _det([list(row) for row in m.rows]) == full
-        assert not is_p_matrix(m) and not is_p_matrix_by_minors(m)
+        inst = PLCPInstance(n, m, (Fraction(1),) * n)
+        p_test, reader = _readers(inst)  # the library's at n = 2 only: I + aP has zeros from n = 3 on
+        assert not p_test(m) and not is_p_matrix_by_minors(m)
         sign = "negative" if full else "zero"
         with pytest.raises(ValueError, match=rf"is {sign} for S = \[{', '.join(map(str, range(1, n + 1)))}\]$"):
-            plcp_to_uso(PLCPInstance(n, m, (Fraction(1),) * n))
+            reader(inst)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -669,10 +721,11 @@ def test_plcp_to_uso_reports_the_singular_minor_whatever_q_is(n):
     assert _vanishing_minors(last_in_tree) == [tuple(range(n))]
     for m, named in ((first_in_tree, [n]), (last_in_tree, list(range(1, n + 1)))):
         for q in ((Fraction(1),) * n, (Fraction(0),) * n, tuple(Fraction(int(v)) for v in rng.integers(-3, 4, n))):
+            p_test, reader = _readers(PLCPInstance(n, m, q))
             with pytest.raises(ValueError, match="not a P-matrix") as info:
-                plcp_to_uso(PLCPInstance(n, m, q))
+                reader(PLCPInstance(n, m, q))
             assert str(info.value).endswith(f"is zero for S = {named}")
-        assert not is_p_matrix(m)
+            assert not p_test(m)
 
 
 def test_plcp_to_uso_refuses_exactly_the_non_p_matrices():
@@ -709,5 +762,6 @@ def test_p_matrix_with_a_degenerate_q_raises(family, n):
         inst = PLCPInstance(n, m, q)
         with pytest.raises(DegenerateQ):
             solve_candidate(inst, s)
+        _, reader = _readers(inst)
         with pytest.raises(DegenerateQ, match="zero component in the basic solution at vertex"):
-            plcp_to_uso(inst)
+            reader(inst)
