@@ -31,6 +31,8 @@ from usomat import (
 )
 from usomat.cli import main
 
+from oracles import solve_candidate
+
 # one well-formed document of each kind, and the subcommands that read it
 DOCUMENTS = {
     InfluenceGraph: ({"n": 3, "edges": [[1, 2]]}, ["build", "realize"]),
@@ -68,10 +70,12 @@ def test_malformed_documents_are_value_errors(kind, tmp_path, capsys):
 
 
 USO = build_matousek(family_graph("path", 3))
+INSTANCE = PLCPInstance.from_json_obj(DOCUMENTS[PLCPInstance][0])
 
 # each call puts a non-integer, or a bool, where an integer belongs; the
 # PLCPInstance calls put a float, a bool or a non-fraction string in q, or
-# a list of lists for M, where an exact entry or a RationalMatrix belongs
+# a list of lists for M, where an exact entry or a RationalMatrix belongs;
+# the oracle solve_candidate refuses a float or a bool vertex the same way
 NON_INTEGER_CALLS = [
     (InfluenceGraph, ("3",)),
     (InfluenceGraph, (True,)),
@@ -91,6 +95,8 @@ NON_INTEGER_CALLS = [
     (random_facet, (USO, True, 0)),
     (random_facet, (USO, 7, True)),
     (random_facet, (USO, 7, 1.5)),
+    (solve_candidate, (INSTANCE, 1.0)),
+    (solve_candidate, (INSTANCE, True)),
     (PLCPInstance, (2, RationalMatrix([[2, 1], [1, 2]]), (1.5, 2))),
     (PLCPInstance, (2, RationalMatrix([[2, 1], [1, 2]]), (True, 2))),
     (PLCPInstance, (2, RationalMatrix([[2, 1], [1, 2]]), ("x", 2))),
