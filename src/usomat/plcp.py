@@ -70,17 +70,17 @@ def parse_fraction(s: str) -> Fraction:
         raise ValueError(f"not a rational number: {s!r}") from exc
 
 
-def _exact(x: object) -> Fraction:
+def _exact(x: object, what: str = "matrix entries") -> Fraction:
     """An exact entry as a Fraction: a fraction string, an integer or a Fraction.
 
     A float or a bool is refused, not read as its binary value, and so is
-    anything else.
+    anything else; the refusal names the entries as ``what``.
     """
     if isinstance(x, str):
         return parse_fraction(x)
     if isinstance(x, Rational) and not isinstance(x, bool):
         return Fraction(x)
-    raise ValueError(f"matrix entries must be exact rationals, got {x!r}")
+    raise ValueError(f"{what} must be exact rationals, got {x!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,7 +166,7 @@ class PLCPInstance:
             raise ValueError(f"M must be a RationalMatrix, got {type(self.M).__name__}")
         if self.M.nrows != self.n or self.M.ncols != self.n:
             raise ValueError(f"M must be {self.n}x{self.n}")
-        q = tuple(map(_exact, self.q))
+        q = tuple(_exact(x, "q entries") for x in self.q)
         if len(q) != self.n:
             raise ValueError(f"q must have {self.n} entries")
         object.__setattr__(self, "q", q)

@@ -72,9 +72,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _MULT_LO_1, _MULT_LO_0 = _U64(_PCG_MULT >> 32 & _MASK32), _U64(_PCG_MULT & _MASK32)
 _LOW32, _ONE = _U64(_MASK32), _U64(1)
-_BIT64 = np.left_shift(_ONE, np.arange(MAX_ROW_DIMENSION, dtype=np.uint64))
 _CHUNK = 12  # picks select a set bit through tables over 12-bit chunks of the span
-_CHUNK_MASK = _U64((1 << _CHUNK) - 1)
 
 
 @dataclass(frozen=True)
@@ -185,8 +183,8 @@ def random_facet(
     return RfResult(w, leaves)
 
 
-def _pcg_seed(words: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The PCG64 states (hi, lo, inc_hi, inc_lo) that rows of seeding words give.
+def _pcg_seed(words: np.ndarray) -> _PcgLanes:
+    """The PCG64 streams that rows of seeding words give, one lane each.
 
     As numpy seeds PCG64: initstate = w0 * 2^64 + w1, inc = 2 * (w2 * 2^64
     + w3) + 1; the state starts at 0, steps, gains initstate and steps.
@@ -196,28 +194,80 @@ def _pcg_seed(words: np.ndarray) -> tuple[np.ndarray, ...]:
     inc_lo = (w3 << _ONE) | _ONE
     lo = inc_lo + w1
     hi = inc_hi + w0 + (lo < w1)  # the carry of the low words
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    return hi, lo, inc_hi, inc_lo
+    lanes = _PcgLanes(hi, lo, inc_hi, inc_lo)
+    lanes.step()
+    return lanes
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
-    """state * _PCG_MULT + inc mod 2^128, on 64-bit halves."""
-    # the high 64 bits of lo * _MULT_LO, from 32-bit halves
-    a0, a1 = lo & _LOW32, lo >> _U64(32)
-    p00, p01, p10 = a0 * _MULT_LO_0, a0 * _MULT_LO_1, a1 * _MULT_LO_0
-    mid = (p00 >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    lo_hi = a1 * _MULT_LO_1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
-    new_lo = lo * _MULT_LO + inc_lo
-    new_hi = hi * _MULT_LO + lo * _MULT_HI + lo_hi + inc_hi + (new_lo < inc_lo)
-    return new_hi, new_lo
+class _PcgLanes:
+    """numpy's PCG64, one stream per lane, stepped in place.
 
+    Each lane's 128-bit state and increment are held as uint64 halves (hi,
+    lo) and (inc_hi, inc_lo).  A step or a draw writes only into them and
+    into scratch buffers sized at the first lane count, so it allocates
+    nothing; after keep() it works in the buffers' leading entries.
+    """
 
-def _pcg_uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Generator.random() of a stepped state: XSL-RR output, top 53 bits scaled to [0, 1)."""
-    x = hi ^ lo
-    rot = hi >> _U64(58)
-    x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
-    return (x >> _U64(11)) * 2.0**-53
+    def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+        m = len(hi)
+        self._u64_buf = np.empty((4, m), np.uint64)
+        self._carry_buf, self._uniform_buf = np.empty(m, np.bool_), np.empty(m)
+        self._fit_scratch()
+
+    def _fit_scratch(self) -> None:
+        m = len(self.hi)
+        self._t = tuple(self._u64_buf[:, :m])
+        self._carry, self._uniform = self._carry_buf[:m], self._uniform_buf[:m]
+
+    def keep(self, live: np.ndarray) -> None:
+        """Keep the lanes where live is True, in order, as a compaction does."""
+        self.hi, self.lo, self.inc_hi, self.inc_lo = (a[live] for a in (self.hi, self.lo, self.inc_hi, self.inc_lo))
+        self._fit_scratch()
+
+    def step(self) -> None:
+        """state * _PCG_MULT + inc mod 2^128, on 64-bit halves."""
+        hi, lo, t0, t1, t2, t3 = self.hi, self.lo, *self._t
+        np.bitwise_and(lo, _LOW32, out=t0)  # lo's 32-bit halves a0, a1
+        np.right_shift(lo, _U64(32), out=t1)
+        hi *= _MULT_LO  # hi * _MULT_LO + lo * _MULT_HI + inc_hi, before lo moves
+        np.multiply(lo, _MULT_HI, out=t2)
+        hi += t2
+        hi += self.inc_hi
+        lo *= _MULT_LO
+        lo += self.inc_lo
+        hi += np.less(lo, self.inc_lo, out=self._carry)  # the carry of the low words
+        # plus the high 64 bits of old lo * _MULT_LO from 32-bit halves, no sum overflowing:
+        # u = a1 * m0 + (a0 * m0 >> 32), v = a0 * m1 + (u & _LOW32), a1 * m1 + (u >> 32) + (v >> 32)
+        np.multiply(t0, _MULT_LO_0, out=t2)
+        t2 >>= _U64(32)
+        np.multiply(t1, _MULT_LO_0, out=t3)
+        t3 += t2
+        t0 *= _MULT_LO_1
+        t0 += np.bitwise_and(t3, _LOW32, out=t2)
+        t1 *= _MULT_LO_1
+        t3 >>= _U64(32)
+        t1 += t3
+        t0 >>= _U64(32)
+        t1 += t0
+        hi += t1
+
+    def draw(self) -> np.ndarray:
+        """Step every lane and return Generator.random() of each, in a buffer the next draw reuses.
+
+        XSL-RR output, its top 53 bits scaled to [0, 1).
+        """
+        self.step()
+        x, rot, right = self._t[:3]
+        np.bitwise_xor(self.hi, self.lo, out=x)
+        np.right_shift(self.hi, _U64(58), out=rot)
+        np.right_shift(x, rot, out=right)
+        np.subtract(_U64(64), rot, out=rot)
+        rot &= _U64(63)
+        x <<= rot
+        x |= right
+        x >>= _U64(11)
+        return np.multiply(x, 2.0**-53, out=self._uniform)
 
 
 @cache
@@ -242,10 +292,14 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
     a lane whose pick empties its span then pops, in the same step, every
     pending facet that its vertex does not leave.  A lane steps its own
     PCG64 stream in numpy, so the picks are the ones
-    ``Generator(PCG64(row))`` draws.  The leaves' outmaps step along the
-    rows; no table is built.  o must be a Matousek USO in row form and start
-    an int vertex, else ValueError before the first step; a lane that still
-    ends on a vertex with a nonempty outmap raises random_facet's ValueError.
+    ``Generator(PCG64(row))`` draws; the streams are stepped in place, in
+    scratch buffers that a compaction leaves in use.  Vertices, outmaps,
+    spans, stacked faces and rows are held in the smallest unsigned type
+    that holds 2^n - 1, so a step converts none of them.  The leaves'
+    outmaps step along the rows; no table is built.  o must be a Matousek
+    USO in row form and start an int vertex, else ValueError before the
+    first step; a lane that still ends on a vertex with a nonempty outmap
+    raises random_facet's ValueError.
     """
     n, m = o.n, len(words)
     if o.rows is None or not is_uso(o):  # O(n^2) on rows; raises on a row without its loop bit
@@ -253,11 +307,16 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
     if type(start) is not int or not 0 <= start < 1 << n:
         raise ValueError(f"start vertex {start!r} is not an integer in 0..{(1 << n) - 1}")
     popcount, select = _select_tables()
-    rows = np.array(o.rows, np.uint64)
-    hi, lo, inc_hi, inc_lo = _pcg_seed(words)
-    w = np.full(m, start, np.uint64)
-    out = np.full(m, o.outmap(start), np.uint64)
-    span = np.full(m, (1 << n) - 1, np.uint64)
+    # vertices, outmaps, spans and faces share the smallest unsigned type
+    # that holds 2^n - 1, so no step converts one
+    face_type = np.min_scalar_type((1 << n) - 1).type
+    rows = np.array(o.rows, face_type)
+    bits = np.array(_BITS[:n], face_type)
+    chunk_mask, chunk_shift = face_type((1 << min(n, _CHUNK)) - 1), face_type(_CHUNK)
+    pcg = _pcg_seed(words)
+    w = np.full(m, start, face_type)
+    out = np.full(m, o.outmap(start), face_type)
+    span = np.full(m, (1 << n) - 1, face_type)
     k = np.full(m, n, np.int8)  # popcount of span; 0 on a live lane only while it pops
     top = np.zeros(m, np.int8)  # the free stack slot
     leaves = np.zeros(m, np.int64)
@@ -267,35 +326,35 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
     # above the topmost pick in its outmap x, so the slots whose face meets x
     # are a prefix that ends at that pick: the facet the lane crosses into.
     # n + 1 slots keep slot top free, and zeroed it ends that prefix.
-    face_type = np.min_scalar_type((1 << n) - 1)
     faces = np.empty(m * (n + 1), face_type)
     dims = np.empty(m * (n + 1), np.int8)
     sizes = np.empty(m * (n + 1), np.int8)
     lane = np.arange(m)  # the row each position holds
     row_at = lane * (n + 1)  # where each position's slots start in the flat stack
-    sinks, outs, counts = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m, np.int64)
+    sinks, outs, counts = np.empty(m, np.uint64), np.empty(m, face_type), np.empty(m, np.int64)
     finished = 0  # lanes done since the last compaction; a done lane keeps k = 0
     while len(lane):
         # picks: every lane draws idx below its span size and pushes that
-        # dimension; a done lane picks from its empty span into its free
-        # slot, which nothing reads, and neither its k nor its top moves
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        idx = (_pcg_uniform(hi, lo) * k).astype(np.int8)  # below k: see the note at _UNIFORM_BLOCK
+        # dimension; a done lane picks into its free slot, which nothing
+        # reads, neither its k nor its top moves, and its span is not read
+        u = pcg.draw()
+        u *= k
+        idx = u.astype(np.int8)  # below k: see the note at _UNIFORM_BLOCK
         # the idx-th lowest set bit of the span: step past each chunk
-        # holding at most idx set bits, then one gather in the chunk reached
+        # holding at most idx set bits, then one gather in the chunk reached;
+        # take() reads the narrow index types faster than fancy indexing
         s, base = span, 0
         for _ in range(_CHUNK, n, _CHUNK):
-            c = popcount[(s & _CHUNK_MASK).astype(np.intp)]
+            c = popcount.take(s & chunk_mask)
             past = idx >= c
             idx = idx - c * past
-            s = np.where(past, s >> _U64(_CHUNK), s)
+            s = np.where(past, s >> chunk_shift, s)
             base = base + _CHUNK * past
-        d = select[(s & _CHUNK_MASK).astype(np.intp) * _CHUNK + idx] + base
+        d = select.take((s & chunk_mask).astype(np.intp) * _CHUNK + idx) + base
         at = row_at + top
-        faces[at] = span.astype(face_type, copy=False)
+        faces[at] = span
         dims[at] = d
-        bit = _BIT64[d]
-        span &= ~bit
+        span ^= bits.take(d)  # a live lane's picked bit is in its span
         leaf = np.flatnonzero(k == 1)  # these picks empty the span
         live = k != 0
         k -= live
@@ -308,19 +367,17 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
             leaves[leaf] += 1
             base_q = row_at[leaf]
             faces[base_q + top[leaf]] = 0
-            x = out[leaf].astype(face_type, copy=False)
-            meets = (np.take(faces.reshape(-1, n + 1), leaf, axis=0) & x[:, None]) != 0
+            meets = (np.take(faces.reshape(-1, n + 1), leaf, axis=0) & out[leaf, None]) != 0
             miss = meets.argmin(axis=1)  # the first slot whose face misses x, one above the crossing
             cross = miss != 0
             finished += len(leaf) - np.count_nonzero(cross)
             f, j = leaf[cross], miss[cross] - 1
             at = base_q[cross] + j
-            face = faces[at].astype(np.uint64, copy=False)
             d = dims[at]
-            bit = _BIT64[d]
+            bit = bits.take(d)
             w[f] ^= bit
-            out[f] ^= rows[d]
-            span[f] = face ^ bit
+            out[f] ^= rows.take(d)
+            span[f] = faces[at] ^ bit
             k[f] = size = sizes[at]
             top[f] = j
             leaf = f[size == 0]
@@ -329,9 +386,8 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
             ids = lane[done]
             sinks[ids], outs[ids], counts[ids] = w[done], out[done], leaves[done]
             live = ~done
-            lane, hi, lo, inc_hi, inc_lo, w, out, span, k, top, leaves = (
-                a[live] for a in (lane, hi, lo, inc_hi, inc_lo, w, out, span, k, top, leaves)
-            )
+            pcg.keep(live)
+            lane, w, out, span, k, top, leaves = (a[live] for a in (lane, w, out, span, k, top, leaves))
             faces, dims, sizes = (a.reshape(-1, n + 1)[live].ravel() for a in (faces, dims, sizes))
             row_at = np.arange(len(lane)) * (n + 1)
             finished = 0
@@ -400,10 +456,15 @@ def trial_seed_words(seed: int, first: int, count: int) -> np.ndarray:
     np.uint64)``, computed for all rows in one vectorised pass of numpy's
     SeedSequence algorithm: the entropy words of seed and of the trial
     number go through the 4-word pool's hashmix and mix, and 8 output words
-    are read as little-endian uint64.  The trial numbers must agree from
+    are read as little-endian uint64.  first must be an int of at least 0
+    and count an int of at least 1, and the trial numbers must agree from
     bit 32 up, so that they have equally many words; ValueError otherwise.
     """
-    if first < 0 or count < 1 or first >> 32 != (first + count - 1) >> 32:
+    if type(first) is not int or first < 0:
+        raise ValueError(f"first trial must be a non-negative integer, got {first!r}")
+    if type(count) is not int or count < 1:
+        raise ValueError(f"trial count must be an integer of at least 1, got {count!r}")
+    if first >> 32 != (first + count - 1) >> 32:
         raise ValueError(f"trials {first}..{first + count - 1} do not share their high words")
     high = first >> 32
     # Constant words broadcast as 1-element arrays: the pool only widens

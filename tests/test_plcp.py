@@ -356,6 +356,13 @@ def test_plcp_instance_reads_q_by_the_entry_rule_of_the_matrix():
     assert plcp_to_uso(inst) == tree_to_uso(inst)
 
 
+@pytest.mark.parametrize("entry", [1.5, True])
+def test_plcp_instance_names_q_when_it_refuses_a_q_entry(entry):
+    """A float or a bool in q is refused as a q entry; the matrix keeps its own text."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'q entries must be exact rationals, got {entry!r}')}$"):
+        PLCPInstance(2, RationalMatrix([[2, 1], [1, 2]]), (entry, 2))
+
+
 def test_solve_candidate_identity():
     inst = PLCPInstance(2, identity_matrix(2), (Fraction(1), Fraction(1)))
     sol = solve_candidate(inst, 0)

@@ -1,4 +1,5 @@
 import importlib
+import re
 from itertools import product
 
 import numpy as np
@@ -19,8 +20,6 @@ from usomat.random_facet import (
     _SEED_BLOCK,
     TrialStats,
     _pcg_seed,
-    _pcg_step,
-    _pcg_uniform,
     _seed_row_type,
     _select_tables,
     merged_family,
@@ -205,6 +204,12 @@ def test_trial_seed_words_validation():
         trial_seed_words(0, 2**32 - 1, 2)
     with pytest.raises(ValueError, match="expected non-negative integer"):
         trial_seed_words(-1, 0, 1)
+    for count in (0, -3, 1.5, 2.0, True, None):
+        with pytest.raises(ValueError, match=re.escape(f"trial count must be an integer of at least 1, got {count!r}")):
+            trial_seed_words(0, 0, count)
+    for first in (-1, 1.0, True, None):
+        with pytest.raises(ValueError, match=re.escape(f"first trial must be a non-negative integer, got {first!r}")):
+            trial_seed_words(0, first, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -260,8 +265,12 @@ def test_run_trials_names_the_first_wrong_sink(monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_lanes_match_random_facet_trial_by_trial(family):
-    """n = 13 selects a pick in two 12-bit rounds, n = 21 is past the table cap, n = 64 uses bit 63."""
-    for n in (1, 2, 3, 4, 5, 6, 12, 13, 21, 64):
+    """n = 13 selects a pick in two 12-bit rounds, n = 21 is past the table cap, n = 64 uses bit 63.
+
+    Between n = 8 and 9, 16 and 17, and 32 and 33 the lanes' dtype widens
+    from uint8 to uint16, uint32 and uint64.
+    """
+    for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 13, 16, 17, 21, 32, 33, 64):
         o = build_matousek(family_graph(family, n))
         start = global_sink(o) ^ ((1 << n) - 1)
         sinks, counts = random_facet_lanes(o, start, trial_seed_words(5, 0, 300))
@@ -284,18 +293,32 @@ def test_lanes_match_random_facet_through_chains_of_empty_rests():
 
 @pytest.mark.parametrize("seed", [0, 3, 2**64 + 1])
 def test_numpy_pcg64_matches_generator_random(seed):
+    """4,096 lanes draw 200 uniforms; then every third lane is kept, as a compaction does, and draws 100 more."""
     trials = [*range(2048), *range(2**32 + 5, 2**32 + 2053)]
     words = np.concatenate([trial_seed_words(seed, 0, 2048), trial_seed_words(seed, 2**32 + 5, 2048)])
-    hi, lo, inc_hi, inc_lo = _pcg_seed(words)
-    got = np.empty((len(words), 200))
-    for j in range(200):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        got[:, j] = _pcg_uniform(hi, lo)
     want = np.array([
         np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t)))).random(200)
         for t in trials
     ])
+    pcg = _pcg_seed(words)
+    got = np.empty((len(words), 200))
+    for j in range(200):
+        got[:, j] = pcg.draw()
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    pcg = _pcg_seed(words)
+    got = np.empty((len(words), 100))
+    for j in range(100):
+        got[:, j] = pcg.draw()
+    kept = np.arange(len(words)) % 3 == 0
+    pcg.keep(kept)
+    rest = np.empty((np.count_nonzero(kept), 100))
+    for j in range(100):
+        u = pcg.draw()
+        assert u.base is pcg._uniform_buf and len(u) == len(rest)  # the first entries of the same buffer
+        rest[:, j] = u
+    np.testing.assert_array_equal(got.view(np.uint64), want[:, :100].view(np.uint64))
+    np.testing.assert_array_equal(rest.view(np.uint64), want[kept, 100:200].view(np.uint64))
 
 
 def test_select_tables_list_each_chunks_set_bits():
@@ -343,7 +366,7 @@ def test_lanes_refuse_every_input_but_a_uso_in_row_form(monkeypatch):
         raise AssertionError("a PCG64 stream was stepped")
 
     monkeypatch.setattr(module, "_pcg_seed", no_step)
-    monkeypatch.setattr(module, "_pcg_step", no_step)
+    monkeypatch.setattr(module._PcgLanes, "step", no_step)
     words = trial_seed_words(0, 0, 2)
     uso = build_matousek(path_family(3))
     refusals = [
