@@ -222,7 +222,8 @@ class _PcgLanes:
 
     def keep(self, live: np.ndarray) -> None:
         """Keep the lanes where live is True, in order, as a compaction does."""
-        self.hi, self.lo, self.inc_hi, self.inc_lo = (a[live] for a in (self.hi, self.lo, self.inc_hi, self.inc_lo))
+        state = (self.hi, self.lo, self.inc_hi, self.inc_lo)
+        self.hi, self.lo, self.inc_hi, self.inc_lo = (a[live] for a in state)
         self._fit_scratch()
 
     def step(self) -> None:

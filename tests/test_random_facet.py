@@ -293,7 +293,7 @@ def test_lanes_match_random_facet_through_chains_of_empty_rests():
 
 @pytest.mark.parametrize("seed", [0, 3, 2**64 + 1])
 def test_numpy_pcg64_matches_generator_random(seed):
-    """4,096 lanes draw 200 uniforms; then every third lane is kept, as a compaction does, and draws 100 more."""
+    """4,096 lanes draw 200 uniforms; so do every third lane's after a compaction to them at draw 100."""
     trials = [*range(2048), *range(2**32 + 5, 2**32 + 2053)]
     words = np.concatenate([trial_seed_words(seed, 0, 2048), trial_seed_words(seed, 2**32 + 5, 2048)])
     want = np.array([
@@ -307,9 +307,8 @@ def test_numpy_pcg64_matches_generator_random(seed):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     pcg = _pcg_seed(words)
-    got = np.empty((len(words), 100))
-    for j in range(100):
-        got[:, j] = pcg.draw()
+    for _ in range(100):
+        pcg.draw()
     kept = np.arange(len(words)) % 3 == 0
     pcg.keep(kept)
     rest = np.empty((np.count_nonzero(kept), 100))
@@ -317,7 +316,6 @@ def test_numpy_pcg64_matches_generator_random(seed):
         u = pcg.draw()
         assert u.base is pcg._uniform_buf and len(u) == len(rest)  # the first entries of the same buffer
         rest[:, j] = u
-    np.testing.assert_array_equal(got.view(np.uint64), want[:, :100].view(np.uint64))
     np.testing.assert_array_equal(rest.view(np.uint64), want[kept, 100:200].view(np.uint64))
 
 
