@@ -15,6 +15,11 @@ that are not of that type.  A table is built from rows only when
 by vertex.  Outmaps, o(0) and flip rows follow one rule, :func:`_check_masks`,
 checked where they enter (the table constructor and both ``from_rows``);
 rows that the library computes from checked ones skip it.
+
+numpy is imported only by the functions that compute with arrays: the
+table branch of :func:`check_orientation` and :func:`uso_by_pairs`, both
+for tables that are not Matousek-type.  Importing the module, and every
+check of a Matousek-type orientation, leaves numpy unloaded.
 """
 
 from __future__ import annotations
@@ -22,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_DIMENSION = 20  # dense 2^n table; beyond this the table itself is the problem
 MAX_ROW_DIMENSION = 64  # row form: n+1 integers, so only the cost of a search bounds n
@@ -220,6 +226,8 @@ class Face:
 
 
 def _outmap_array(o: Orientation) -> np.ndarray:
+    import numpy as np
+
     return np.fromiter(o.outmaps, dtype=np.int64, count=1 << o.n)
 
 
@@ -291,6 +299,8 @@ def check_orientation(o: Orientation) -> bool:
     rows = o.rows
     if rows is not None:
         return all(row >> d & 1 for d, row in enumerate(rows))
+    import numpy as np
+
     outs = _outmap_array(o)
     for d in range(o.n):
         # each block of 2^(d+1) vertices, split into its halves without and with bit d
@@ -330,6 +340,8 @@ def uso_by_pairs(o: Orientation) -> bool:
     For every pair of distinct vertices v, w the sets v xor w and
     o(v) xor o(w) must intersect.  4^n pairs, in numpy row blocks.
     """
+    import numpy as np
+
     size = 1 << o.n
     verts = np.arange(size, dtype=np.int64)
     outs = _outmap_array(o)

@@ -21,13 +21,17 @@ predicate that the library keeps for the single graphs whose witnesses and
 branchings it needs: ``rows_acyclic``, ``find_forbidden`` and
 ``is_branching_closure``.  The pass reads rows only, so it is defined on any
 digraph, cyclic ones included.
+
+numpy is imported by the generator and by :func:`classify_block` when
+they run, not with the module.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATE_CAP = 6  # 3781503 labeled DAGs: dag_blocks alone 0.6 to 0.7 s, the census 1.4 to 1.7 s
 # (Python 3.11, numpy 2.4, 2 shared CPUs); n = 7 has 1138779265, about 300 times as many
@@ -53,6 +57,8 @@ def _dag_columns(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """
     if not 1 <= n <= ENUMERATE_CAP:
         raise ValueError(f"DAGs are enumerated for 1 to {ENUMERATE_CAP} vertices, not {n}")
+    import numpy as np
+
     single = np.ones((1, 1), np.uint8)
     return _extensions(single, single, n)
 
@@ -61,6 +67,8 @@ def _extensions(
     cols: np.ndarray, reach: np.ndarray, n: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The DAGs on n vertices that extend the given ones, with their reach masks."""
+    import numpy as np
+
     m, count = cols.shape
     if m == n:
         yield cols, reach
@@ -74,6 +82,8 @@ def _extensions(
 
 def _children(cols: np.ndarray, reach: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each parent with a new last vertex, for each out-set O and in-set I in masks with no path from O to I."""
+    import numpy as np
+
     m = len(cols)
     span = len(masks)
     zero, one, new = np.uint8(0), np.uint8(1), np.uint8(1 << m)
@@ -103,6 +113,8 @@ def classify_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``is_branching_closure(g) is not None``, read off one transposed copy of
     the block and one table of in-masks.
     """
+    import numpy as np
+
     cols = np.ascontiguousarray(rows.T)  # each vertex's masks contiguous
     zero, one = cols.dtype.type(0), cols.dtype.type(1)
     shifts = np.arange(len(cols), dtype=cols.dtype)[:, None]

@@ -14,6 +14,11 @@ A small harness contrasts influence-graph families: realizable ones
 making two chain dimensions incomparable.  It runs large blocks of
 trials in lockstep, one numpy lane per trial, each stepping its own
 PCG64 stream in numpy.
+
+numpy is imported by the functions that draw or seed, when they run:
+the search, the lockstep lanes and their PCG64 stepper, the seeding
+words and the trial runner.  The families, the statistics and importing
+the module leave it unloaded.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
-
 from .cube import MAX_ROW_DIMENSION, Orientation, _check_n, global_sink, is_uso
 from .matousek import InfluenceGraph, build_matousek
 
-if TYPE_CHECKING:  # numpy.random is imported only by the functions that draw
+if TYPE_CHECKING:  # numpy and numpy.random are imported only by the functions that use them
+    import numpy as np
     from numpy.random.bit_generator import ISeedSequence
 
 # Each float64 uniform takes one 64-bit PCG64 output, so the picks are the
@@ -52,8 +56,8 @@ _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
 
 # run_trials runs a seeding block of at least this many trials in lockstep
 # (random_facet_lanes) and smaller ones trial by trial.  numpy's call
@@ -66,12 +70,11 @@ _XSHIFT = np.uint32(16)
 _LOCKSTEP_MIN = 1000
 # numpy's PCG64: a 128-bit LCG, state * _PCG_MULT + inc, with XSL-RR output.
 # Every uint64 operand is a numpy uint64, so numpy 1.x's value-based
-# casting cannot turn a mixed expression into float64.
-_U64 = np.uint64
+# casting cannot turn a mixed expression into float64: the stepper and
+# the seeding make these ints numpy scalars once per block.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_MULT_LO_1, _MULT_LO_0 = _U64(_PCG_MULT >> 32 & _MASK32), _U64(_PCG_MULT & _MASK32)
-_LOW32, _ONE = _U64(_MASK32), _U64(1)
+_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & 0xFFFFFFFFFFFFFFFF
+_MULT_LO_1, _MULT_LO_0 = _PCG_MULT >> 32 & _MASK32, _PCG_MULT & _MASK32
 _CHUNK = 12  # picks select a set bit through tables over 12-bit chunks of the span
 
 
@@ -129,6 +132,8 @@ def random_facet(
     is the previous one XOR r_d; no table is built.  Any other orientation
     reads each leaf's outmap in its table.
     """
+    import numpy as np
+
     if type(seed) is not int and not isinstance(seed, np.random.bit_generator.ISeedSequence):
         raise ValueError(f"random_facet needs a seed, an integer or an ISeedSequence, got {seed!r}")
     n = o.n
@@ -189,9 +194,12 @@ def _pcg_seed(words: np.ndarray) -> _PcgLanes:
     As numpy seeds PCG64: initstate = w0 * 2^64 + w1, inc = 2 * (w2 * 2^64
     + w3) + 1; the state starts at 0, steps, gains initstate and steps.
     """
+    import numpy as np
+
+    one = np.uint64(1)
     w0, w1, w2, w3 = words.T
-    inc_hi = (w2 << _ONE) | (w3 >> _U64(63))
-    inc_lo = (w3 << _ONE) | _ONE
+    inc_hi = (w2 << one) | (w3 >> np.uint64(63))
+    inc_lo = (w3 << one) | one
     lo = inc_lo + w1
     hi = inc_hi + w0 + (lo < w1)  # the carry of the low words
     lanes = _PcgLanes(hi, lo, inc_hi, inc_lo)
@@ -209,7 +217,13 @@ class _PcgLanes:
     """
 
     def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+        import numpy as np
+
         self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+        # the uint64 operands of step (the multiplier's halves and low quarters, the low-32
+        # mask and shift) and of draw (its shifts)
+        self._step_u64 = tuple(map(np.uint64, (_MULT_HI, _MULT_LO, _MULT_LO_1, _MULT_LO_0, _MASK32, 32)))
+        self._draw_u64 = tuple(map(np.uint64, (11, 58, 63, 64)))
         m = len(hi)
         self._u64_buf = np.empty((4, m), np.uint64)
         self._carry_buf, self._uniform_buf = np.empty(m, np.bool_), np.empty(m)
@@ -228,28 +242,31 @@ class _PcgLanes:
 
     def step(self) -> None:
         """state * _PCG_MULT + inc mod 2^128, on 64-bit halves."""
+        import numpy as np
+
         hi, lo, t0, t1, t2, t3 = self.hi, self.lo, *self._t
-        np.bitwise_and(lo, _LOW32, out=t0)  # lo's 32-bit halves a0, a1
-        np.right_shift(lo, _U64(32), out=t1)
-        hi *= _MULT_LO  # hi * _MULT_LO + lo * _MULT_HI + inc_hi, before lo moves
-        np.multiply(lo, _MULT_HI, out=t2)
+        mult_hi, mult_lo, mult_lo_1, mult_lo_0, low32, s32 = self._step_u64
+        np.bitwise_and(lo, low32, out=t0)  # lo's 32-bit halves a0, a1
+        np.right_shift(lo, s32, out=t1)
+        hi *= mult_lo  # hi * _MULT_LO + lo * _MULT_HI + inc_hi, before lo moves
+        np.multiply(lo, mult_hi, out=t2)
         hi += t2
         hi += self.inc_hi
-        lo *= _MULT_LO
+        lo *= mult_lo
         lo += self.inc_lo
         hi += np.less(lo, self.inc_lo, out=self._carry)  # the carry of the low words
         # plus the high 64 bits of old lo * _MULT_LO from 32-bit halves, no sum overflowing:
-        # u = a1 * m0 + (a0 * m0 >> 32), v = a0 * m1 + (u & _LOW32), a1 * m1 + (u >> 32) + (v >> 32)
-        np.multiply(t0, _MULT_LO_0, out=t2)
-        t2 >>= _U64(32)
-        np.multiply(t1, _MULT_LO_0, out=t3)
+        # u = a1 * m0 + (a0 * m0 >> 32), v = a0 * m1 + (u & low32), a1 * m1 + (u >> 32) + (v >> 32)
+        np.multiply(t0, mult_lo_0, out=t2)
+        t2 >>= s32
+        np.multiply(t1, mult_lo_0, out=t3)
         t3 += t2
-        t0 *= _MULT_LO_1
-        t0 += np.bitwise_and(t3, _LOW32, out=t2)
-        t1 *= _MULT_LO_1
-        t3 >>= _U64(32)
+        t0 *= mult_lo_1
+        t0 += np.bitwise_and(t3, low32, out=t2)
+        t1 *= mult_lo_1
+        t3 >>= s32
         t1 += t3
-        t0 >>= _U64(32)
+        t0 >>= s32
         t1 += t0
         hi += t1
 
@@ -258,22 +275,27 @@ class _PcgLanes:
 
         XSL-RR output, its top 53 bits scaled to [0, 1).
         """
+        import numpy as np
+
         self.step()
         x, rot, right = self._t[:3]
+        s11, s58, s63, s64 = self._draw_u64
         np.bitwise_xor(self.hi, self.lo, out=x)
-        np.right_shift(self.hi, _U64(58), out=rot)
+        np.right_shift(self.hi, s58, out=rot)
         np.right_shift(x, rot, out=right)
-        np.subtract(_U64(64), rot, out=rot)
-        rot &= _U64(63)
+        np.subtract(s64, rot, out=rot)
+        rot &= s63
         x <<= rot
         x |= right
-        x >>= _U64(11)
+        x >>= s11
         return np.multiply(x, 2.0**-53, out=self._uniform)
 
 
 @cache
 def _select_tables() -> tuple[np.ndarray, np.ndarray]:
     """For every 12-bit chunk c: its popcount, and the positions of its set bits at c * 12 + rank."""
+    import numpy as np
+
     popcount = np.zeros(1, np.int8)
     select = np.zeros((1, _CHUNK), np.int8)
     for b in range(_CHUNK):  # the chunks c + 2^b: the set bits of c, then b
@@ -302,6 +324,8 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
     first step; a lane that still ends on a vertex with a nonempty outmap
     raises random_facet's ValueError.
     """
+    import numpy as np
+
     n, m = o.n, len(words)
     if o.rows is None or not is_uso(o):  # O(n^2) on rows; raises on a row without its loop bit
         raise ValueError("lockstep runs need a Matousek USO in row form: acyclic rows with loop bits")
@@ -461,6 +485,8 @@ def trial_seed_words(seed: int, first: int, count: int) -> np.ndarray:
     and count an int of at least 1, and the trial numbers must agree from
     bit 32 up, so that they have equally many words; ValueError otherwise.
     """
+    import numpy as np
+
     if type(first) is not int or first < 0:
         raise ValueError(f"first trial must be a non-negative integer, got {first!r}")
     if type(count) is not int or count < 1:
@@ -468,6 +494,7 @@ def trial_seed_words(seed: int, first: int, count: int) -> np.ndarray:
     if first >> 32 != (first + count - 1) >> 32:
         raise ValueError(f"trials {first}..{first + count - 1} do not share their high words")
     high = first >> 32
+    mult_l, mult_r, xshift = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R), np.uint32(_XSHIFT)
     # Constant words broadcast as 1-element arrays: the pool only widens
     # to count lanes where the trial number's low word reaches it.
     entropy = [np.array([w], np.uint32) for w in _int_words(seed)]
@@ -482,11 +509,11 @@ def trial_seed_words(seed: int, first: int, count: int) -> np.ndarray:
         value = value ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_A & _MASK32
         value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
+        return value ^ (value >> xshift)
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
+        result = mult_l * x - mult_r * y
+        return result ^ (result >> xshift)
 
     zero = np.zeros(1, np.uint32)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
@@ -504,13 +531,14 @@ def trial_seed_words(seed: int, first: int, count: int) -> np.ndarray:
         value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> _XSHIFT)
+        state[:, i] = value ^ (value >> xshift)
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
 @cache
 def _seed_row_type() -> type:
     """An ISeedSequence holding one row of trial_seed_words, made on first use."""
+    import numpy as np
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedRow(ISeedSequence):
@@ -541,6 +569,8 @@ def run_trials(family: str, n_list: Sequence[int], trials: int, seed: int) -> li
     if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be at least 1 and an integer, got {trials!r}")
     _int_words(seed)  # a negative or non-integer seed fails here, before any trial
+    import numpy as np
+
     out = []
     for n in n_list:
         o = build_matousek(family_graph(family, n))

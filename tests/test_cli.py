@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -540,34 +541,87 @@ def test_console_script_installed():
     assert "usomat 0.1.0" in proc.stderr
 
 
-def _numpy_random_loaded_after(argv: list[str]) -> bool:
-    """Whether ``usomat.cli.main(argv)`` in a fresh interpreter imports numpy.random."""
-    script = (
-        "import io, sys, contextlib, numpy\n"
-        "eager = 'numpy.random' in sys.modules\n"
-        "import usomat, usomat.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = usomat.cli.main({argv!r})\n"
-        "print(code, eager, 'numpy.random' in sys.modules)\n"
-    )
+def _fresh_interpreter(script: str) -> str:
+    """The stdout of ``python -c script`` in a fresh interpreter that imports usomat from this checkout."""
     src = os.path.dirname(os.path.dirname(usomat.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    code, eager, loaded = proc.stdout.splitlines()[-1].split()
+    return proc.stdout
+
+
+def _loaded_after(module: str, argv: Optional[list[str]]) -> bool:
+    """Whether importing usomat.cli and running ``main(argv)`` in a fresh interpreter imports ``module``.
+
+    The module's parent package is imported first; if that alone loads the
+    module, the test skips.  argv None runs no command.
+    """
+    parent = module.rpartition(".")[0]
+    script = (
+        "import io, sys, contextlib\n"
+        + (f"import {parent}\n" if parent else "")
+        + f"eager = {module!r} in sys.modules\n"
+        "import usomat, usomat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = 0 if {argv!r} is None else usomat.cli.main({argv!r})\n"
+        f"print(code, eager, {module!r} in sys.modules)\n"
+    )
+    code, eager, loaded = _fresh_interpreter(script).splitlines()[-1].split()
     if eager == "True":
-        pytest.skip("this numpy imports numpy.random with numpy itself")
+        pytest.skip(f"this interpreter imports {module} before usomat")
     assert code == "0"
     return loaded == "True"
 
 
 def test_commands_without_draws_leave_numpy_random_unloaded():
     """Only the Random Facet functions import numpy.random, when they run."""
-    assert not _numpy_random_loaded_after(["enumerate", "--n", "3"])
+    assert not _loaded_after("numpy.random", ["enumerate", "--n", "3"])
 
 
 def test_lockstep_bench_leaves_numpy_random_unloaded():
     """bench's default 1,000 trials step their PCG64 streams in numpy; 999 use numpy.random."""
-    assert not _numpy_random_loaded_after(["bench", "--family", "path", "--n", "4"])
-    assert _numpy_random_loaded_after(["bench", "--family", "path", "--n", "4", "--trials", "999"])
+    assert not _loaded_after("numpy.random", ["bench", "--family", "path", "--n", "4"])
+    assert _loaded_after("numpy.random", ["bench", "--family", "path", "--n", "4", "--trials", "999"])
+
+
+def test_only_commands_that_compute_with_arrays_import_numpy(tmp_path):
+    """Importing the package, realize, build and check of a Matousek table leave numpy unloaded."""
+    matousek = str(tmp_path / "path5.json")
+    twisted = write_orientation(tmp_path / "twisted.json", Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5)))
+    assert main(["build", "--family", "path", "--n", "5", "--out", matousek]) == 0
+    for argv in (
+        None,
+        ["realize", "--family", "path", "--n", "10", "--out", str(tmp_path / "path10")],
+        ["build", "--family", "path", "--n", "5", "--out", str(tmp_path / "again.json")],
+        ["check", matousek],
+    ):
+        assert not _loaded_after("numpy", argv), argv
+    # the census, the trials and the pair test of a table that is not Matousek-type
+    for argv in (["enumerate", "--n", "3"], ["bench", "--family", "path", "--n", "4"], ["check", twisted]):
+        assert _loaded_after("numpy", argv), argv
+
+
+# Each function that computes with arrays imports numpy itself; called first
+# in a fresh interpreter, it must set up every numpy scalar it uses.
+FIRST_CALL_IMPORTS = (
+    "from usomat import Orientation, build_matousek, random_facet, run_trials, uso_by_pairs\n"
+    "from usomat.enumeration import classify_block, dag_blocks\n"
+    "from usomat.random_facet import path_family, trial_seed_words\n"
+)
+TWISTED = "Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5))"  # a USO that is not Matousek-type
+FIRST_CALLS = {
+    "uso_by_pairs": f"[uso_by_pairs(o) for o in ({TWISTED}, Orientation(2, (0, 3, 3, 0)))]",
+    "trial_seed_words": "[trial_seed_words(7, first, 3).tolist() for first in (0, 2**32 + 5)]",
+    "run_trials": "run_trials('path', [4, 9], 1000, 0)",  # one lockstep block per n
+    "classify_block": "[[v.tolist() for v in classify_block(rows)] for rows in dag_blocks(3)]",
+    "random_facet": f"[random_facet(o, seed=3) for o in ({TWISTED}, build_matousek(path_family(6)))]",
+}
+
+
+@pytest.mark.parametrize("call", FIRST_CALLS.values(), ids=FIRST_CALLS)
+def test_first_call_in_a_fresh_interpreter_returns_what_it_returns_here(call):
+    script = f"import sys\n{FIRST_CALL_IMPORTS}assert 'numpy' not in sys.modules\nprint(repr({call}))\n"
+    namespace: dict = {}
+    exec(FIRST_CALL_IMPORTS, namespace)
+    assert _fresh_interpreter(script) == repr(eval(call, namespace)) + "\n"
