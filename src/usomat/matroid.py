@@ -11,8 +11,10 @@ Such a matroid is a P-matroid exactly when the pairs nest like balanced
 parentheses and F hits each pair according to the parity of the number of
 element pairs enclosed between its two members.  The nesting relation of
 the pairs is a dimension influence graph, which ties these extensions to
-Matousek-type orientations.  One scan of the order, O(n) with no cache,
-reads off the conditions, the nesting and the induced orientation.
+Matousek-type orientations.  One O(n) scan of the order reads off the
+conditions, the nesting and the induced orientation, and the extension
+keeps what it found.  Most of it does not depend on where q is, so moving
+q one step (:func:`push_q_left`) hands it on and updates q's part in O(1).
 """
 
 from __future__ import annotations
@@ -34,11 +36,16 @@ class CyclicExtension:
     circuit normalisation absorbs a global q sign).  Structural validity
     is enforced here; the P-matroid conditions are a separate check,
     :func:`validate_conditions`, because invalid combinations must remain
-    representable (the circuit-level cross-checks enumerate them).  The
-    extension holds its three fields and nothing derived from them.
+    representable (the circuit-level cross-checks enumerate them).
+
+    The fields are fixed once the constructor has checked them: assigning
+    one raises ``AttributeError``.  The extension also keeps what the first
+    scan of its order found (see :func:`_scan_order`), so :func:`push_q_left`
+    can hand the q-free part on and update q's part in O(1).  Equality,
+    hashing, pickling and copying see the three fields only.
     """
 
-    __slots__ = ("n", "order", "flipped")
+    __slots__ = ("n", "order", "flipped", "_scan")
 
     def __init__(self, n: int, order: Sequence[Element], flipped: Iterable[int]) -> None:
         if type(n) is not int or n < 1:
@@ -56,19 +63,17 @@ class CyclicExtension:
         bad = [e for e in flip if not (type(e) is int and 1 <= e <= 2 * n)]
         if bad:
             raise ValueError(f"flip set may only contain elements 1..{2*n}, got {bad}")
-        self.n = n
-        self.order = tokens
-        self.flipped = frozenset(flip)
+        _fill(self, n, tokens, frozenset(flip), None)
 
-    def _reordered(self, order: Sequence[Element]) -> "CyclicExtension":
-        """The same pairs and flip set under a permutation of this order's tokens.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CyclicExtension is read-only; cannot set {name!r}")
 
-        The caller guarantees that ``order`` only rearranges ``self.order``,
-        so the constructor's checks would pass and are not repeated.
-        """
-        ext = CyclicExtension.__new__(CyclicExtension)
-        ext.n, ext.order, ext.flipped = self.n, tuple(order), self.flipped
-        return ext
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CyclicExtension is read-only; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # the default would restore the slots by assignment; the constructor rebuilds them
+        return CyclicExtension, (self.n, self.order, self.flipped)
 
     @property
     def position(self) -> dict:
@@ -100,51 +105,63 @@ class CyclicExtension:
         return cls(n, order, flipped)
 
 
-def _scan(ext: CyclicExtension) -> Optional[tuple[int, list[int], int, int]]:
-    """(parity, inside, q_inside, below_q), or ``None`` unless the conditions hold.
+def _fill(ext: CyclicExtension, n: int, order: tuple, flipped: frozenset, scan: Optional[tuple]) -> None:
+    object.__setattr__(ext, "n", n)
+    object.__setattr__(ext, "order", order)
+    object.__setattr__(ext, "flipped", flipped)
+    object.__setattr__(ext, "_scan", scan)
 
-    A token that closes the innermost open pair j leaves the lower members
-    seen since j opened as exactly the pairs nested in j (``inside[j-1]``);
-    bit j-1 of ``q_inside`` marks q seen in between.  Any other token opens
-    a pair, and one left open at the end crosses another.  Bit i-1 of
-    ``parity`` is rank(i) + [i before q] + [i in F] mod 2, rank counting
-    the lower members before i; ``below_q`` counts those before q.
+
+def _scan_order(ext: CyclicExtension) -> tuple:
+    """Scan the order once; store and return ``(pairs, lows_before_q, straddle)``.
+
+    ``pairs`` is the q-free part: ``(parity, inside)``, or ``()`` unless the
+    conditions hold.  A token that closes the innermost open pair j leaves
+    the lower members seen since j opened as exactly the pairs nested in j
+    (``inside[j-1]``).  Any other token opens a pair, and one left open at
+    the end crosses another.  Bit i-1 of ``parity`` is rank(i) + [i in F]
+    mod 2, rank counting the lower members before i.  None of that depends
+    on where q is.  q's part, recorded when the scan meets q, is the mask
+    of lower members before q and the mask of pairs open at q, which
+    straddle it; it means nothing when the conditions fail.
     """
     n, flipped = ext.n, ext.flipped
-    open_pairs: list[tuple[int, int, bool]] = []  # (pair, lows at its opening, q seen then)
+    open_pairs: list[tuple[int, int]] = []  # (pair, lows at its opening)
     inside = [0] * n
-    lows = parity = q_inside = below_q = 0
-    q_seen = False
+    lows = parity = lows_before_q = straddle = 0
+    pairs: tuple = ()
     for e in ext.order:
         if e == Q:
-            q_seen = True
-            below_q = lows.bit_count()
+            lows_before_q = lows
+            straddle = sum(1 << (i - 1) for i, _ in open_pairs)
             continue
         i = e if e <= n else e - n
         bit = 1 << (i - 1)
         if e <= n:
-            if (lows.bit_count() + (not q_seen) + (e in flipped)) & 1:
+            if (lows.bit_count() + (e in flipped)) & 1:
                 parity |= bit
             lows |= bit
         if not open_pairs or open_pairs[-1][0] != i:
-            open_pairs.append((i, lows, q_seen))
+            open_pairs.append((i, lows))
             continue
-        _, opened, q_then = open_pairs.pop()
+        _, opened = open_pairs.pop()
         nested = lows & ~opened & ~bit
         hits = (i in flipped) + (i + n in flipped)
         if (hits == 1) == (nested.bit_count() % 2 == 1):
-            return None
+            break
         inside[i - 1] = nested
-        if q_seen != q_then:
-            q_inside |= bit
-    if open_pairs:
-        return None
-    return parity, inside, q_inside, below_q
+    else:
+        if not open_pairs:
+            pairs = (parity, tuple(inside))
+    scan = (pairs, lows_before_q, straddle)
+    object.__setattr__(ext, "_scan", scan)
+    return scan
 
 
-def _checked_scan(ext: CyclicExtension) -> tuple[int, list[int], int, int]:
-    scan = _scan(ext)
-    if scan is None:
+def _checked_scan(ext: CyclicExtension) -> tuple:
+    """The stored scan, scanning on the first read only; a ValueError unless the conditions hold."""
+    scan = ext._scan or _scan_order(ext)
+    if not scan[0]:
         raise ValueError("extension does not satisfy the P-matroid conditions")
     return scan
 
@@ -163,14 +180,15 @@ def validate_conditions(ext: CyclicExtension) -> bool:
 
     One scan of the order with a stack of open pairs checks both: the pairs
     nest exactly when every second member closes the innermost open pair.
+    The extension keeps the verdict, so it is scanned on the first read only.
     """
-    return _scan(ext) is not None
+    return bool((ext._scan or _scan_order(ext))[0])
 
 
 def containment_graph(ext: CyclicExtension) -> InfluenceGraph:
     """Influence graph of the pair nesting: edge (i, j) when pair j sits
     strictly inside the position interval of pair i."""
-    return InfluenceGraph.from_rows(ext.n, _checked_scan(ext)[1])
+    return InfluenceGraph.from_rows(ext.n, _checked_scan(ext)[0][1])
 
 
 def extension_to_uso(ext: CyclicExtension) -> Orientation:
@@ -184,19 +202,24 @@ def extension_to_uso(ext: CyclicExtension) -> Orientation:
         rank(c_i) + rank(q) + [c_i in F]
 
     is odd, where rank counts the support members at a smaller position.
-    At v = 0 that is the scan's parity bit plus 1 + below_q.  Under the
-    nesting condition every pairwise term of that parity is affine in the
-    two pairs' bits, so the flip pattern of each dimension is constant:
-    o(v) = o(0) XOR the rows r_j of the dimensions j in v.  Bit i != j of r_j
-    is set when exactly one of element i and q lies strictly inside pair j's
-    interval; bit j of r_j is the parity condition, always 1.
+    At v = 0 that is the q-free parity bit of :func:`_scan_order` plus
+    [i before q] + 1 + rank(q), and rank(q) counts the lower members before
+    q.  Under the nesting condition every pairwise term of that parity is
+    affine in the two pairs' bits, so the flip pattern of each dimension is
+    constant: o(v) = o(0) XOR the rows r_j of the dimensions j in v.  Bit
+    i != j of r_j is set when exactly one of element i and q lies strictly
+    inside pair j's interval; bit j of r_j is the parity condition, always 1.
+    Once the order has been scanned, all of that is read from the stored
+    scan: no call after the first scans again, and neither does one on an
+    extension that :func:`push_q_left` made from a scanned one.
     """
-    parity, inside, q_inside, below_q = _checked_scan(ext)
-    _check_n(ext.n, MAX_ROW_DIMENSION)  # extensions have no cap; the row form does
-    full = (1 << ext.n) - 1
-    base = parity if below_q % 2 else parity ^ full
-    rows = tuple(row ^ (full if q_inside >> j & 1 else 1 << j) for j, row in enumerate(inside))
-    return Orientation._from_checked_rows(ext.n, base, rows)
+    n = ext.n
+    _check_n(n, MAX_ROW_DIMENSION)  # extensions have no cap; the row form does
+    (parity, inside), lows, straddle = _checked_scan(ext)
+    full = (1 << n) - 1
+    base = parity ^ lows if lows.bit_count() & 1 else parity ^ lows ^ full
+    rows = tuple([row ^ (full if straddle >> j & 1 else 1 << j) for j, row in enumerate(inside)])
+    return Orientation._from_checked_rows(n, base, rows)
 
 
 def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:
@@ -205,12 +228,23 @@ def push_q_left(ext: CyclicExtension) -> tuple[CyclicExtension, int, bool]:
     Returns the new extension, the dimension i of the crossed pair element,
     and whether the element was the pair's second member i+n (in which case
     the induced orientation changes on the upper i-facet, else on the lower).
+    The pairs do not move, so the new extension takes the q-free scan as it
+    is.  q's part changes by the crossed element alone: a lower member i
+    leaves the members before q, and pair i starts or stops straddling q.
     """
-    p = ext.order.index(Q)
+    order = ext.order
+    p = order.index(Q)
     if p == 0:
         raise ValueError("q is already at the front of the order")
-    crossed = ext.order[p - 1]
-    new_ext = ext._reordered(ext.order[: p - 1] + (Q, crossed) + ext.order[p + 1 :])
-    if crossed <= ext.n:
-        return new_ext, crossed, False
-    return new_ext, crossed - ext.n, True
+    crossed = order[p - 1]
+    n = ext.n
+    upper = crossed > n
+    i = crossed - n if upper else crossed
+    bit = 1 << (i - 1)
+    scan = ext._scan
+    if scan is not None:
+        pairs, lows, straddle = scan
+        scan = (pairs, lows if upper else lows & ~bit, straddle ^ bit)
+    new_ext = CyclicExtension.__new__(CyclicExtension)
+    _fill(new_ext, n, order[: p - 1] + (Q, crossed) + order[p + 1 :], ext.flipped, scan)
+    return new_ext, i, upper

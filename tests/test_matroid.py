@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import permutations
 
@@ -365,6 +367,65 @@ def test_push_q_left():
     with pytest.raises(ValueError):
         ext = CyclicExtension(1, (Q, 1, 2), {2})
         push_q_left(ext)
+
+
+def test_extension_is_read_only():
+    for name, value in (("n", 3), ("order", CHAIN2.order[::-1]), ("flipped", frozenset())):
+        with pytest.raises(AttributeError):
+            setattr(CHAIN2, name, value)
+        with pytest.raises(AttributeError):
+            delattr(CHAIN2, name)
+    assert CHAIN2 == CyclicExtension(2, (1, 2, 4, 3, Q), {4})
+
+
+def outcome(f, *args):
+    """f's value, or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_extension_pickles_and_copies():
+    """Fresh and walked extensions, scanned or not, survive pickle and copy."""
+    walked, _, _ = push_q_left(push_q_left(CHAIN2)[0])
+    extension_to_uso(walked)
+    unscanned, _, _ = push_q_left(CyclicExtension(2, (1, 2, 4, 3, Q), {4}))
+    for ext in (TRIVIAL, CHAIN2, CROSSING, walked, unscanned):
+        for clone in (pickle.loads(pickle.dumps(ext)), copy.copy(ext), copy.deepcopy(ext)):
+            assert type(clone) is CyclicExtension
+            assert clone == ext and hash(clone) == hash(ext)
+            assert outcome(extension_to_uso, clone) == outcome(extension_to_uso, ext)
+            with pytest.raises(AttributeError):
+                clone.n = 1
+
+
+def test_walked_extensions_cannot_be_told_from_fresh_ones():
+    """Walk q from last to first in every (order, F) with n <= 3, valid or
+    not: each step reads as the same extension built from scratch."""
+    steps = 0
+    for n in (1, 2, 3):
+        for ext in all_extensions(n):
+            valid = validate_conditions(ext)  # scans, so every step below is carried
+            while ext.order[0] != Q:
+                ext, _, _ = push_q_left(ext)
+                fresh = CyclicExtension(n, ext.order, ext.flipped)
+                assert validate_conditions(ext) == validate_conditions(fresh) == valid
+                assert outcome(extension_to_uso, ext) == outcome(extension_to_uso, fresh)
+                assert outcome(containment_graph, ext) == outcome(containment_graph, fresh)
+                assert ext == fresh and hash(ext) == hash(fresh)
+                steps += 1
+    assert steps == 8 * 2 + 384 * 4 + 46080 * 6
+
+
+def test_row_cap_is_checked_before_the_scan():
+    """An n = 65 extension is refused for its size, whether or not its pairs nest."""
+    crossing = CyclicExtension(65, list(range(1, 131)) + [Q], ())
+    with pytest.raises(ValueError, match="cube dimension must be in 1..64, got 65"):
+        extension_to_uso(crossing)
+    assert not validate_conditions(crossing)
+    with pytest.raises(ValueError, match="cube dimension must be in 1..64, got 65"):
+        extension_to_uso(synthesize_extension(Branching(65, {})))
 
 
 def test_q_move_is_facet_flip():
