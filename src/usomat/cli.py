@@ -65,6 +65,8 @@ def _load_graph(args: argparse.Namespace, cap: int) -> InfluenceGraph:
     if args.graph is not None:
         if args.family is not None:
             raise ValueError("give either a graph file or --family, not both")
+        if args.n is not None:
+            raise ValueError("--n goes with --family; a graph file gives its own n")
         g = InfluenceGraph.from_json_obj(_read_json(args.graph))
     elif args.family is None:
         raise ValueError("need a graph file or --family")

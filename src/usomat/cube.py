@@ -14,7 +14,8 @@ that are not of that type.  A table is built from rows only when
 ``outmaps`` is read: for output, and by code that reads a table vertex
 by vertex.  Outmaps, o(0) and flip rows follow one rule, :func:`_check_masks`,
 checked where they enter (the table constructor and both ``from_rows``);
-rows that the library computes from checked ones skip it.
+rows that the library computes from checked ones skip it.  A vertex is
+checked where it is read, by :meth:`Orientation.outmap`, whatever the form.
 
 numpy is imported only by the functions that compute with arrays: the
 table branch of :func:`check_orientation` and :func:`uso_by_pairs`, both
@@ -153,6 +154,9 @@ class Orientation:
         return self._table
 
     def outmap(self, v: int) -> int:
+        """The outmap of vertex v; a ValueError unless v is an int (a bool is not one) in 0..2^n - 1."""
+        if type(v) is not int or v < 0 or v >> self.n:
+            raise ValueError(f"vertex {v!r} is not an integer in 0..{(1 << self.n) - 1}")
         if self._table is not None:
             return self._table[v]
         out = self.base
@@ -196,14 +200,18 @@ class Face:
     """A subcube: fixed values outside the spanning dimensions.
 
     ``spanning`` is the bitmask of free dimensions, ``fixed`` the bitmask of
-    coordinates on the non-spanning dimensions.  Bits of ``fixed`` inside
-    ``spanning`` must be zero.
+    coordinates on the non-spanning dimensions.  Both are ints (a bool is
+    not one) of at least 0, as :func:`_check_masks` asks of every mask, and
+    bits of ``fixed`` inside ``spanning`` must be zero.
     """
 
     fixed: int
     spanning: int
 
     def __post_init__(self) -> None:
+        for name, mask in (("fixed", self.fixed), ("spanning", self.spanning)):
+            if type(mask) is not int or mask < 0:
+                raise ValueError(f"{name} mask is {mask!r}, not an integer of at least 0")
         if self.fixed & self.spanning:
             raise ValueError("fixed coordinates overlap the spanning set")
 

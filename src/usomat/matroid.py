@@ -19,6 +19,7 @@ q one step (:func:`push_q_left`) hands it on and updates q's part in O(1).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from .cube import MAX_ROW_DIMENSION, Orientation, _check_n, _json_fields
@@ -28,6 +29,7 @@ Q = "q"
 Element = Union[int, str]
 
 
+@dataclass(frozen=True, slots=True)
 class CyclicExtension:
     """Permutation plus sign-flip data of a simple cyclic extension.
 
@@ -38,14 +40,17 @@ class CyclicExtension:
     :func:`validate_conditions`, because invalid combinations must remain
     representable (the circuit-level cross-checks enumerate them).
 
-    The fields are fixed once the constructor has checked them: assigning
-    one raises ``AttributeError``.  The extension also keeps what the first
-    scan of its order found (see :func:`_scan_order`), so :func:`push_q_left`
-    can hand the q-free part on and update q's part in O(1).  Equality,
-    hashing, pickling and copying see the three fields only.
+    The fields are fixed once the constructor has checked them.  The
+    extension also keeps what the first scan of its order found (see
+    :func:`_scan_order`), so :func:`push_q_left` can hand the q-free part
+    on and update q's part in O(1).  Equality, hashing, pickling and
+    copying see the three fields only.
     """
 
-    __slots__ = ("n", "order", "flipped", "_scan")
+    n: int
+    order: tuple[Element, ...]
+    flipped: frozenset[int]
+    _scan: Optional[tuple] = field(init=False, compare=False, repr=False)
 
     def __init__(self, n: int, order: Sequence[Element], flipped: Iterable[int]) -> None:
         if type(n) is not int or n < 1:
@@ -65,34 +70,14 @@ class CyclicExtension:
             raise ValueError(f"flip set may only contain elements 1..{2*n}, got {bad}")
         _fill(self, n, tokens, frozenset(flip), None)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"CyclicExtension is read-only; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"CyclicExtension is read-only; cannot delete {name!r}")
-
     def __reduce__(self) -> tuple:
-        # the default would restore the slots by assignment; the constructor rebuilds them
+        # the three fields only: the constructor checks them again, and the scan is redone when read
         return CyclicExtension, (self.n, self.order, self.flipped)
 
     @property
     def position(self) -> dict:
         """Element token -> position 1..2n+1, built anew on each read."""
         return {e: p for p, e in enumerate(self.order, start=1)}
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CyclicExtension)
-            and self.n == other.n
-            and self.order == other.order
-            and self.flipped == other.flipped
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.order, self.flipped))
-
-    def __repr__(self) -> str:
-        return f"CyclicExtension(n={self.n}, order={self.order!r}, flipped={sorted(self.flipped)})"
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "order": list(self.order), "F": sorted(self.flipped)}

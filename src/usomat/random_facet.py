@@ -118,7 +118,8 @@ def random_facet(
     fewer than 2^(n+1) faces and ends, but without unique sinks the vertex
     it ends on need not be a sink (ValueError), or may be one of several.
 
-    start defaults to the bitwise complement of the global sink.  Results
+    start defaults to the bitwise complement of the global sink; one that
+    is no vertex raises the ValueError of :meth:`Orientation.outmap`.  Results
     are a pure function of (orientation, start, seed); the generator is a
     PCG64 stream so runs reproduce across platforms.  seed is an int, a
     numpy SeedSequence or any other ISeedSequence; PCG64 reads its state
@@ -137,17 +138,14 @@ def random_facet(
     if type(seed) is not int and not isinstance(seed, np.random.bit_generator.ISeedSequence):
         raise ValueError(f"random_facet needs a seed, an integer or an ISeedSequence, got {seed!r}")
     n = o.n
-    full = (1 << n) - 1
     if start is None:
-        start = global_sink(o) ^ full
-    if type(start) is not int or not 0 <= start <= full:
-        raise ValueError(f"start vertex {start!r} is not an integer in 0..{full}")
+        start = global_sink(o) ^ ((1 << n) - 1)
+    out = o.outmap(start)  # refuses a start that is no vertex
     rng = np.random.Generator(np.random.PCG64(seed))
     uniforms: list[float] = []
     used = 0
     rows = o.rows
     outmaps = o.outmaps if rows is None else None
-    out = o.outmap(start)
 
     # One stack holds the pending second facets of every open face: solving
     # a face picks d, solves the facet holding w, and only if the facet sink
@@ -188,46 +186,36 @@ def random_facet(
     return RfResult(w, leaves)
 
 
-def _pcg_seed(words: np.ndarray) -> _PcgLanes:
-    """The PCG64 streams that rows of seeding words give, one lane each.
-
-    As numpy seeds PCG64: initstate = w0 * 2^64 + w1, inc = 2 * (w2 * 2^64
-    + w3) + 1; the state starts at 0, steps, gains initstate and steps.
-    """
-    import numpy as np
-
-    one = np.uint64(1)
-    w0, w1, w2, w3 = words.T
-    inc_hi = (w2 << one) | (w3 >> np.uint64(63))
-    inc_lo = (w3 << one) | one
-    lo = inc_lo + w1
-    hi = inc_hi + w0 + (lo < w1)  # the carry of the low words
-    lanes = _PcgLanes(hi, lo, inc_hi, inc_lo)
-    lanes.step()
-    return lanes
-
-
 class _PcgLanes:
-    """numpy's PCG64, one stream per lane, stepped in place.
+    """numpy's PCG64, one stream per row of seeding words, stepped in place.
 
     Each lane's 128-bit state and increment are held as uint64 halves (hi,
-    lo) and (inc_hi, inc_lo).  A step or a draw writes only into them and
-    into scratch buffers sized at the first lane count, so it allocates
-    nothing; after keep() it works in the buffers' leading entries.
+    lo) and (inc_hi, inc_lo).  A lane is seeded from its row w0..w3 as
+    numpy seeds PCG64: initstate = w0 * 2^64 + w1, inc = 2 * (w2 * 2^64 +
+    w3) + 1; the state starts at 0, steps, gains initstate and steps.  A
+    step or a draw writes only into the halves and into scratch buffers
+    sized at the first lane count, so it allocates nothing; after keep() it
+    works in the buffers' leading entries.
     """
 
-    def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+    def __init__(self, words: np.ndarray) -> None:
         import numpy as np
 
-        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+        one = np.uint64(1)
+        w0, w1, w2, w3 = words.T
+        self.inc_hi = (w2 << one) | (w3 >> np.uint64(63))
+        self.inc_lo = (w3 << one) | one
+        self.lo = self.inc_lo + w1  # the first step from state 0 gives inc; initstate is added
+        self.hi = self.inc_hi + w0 + (self.lo < w1)  # with the carry of the low words
         # the uint64 operands of step (the multiplier's halves and low quarters, the low-32
         # mask and shift) and of draw (its shifts)
         self._step_u64 = tuple(map(np.uint64, (_MULT_HI, _MULT_LO, _MULT_LO_1, _MULT_LO_0, _MASK32, 32)))
         self._draw_u64 = tuple(map(np.uint64, (11, 58, 63, 64)))
-        m = len(hi)
+        m = len(words)
         self._u64_buf = np.empty((4, m), np.uint64)
         self._carry_buf, self._uniform_buf = np.empty(m, np.bool_), np.empty(m)
         self._fit_scratch()
+        self.step()
 
     def _fit_scratch(self) -> None:
         m = len(self.hi)
@@ -329,8 +317,7 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
     n, m = o.n, len(words)
     if o.rows is None or not is_uso(o):  # O(n^2) on rows; raises on a row without its loop bit
         raise ValueError("lockstep runs need a Matousek USO in row form: acyclic rows with loop bits")
-    if type(start) is not int or not 0 <= start < 1 << n:
-        raise ValueError(f"start vertex {start!r} is not an integer in 0..{(1 << n) - 1}")
+    start_out = o.outmap(start)  # refuses a start that is no vertex, before any stream steps
     popcount, select = _select_tables()
     # vertices, outmaps, spans and faces share the smallest unsigned type
     # that holds 2^n - 1, so no step converts one
@@ -338,9 +325,9 @@ def random_facet_lanes(o: Orientation, start: int, words: np.ndarray) -> tuple[n
     rows = np.array(o.rows, face_type)
     bits = np.array(_BITS[:n], face_type)
     chunk_mask, chunk_shift = face_type((1 << min(n, _CHUNK)) - 1), face_type(_CHUNK)
-    pcg = _pcg_seed(words)
+    pcg = _PcgLanes(words)
     w = np.full(m, start, face_type)
-    out = np.full(m, o.outmap(start), face_type)
+    out = np.full(m, start_out, face_type)
     span = np.full(m, (1 << n) - 1, face_type)
     k = np.full(m, n, np.int8)  # popcount of span; 0 on a live lane only while it pops
     top = np.zeros(m, np.int8)  # the free stack slot
@@ -504,10 +491,10 @@ def trial_seed_words(seed: int, first: int, count: int) -> np.ndarray:
 
     hash_const = _INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value: np.ndarray, mult: int) -> np.ndarray:
         nonlocal hash_const
         value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
+        hash_const = hash_const * mult & _MASK32
         value = value * np.uint32(hash_const)
         return value ^ (value >> xshift)
 
@@ -516,22 +503,19 @@ def trial_seed_words(seed: int, first: int, count: int) -> np.ndarray:
         return result ^ (result >> xshift)
 
     zero = np.zeros(1, np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero, _MULT_A) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src], _MULT_A))
     for i_src in range(_POOL_SIZE, len(entropy)):
         for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src], _MULT_A))
 
     state = np.empty((count, 8), "<u4")
     hash_const = _INIT_B
     for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> xshift)
+        state[:, i] = hashmix(pool[i % _POOL_SIZE], _MULT_B)
     return state.view("<u8").astype(np.uint64, copy=False)
 
 

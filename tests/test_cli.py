@@ -125,6 +125,8 @@ def test_syntax_errors_stay_with_argparse(argv, capsys):
             ["bench", "--family", "path", "--n", "3", "--seed", "-1"],
             "expected non-negative integer",
         ),
+        (["build", "-", "--n", "7"], "--n goes with --family"),  # refused before stdin is read
+        (["realize", "-", "--n", "7"], "--n goes with --family"),
     ],
 )
 def test_semantic_errors_exit_1_with_one_error_line(argv, fragment, capsys):
@@ -182,6 +184,15 @@ def test_build_rejects_graph_plus_family(tmp_path, capsys):
     src = write_graph(tmp_path / "g.json", CHAIN3)
     assert main(["build", src, "--family", "path", "--n", "3"]) == 1
     assert_one_error_line(capsys.readouterr(), "either a graph file or --family")
+
+
+@pytest.mark.parametrize("command", ["build", "realize"])
+def test_graph_file_refuses_n(command, tmp_path, capsys):
+    """--n next to a 3-dimensional graph file is refused, whether it disagrees with the file or not."""
+    src = write_graph(tmp_path / "g.json", CHAIN3)
+    for n in ("7", "3"):
+        assert main([command, src, "--n", n]) == 1
+        assert_one_error_line(capsys.readouterr(), "--n goes with --family")
 
 
 def test_build_cyclic_graph_fails(tmp_path, capsys):

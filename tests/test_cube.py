@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from usomat import (
@@ -130,6 +132,19 @@ def test_face_basics():
     assert not f.contains(0b001)
     with pytest.raises(ValueError):
         Face(fixed=0b001, spanning=0b011)
+
+
+def test_face_masks_are_ints_of_at_least_0():
+    """A negative, bool or float mask is refused, as _check_masks refuses it in a table.
+
+    Face(-16, 7) would pass holt_klee_3face's range check at n = 4 and
+    screen vertices -16..-9, which a table reads from its end.
+    """
+    for bad in (-16, -1, True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"fixed mask is {bad!r}, not an integer of at least 0")):
+            Face(bad, 0b111)
+        with pytest.raises(ValueError, match=re.escape(f"spanning mask is {bad!r}, not an integer of at least 0")):
+            Face(0b1000, bad)
 
 
 def test_zero_dimensional_face():

@@ -19,7 +19,7 @@ from usomat.random_facet import (
     _LOCKSTEP_MIN,
     _SEED_BLOCK,
     TrialStats,
-    _pcg_seed,
+    _PcgLanes,
     _seed_row_type,
     _select_tables,
     merged_family,
@@ -292,6 +292,17 @@ def test_lanes_match_random_facet_through_chains_of_empty_rests():
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**64 + 1])
+def test_pcg_lanes_seed_as_numpy_pcg64(seed):
+    """Right after seeding, each lane holds the state and increment that numpy's PCG64 reports."""
+    for first in (0, 2**32 - 3, 2**32):
+        pcg = _PcgLanes(trial_seed_words(seed, first, 3))
+        for i, t in enumerate(range(first, first + 3)):
+            want = np.random.PCG64(np.random.SeedSequence((seed, t))).state["state"]
+            state, inc = int(pcg.hi[i]) << 64 | int(pcg.lo[i]), int(pcg.inc_hi[i]) << 64 | int(pcg.inc_lo[i])
+            assert {"state": state, "inc": inc} == want, (first, t)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 + 1])
 def test_numpy_pcg64_matches_generator_random(seed):
     """4,096 lanes draw 200 uniforms; so do every third lane's after a compaction to them at draw 100."""
     trials = [*range(2048), *range(2**32 + 5, 2**32 + 2053)]
@@ -300,13 +311,13 @@ def test_numpy_pcg64_matches_generator_random(seed):
         np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t)))).random(200)
         for t in trials
     ])
-    pcg = _pcg_seed(words)
+    pcg = _PcgLanes(words)
     got = np.empty((len(words), 200))
     for j in range(200):
         got[:, j] = pcg.draw()
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    pcg = _pcg_seed(words)
+    pcg = _PcgLanes(words)
     for _ in range(100):
         pcg.draw()
     kept = np.arange(len(words)) % 3 == 0
@@ -360,11 +371,10 @@ def test_lanes_refuse_every_input_but_a_uso_in_row_form(monkeypatch):
     """No rows, a row without its loop bit, cyclic rows or a start that is no vertex: ValueError before any step."""
     module = importlib.import_module("usomat.random_facet")
 
-    def no_step(*args):
-        raise AssertionError("a PCG64 stream was stepped")
+    def no_streams(*args):
+        raise AssertionError("PCG64 streams were seeded")
 
-    monkeypatch.setattr(module, "_pcg_seed", no_step)
-    monkeypatch.setattr(module._PcgLanes, "step", no_step)
+    monkeypatch.setattr(module, "_PcgLanes", no_streams)
     words = trial_seed_words(0, 0, 2)
     uso = build_matousek(path_family(3))
     refusals = [

@@ -199,6 +199,32 @@ def test_non_matousek_tables_compare_by_table():
     assert flip_facet(twisted, 2).rows is None  # the dense route
 
 
+def test_outmap_reads_one_vertex_rule_in_every_form():
+    """A row-born orientation before and after its table is built, and a table-born one, give one answer per vertex.
+
+    Anything that is no vertex raises the same ValueError in all three, and
+    so does random_facet as a start; a non-Matousek table refuses it too.
+    """
+    twisted = Orientation(3, (0, 1, 2, 3, 4, 7, 6, 5))
+    for n, base in ((1, 0), (2, 1), (3, 5), (5, 17)):
+        rows = path_family(n).rows
+        row_born = Orientation.from_rows(n, base, rows)
+        table_born = Orientation(n, Orientation.from_rows(n, base, rows).outmaps)
+        bad = (-1, 1 << n, (1 << n) + 1, True, 1.0)
+        want = [(ValueError, f"vertex {v!r} is not an integer in 0..{(1 << n) - 1}") for v in bad]
+        before = [outcome(row_born.outmap, v) for v in bad]
+        assert row_born._table is None  # a refusal builds no table
+        in_range = [row_born.outmap(v) for v in range(1 << n)]
+        row_born.outmaps
+        after = [outcome(row_born.outmap, v) for v in bad]
+        assert before == after == [outcome(table_born.outmap, v) for v in bad] == want
+        assert [outcome(random_facet, row_born, v) for v in bad] == want
+        assert in_range == [row_born.outmap(v) for v in range(1 << n)] == list(table_born.outmaps)
+        assert in_range == [table_born.outmap(v) for v in range(1 << n)]
+        if n == 3:
+            assert [outcome(twisted.outmap, v) for v in bad] == want
+
+
 def test_run_trials_reads_rows_only(monkeypatch):
     """Blocks under _LOCKSTEP_MIN run trial by trial, larger ones in lockstep; neither builds a table, at any n."""
     import usomat.cube
